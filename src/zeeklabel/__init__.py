@@ -53,7 +53,6 @@ from .rules import (
     ConditionGroup,
     Rule,
     RuleSet,
-    evaluate_condition,
     load_config,
     match_rule,
     parse_ruleset,
@@ -61,7 +60,6 @@ from .rules import (
 )
 from .zeekio import (
     ConnSchema,
-    FlowView,
     ZeekHeader,
     ZeekLogReader,
     ZeekLogTable,
@@ -84,7 +82,6 @@ __all__ = [
     "EMPTY_DETAIL",
     "EMPTY_LABEL",
     "EMPTY_PAIR",
-    "FlowView",
     "LEVEL_NAMES",
     "LabelAssignment",
     "LabeledFlow",
@@ -107,7 +104,6 @@ __all__ = [
     "builtin_ontology",
     "cert_label_map",
     "compute_metrics",
-    "evaluate_condition",
     "flow_confusion",
     "ip_detection_timeline",
     "label_conn",

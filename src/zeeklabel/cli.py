@@ -14,9 +14,12 @@ import hashlib
 import ipaddress
 import json
 import logging
+import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import (
@@ -64,6 +67,23 @@ def _labeled_path(path: Path) -> Path:
     return path.with_name(path.name + ".labeled")
 
 
+@contextmanager
+def _replace_on_success(path: Path) -> Iterator[IO[str]]:
+    """Write ``path`` through a temp file beside it, moved in place on success.
+
+    The temp name does not end in ``.log``, so a directory scan for logs never
+    picks it up; on any error it is removed and ``path`` is left untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
@@ -80,9 +100,7 @@ def cmd_label(ns: argparse.Namespace) -> int:
 
     histogram: Counter[str] = Counter()
     rows = 0
-    with open(conn_path, encoding="utf-8") as src, open(
-        out_path, "w", encoding="utf-8"
-    ) as dst:
+    with open(conn_path, encoding="utf-8") as src, _replace_on_success(out_path) as dst:
         reader = ZeekLogReader(src, str(conn_path))
         schema = ConnSchema(reader.header, reader.format)
         writer = ZeekLogWriter(dst, reader.header, reader.format)
@@ -172,9 +190,7 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
         out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
         rows = 0
         labeled = 0
-        with open(path, encoding="utf-8") as src, open(
-            out_path, "w", encoding="utf-8"
-        ) as dst:
+        with open(path, encoding="utf-8") as src, _replace_on_success(out_path) as dst:
             reader = ZeekLogReader(src, str(path))
             header = reader.header
             writer = ZeekLogWriter(dst, header, reader.format)

@@ -11,8 +11,8 @@ import logging
 from typing import Iterable, Iterator
 
 from .errors import UsageError
-from .rules import RuleSet, match_rule
-from .zeekio import LABEL_FIELDS, ConnSchema, Row, ZeekHeader, ZeekLogTable, row_field
+from .rules import RuleSet
+from .zeekio import LABEL_FIELDS, ConnSchema, Flow, Row, ZeekHeader, ZeekLogTable, row_field
 
 logger = logging.getLogger(__name__)
 
@@ -22,11 +22,10 @@ EMPTY_PAIR = (EMPTY_LABEL, EMPTY_LABEL)
 LabelPair = tuple[str, str]
 
 
-def apply_rules(ruleset: RuleSet, flow) -> LabelPair:
-    for rule in ruleset.rules:
-        if match_rule(rule, flow):
-            return rule.label_pair
-    return EMPTY_PAIR
+def apply_rules(ruleset: RuleSet, flow: Flow) -> LabelPair:
+    """The label pair of the first rule that matches the flow, else (empty)."""
+    rule = ruleset.first_match(flow)
+    return EMPTY_PAIR if rule is None else rule.label_pair
 
 
 def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:

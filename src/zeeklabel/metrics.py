@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import LogFormatError, UsageError
+from .zeekio import utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -226,24 +227,28 @@ def timeline_confusion(timelines: dict) -> ConfusionCounts:
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
     """Parse detections from JSON lines: {"ip", "time", "evidence": [uids]}."""
     records: list[DetectionRecord] = []
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
-        if not isinstance(obj, dict):
-            raise LogFormatError(f"{source}: line {lineno}: expected an object")
-        try:
-            ip = ipaddress.ip_address(obj["ip"])
-            time = float(obj["time"])
-            evidence = frozenset(str(u) for u in obj["evidence"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(
-                f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
-            ) from None
-        records.append(DetectionRecord(ip=ip, time=time, evidence=evidence))
+    lineno = 0
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
+            if not isinstance(obj, dict):
+                raise LogFormatError(f"{source}: line {lineno}: expected an object")
+            try:
+                ip = ipaddress.ip_address(obj["ip"])
+                time = float(obj["time"])
+                evidence = frozenset(str(u) for u in obj["evidence"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogFormatError(
+                    f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
+                ) from None
+            records.append(DetectionRecord(ip=ip, time=time, evidence=evidence))
+    except UnicodeDecodeError as exc:
+        raise utf8_error(source, lineno, exc) from None
     return records
 
 

@@ -4,14 +4,20 @@ A rule is a header line ``Label, detailed-label:`` followed by one or more
 condition lines starting with ``-``. Conditions on one line are ANDed
 (``and`` or ``&``); the lines of a rule are ORed. Columns are the classic
 netflow dozen (Date, start, Duration, Proto, srcIP, srcPort, dstIP, dstPort,
-State, Tos, Packets, Bytes) evaluated against conn.log records through the
-field mapping in :mod:`zeeklabel.zeekio`.
+State, Tos, Packets, Bytes) evaluated against conn.log records through
+:class:`zeeklabel.zeekio.Flow`.
 
 Values are typed at parse time: ports/counters as numbers, IPs as addresses
 (exact addresses only, no CIDR), Date as a calendar date, start as epoch
 seconds. Ordering operators are limited to numeric and temporal columns;
 ``=`` works everywhere and compares Proto/State case-insensitively and IPs
-as parsed addresses.
+as addresses, so IPv6 spelling variants are equal.
+
+Conditions compile once into predicates over a flow. A RuleSet files each
+condition line under one of its ``=`` conditions on srcIP, dstIP, dstPort
+or Proto (tuple space search, Srinivasan, Suri & Varghese, SIGCOMM 1999), so
+a flow is tested only against the lines filed under its own values and the
+lines with no such condition; the lowest matching rule number wins.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import ipaddress
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .config import SECTION_RULES, split_sections
@@ -35,7 +42,7 @@ from .ontology import (
 )
 
 if TYPE_CHECKING:
-    from .zeekio import FlowView
+    from .zeekio import Flow
 
 # column -> value kind; ordering operators apply to the non-string kinds
 COLUMNS: dict[str, str] = {
@@ -53,13 +60,9 @@ COLUMNS: dict[str, str] = {
     "Bytes": "number",
 }
 
-OPS: dict[str, Callable[[object, object], bool]] = {
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-    "=": operator.eq,
-}
+_ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+# columns whose "=" conditions index a RuleSet, the most selective first
+_INDEXED_COLUMNS = ("srcIP", "dstIP", "dstPort", "Proto")
 
 _CONDITION_RE = re.compile(r"^(\w+)\s*(<=|>=|<|>|=)\s*(\S+)$")
 _SPLIT_RE = re.compile(r"(?i)\s+and\s+|\s*&\s*")
@@ -70,6 +73,24 @@ class Condition:
     column: str
     op: str
     value: object
+
+    @cached_property
+    def key(self) -> object:
+        """The value typed as :class:`zeeklabel.zeekio.Flow` reads the column."""
+        if COLUMNS[self.column] == "string":
+            return self.value.lower()  # type: ignore[attr-defined]
+        if COLUMNS[self.column] == "ip":
+            return str(self.value)
+        return self.value
+
+    @cached_property
+    def test(self) -> Callable[["Flow"], bool]:
+        """This condition as a predicate over a flow; unset never matches."""
+        column, want = self.column, self.key
+        if self.op == "=":
+            return lambda flow: flow.value(column) == want
+        compare = _ORDERINGS[self.op]
+        return lambda flow: (have := flow.value(column)) is not None and compare(have, want)
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,44 @@ class RuleSet:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def _index(self) -> tuple[list, list]:
+        # ([(column, {key: entries})], keyless entries); an entry is
+        # (rule number, predicate for the rest of the line), in rule order
+        buckets: dict[str, dict[object, list]] = {c: {} for c in _INDEXED_COLUMNS}
+        keyless: list = []
+        for number, rule in enumerate(self.rules):
+            for group in rule.groups:
+                keys = [c for c in group.conditions if c.op == "=" and c.column in buckets]
+                key = min(keys, key=lambda c: _INDEXED_COLUMNS.index(c.column), default=None)
+                entries = keyless if key is None else buckets[key.column].setdefault(key.key, [])
+                entries.append((number, _all_of([c for c in group.conditions if c is not key])))
+        return [(c, b) for c, b in buckets.items() if b], keyless
+
+    def first_match(self, flow: "Flow") -> Rule | None:
+        """The first rule in file order that matches the flow, if any."""
+        keyed, keyless = self._index
+        best = len(self.rules)
+        for entries in [b.get(flow.value(c), ()) for c, b in keyed] + [keyless]:
+            for number, test in entries:  # in rule order, so stop at the first hit
+                if number >= best:
+                    break
+                if test(flow):
+                    best = number
+                    break
+        return self.rules[best] if best < len(self.rules) else None
+
+
+def _all_of(conditions) -> Callable[["Flow"], bool]:
+    """The conjunction of the conditions' predicates; True when there are none."""
+    if not conditions:
+        return lambda flow: True
+    first = conditions[0].test
+    if len(conditions) == 1:
+        return first
+    rest = _all_of(conditions[1:])
+    return lambda flow: first(flow) and rest(flow)
 
 
 def _parse_value(column: str, op: str, text: str, lineno: int) -> object:
@@ -235,23 +294,9 @@ def load_config(text: str) -> tuple[OntologySpec, RuleSet]:
     return spec, parse_ruleset(text, spec)
 
 
-def evaluate_condition(cond: Condition, flow: "FlowView") -> bool:
-    """One condition against one flow; unset flow fields never match."""
-    value = flow.value(cond.column)
-    if value is None:
-        return False
-    kind = COLUMNS[cond.column]
-    if kind == "string":
-        return value.lower() == cond.value.lower()  # type: ignore[union-attr]
-    return OPS[cond.op](value, cond.value)
-
-
-def match_rule(rule: Rule, flow: "FlowView") -> bool:
+def match_rule(rule: Rule, flow: "Flow") -> bool:
     """True iff any condition line matches in full."""
-    return any(
-        all(evaluate_condition(c, flow) for c in group.conditions)
-        for group in rule.groups
-    )
+    return any(all(c.test(flow) for c in group.conditions) for group in rule.groups)
 
 
 def _render_value(cond: Condition) -> str:

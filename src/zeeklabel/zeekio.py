@@ -7,9 +7,9 @@ verbatim so a labeled file is byte-identical to its input apart from the
 two appended columns. JSON-lines rows are re-serialized from the original
 objects with the two label keys added.
 
-The module also owns the rule-facing view of a conn.log record: the mapping
-from rule columns (srcIP, Bytes, Date, ...) onto Zeek's field names, with
-typed access and an explicit unset notion.
+The module also owns the rule-facing view of a conn.log record: a
+:class:`Flow` maps rule columns (srcIP, Bytes, Date, ...) onto Zeek's field
+names and memoizes each column's typed value, with an explicit unset notion.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import datetime
 import ipaddress
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import IO, Iterator
 
 from .errors import LogFormatError, UsageError
@@ -105,6 +104,18 @@ def _json_cell(value: object, header: ZeekHeader) -> str:
     return _json_scalar(value)
 
 
+def utf8_error(source: str, lines_read: int, exc: UnicodeDecodeError) -> LogFormatError:
+    """The error for a non-UTF-8 byte met after ``lines_read`` whole lines.
+
+    A text stream decodes the chunk that continues the first line not yet
+    read, so the byte sits that many newlines into the chunk past that line.
+    """
+    lineno = lines_read + 1
+    if isinstance(exc.object, bytes):
+        lineno += exc.object.count(b"\n", 0, exc.start)
+    return LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
+
+
 class ZeekLogReader:
     """Streaming reader; header is available right after construction.
 
@@ -124,7 +135,10 @@ class ZeekLogReader:
         self._read_preamble()
 
     def _next_line(self) -> str | None:
-        line = self._stream.readline()
+        try:
+            line = self._stream.readline()
+        except UnicodeDecodeError as exc:
+            raise utf8_error(self.source, self._lineno, exc) from None
         if line == "":
             return None
         self._lineno += 1
@@ -379,184 +393,108 @@ def row_set_field(row: Row, header: ZeekHeader, name: str) -> list[str]:
     return cell.split(header.set_separator)
 
 
-@lru_cache(maxsize=65536)
-def _parse_ip(text: str):
-    try:
-        return ipaddress.ip_address(text)
-    except ValueError:
-        return None
-
-
 def _to_float(value) -> float | None:
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
 def _to_int(value) -> int | None:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return None
     if isinstance(value, int):
-        return value
+        return None if isinstance(value, bool) else value
     try:
         return int(float(value))
-    except (ValueError, TypeError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
-class FlowView:
-    """Typed, rule-facing accessors over one conn.log record.
+def _lower(value) -> str | None:
+    return None if value is None else str(value).lower()
 
-    Unset cells (and cells that fail to parse as their expected type) are
-    None; the additive Packets/Bytes views treat unset halves as 0 so a
-    partially logged flow still has a defined volume.
-    """
 
-    __slots__ = ()
+def _address(value) -> str | None:
+    # IPv4 text is kept as written: ipaddress accepts only the canonical
+    # dotted quad, so no other spelling can equal a rule's address anyway
+    if value is None:
+        return None
+    text = str(value)
+    if ":" not in text:
+        return text
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
 
-    def _cell(self, name: str):
-        raise NotImplementedError
 
-    @property
-    def uid(self) -> str | None:
-        value = self._cell("uid")
-        return None if value is None else str(value)
-
-    @property
-    def start(self) -> float | None:
-        return _to_float(self._cell("ts"))
-
-    @property
-    def date(self) -> datetime.date | None:
-        ts = self.start
-        if ts is None:
-            return None
+def _utc_date(ts: float | None) -> datetime.date | None:
+    if ts is None:
+        return None
+    try:
         return datetime.datetime.fromtimestamp(ts, tz=_UTC).date()
-
-    @property
-    def duration(self) -> float | None:
-        return _to_float(self._cell("duration"))
-
-    @property
-    def proto(self) -> str | None:
-        value = self._cell("proto")
-        return None if value is None else str(value)
-
-    @property
-    def state(self) -> str | None:
-        value = self._cell("conn_state")
-        return None if value is None else str(value)
-
-    @property
-    def tos(self) -> int | None:
-        return _to_int(self._cell("tos"))
-
-    @property
-    def src_ip(self):
-        value = self._cell("id.orig_h")
-        return None if value is None else _parse_ip(str(value))
-
-    @property
-    def dst_ip(self):
-        value = self._cell("id.resp_h")
-        return None if value is None else _parse_ip(str(value))
-
-    @property
-    def src_port(self) -> int | None:
-        return _to_int(self._cell("id.orig_p"))
-
-    @property
-    def dst_port(self) -> int | None:
-        return _to_int(self._cell("id.resp_p"))
-
-    @property
-    def packets(self) -> int:
-        return (_to_int(self._cell("orig_pkts")) or 0) + (
-            _to_int(self._cell("resp_pkts")) or 0
-        )
-
-    @property
-    def bytes(self) -> int:
-        return (_to_int(self._cell("orig_bytes")) or 0) + (
-            _to_int(self._cell("resp_bytes")) or 0
-        )
-
-    def value(self, column: str):
-        """Look up a rule column's typed value; None means unset."""
-        return _COLUMN_GETTERS[column](self)
+    except (OverflowError, OSError, ValueError):
+        return None
 
 
-_COLUMN_GETTERS = {
-    "Date": FlowView.date.fget,
-    "start": FlowView.start.fget,
-    "Duration": FlowView.duration.fget,
-    "Proto": FlowView.proto.fget,
-    "srcIP": FlowView.src_ip.fget,
-    "srcPort": FlowView.src_port.fget,
-    "dstIP": FlowView.dst_ip.fget,
-    "dstPort": FlowView.dst_port.fget,
-    "State": FlowView.state.fget,
-    "Tos": FlowView.tos.fget,
-    "Packets": FlowView.packets.fget,
-    "Bytes": FlowView.bytes.fget,
+def _volume(flow: "Flow", orig: str, resp: str) -> int:
+    return (_to_int(flow.cell(orig)) or 0) + (_to_int(flow.cell(resp)) or 0)
+
+
+# rule column -> its typed value on a flow
+_READERS = {
+    "Date": lambda flow: _utc_date(flow.value("start")),
+    "start": lambda flow: _to_float(flow.cell("ts")),
+    "Duration": lambda flow: _to_float(flow.cell("duration")),
+    "Proto": lambda flow: _lower(flow.cell("proto")),
+    "srcIP": lambda flow: _address(flow.cell("id.orig_h")),
+    "srcPort": lambda flow: _to_int(flow.cell("id.orig_p")),
+    "dstIP": lambda flow: _address(flow.cell("id.resp_h")),
+    "dstPort": lambda flow: _to_int(flow.cell("id.resp_p")),
+    "State": lambda flow: _lower(flow.cell("conn_state")),
+    "Tos": lambda flow: _to_int(flow.cell("tos")),
+    "Packets": lambda flow: _volume(flow, "orig_pkts", "resp_pkts"),
+    "Bytes": lambda flow: _volume(flow, "orig_bytes", "resp_bytes"),
 }
 
-_CONN_FIELDS = (
-    "ts",
-    "uid",
-    "id.orig_h",
-    "id.orig_p",
-    "id.resp_h",
-    "id.resp_p",
-    "proto",
-    "conn_state",
-    "duration",
-    "tos",
-    "orig_pkts",
-    "resp_pkts",
-    "orig_bytes",
-    "resp_bytes",
-)
 
+class Flow(dict):
+    """One conn.log record as a memo of its rule-column values.
 
-class _TsvFlowView(FlowView):
-    __slots__ = ("_cells", "_schema")
+    ``value(column)`` (or ``flow[column]``) reads a rule column's typed value
+    on first use and keeps it, so each cell is converted at most once per row
+    however many conditions test it. None means unset: the cell is unset or
+    absent or does not parse as its type. Packets/Bytes count unset halves as
+    0, so a partially logged flow still has a volume. Date is the UTC date of
+    ``start``. Proto and State are lowercased, IPs are address text in
+    canonical form.
+    """
 
-    def __init__(self, cells: list[str], schema: "ConnSchema") -> None:
-        self._cells = cells
+    __slots__ = ("_row", "_schema")
+
+    def __init__(self, row: Row, schema: "ConnSchema") -> None:
+        self._row = row
         self._schema = schema
 
-    def _cell(self, name: str):
-        idx = self._schema.indices[name]
-        if idx is None:
-            return None
-        value = self._cells[idx]
-        if value in self._schema.null_cells:
-            return None
+    def __missing__(self, column: str):
+        value = self[column] = _READERS[column](self)
         return value
 
+    value = dict.__getitem__
 
-class _JsonFlowView(FlowView):
-    __slots__ = ("_obj", "_schema")
-
-    def __init__(self, obj: dict, schema: "ConnSchema") -> None:
-        self._obj = obj
-        self._schema = schema
-
-    def _cell(self, name: str):
-        value = self._obj.get(name)
-        if value is None:
-            return None
-        if isinstance(value, str) and value in self._schema.null_cells:
-            return None
-        return value
+    def cell(self, name: str):
+        """A conn.log field as the row holds it; None when unset or absent."""
+        schema = self._schema
+        obj = self._row.obj
+        if obj is None:
+            idx = schema.indices.get(name)
+            if idx is None:
+                return None
+            value = self._row.cells[idx]  # type: ignore[index]
+        else:
+            value = obj.get(name)
+            if not isinstance(value, str):
+                return value
+        return None if value in schema.null_cells else value
 
 
 class ConnSchema:
@@ -567,9 +505,9 @@ class ConnSchema:
             raise LogFormatError("flow table has no uid field")
         self.format = fmt
         self.null_cells = frozenset({header.unset_field, header.empty_field, ""})
-        self.indices = {name: header.index_of(name) for name in _CONN_FIELDS}
+        self.indices: dict[str, int] = {}
+        for i, name in enumerate(header.fields):
+            self.indices.setdefault(name, i)
 
-    def view(self, row: Row) -> FlowView:
-        if row.obj is not None:
-            return _JsonFlowView(row.obj, self)
-        return _TsvFlowView(row.cells, self)  # type: ignore[arg-type]
+    def view(self, row: Row) -> Flow:
+        return Flow(row, self)

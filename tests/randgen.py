@@ -104,6 +104,15 @@ def flow_to_cells(flow: dict) -> list[str]:
     )
 
 
+def _ip_condition(rng: random.Random, column: str) -> tuple[str, str, object, str]:
+    """An address condition, sometimes in an alternate IPv6 spelling."""
+    text = rng.choice(IP_POOL)
+    value = ipaddress.ip_address(text)
+    if text in IP_VARIANTS and rng.random() < 0.5:
+        text = IP_VARIANTS[text]
+    return column, "=", value, text
+
+
 def _gen_condition(rng: random.Random) -> tuple[str, str, object, str]:
     """(column, op, typed value, text form)."""
     column = rng.choice(
@@ -111,11 +120,7 @@ def _gen_condition(rng: random.Random) -> tuple[str, str, object, str]:
          "dstIP", "dstPort", "State", "Tos", "Packets", "Bytes"]
     )
     if column in ("srcIP", "dstIP"):
-        text = rng.choice(IP_POOL)
-        value = ipaddress.ip_address(text)
-        if text in IP_VARIANTS and rng.random() < 0.5:
-            text = IP_VARIANTS[text]
-        return column, "=", value, text
+        return _ip_condition(rng, column)
     if column == "Proto":
         text = rng.choice(["TCP", "UDP", "ICMP", "tcp", "Udp"])
         return column, "=", text, text
@@ -174,6 +179,76 @@ def gen_case(rng: random.Random, max_rules: int = 5, max_groups: int = 4,
             groups.append(conds)
         rules.append({"label": label, "detail": detail, "groups": groups})
     return "\n".join(lines) + "\n", rules
+
+
+KEY_COLUMNS = ("srcIP", "dstIP", "dstPort", "Proto")
+
+
+def _key_condition(rng: random.Random, column: str) -> tuple[str, str, object, str]:
+    """An "=" condition on a column a RuleSet indexes by."""
+    if column in ("srcIP", "dstIP"):
+        return _ip_condition(rng, column)
+    if column == "dstPort":
+        value = rng.choice(PORTS)
+        return column, "=", value, str(value)
+    text = rng.choice(["TCP", "UDP", "ICMP", "tcp", "Udp"])
+    return column, "=", text, text
+
+
+def _unkeyed_condition(rng: random.Random) -> tuple[str, str, object, str]:
+    while True:
+        cond = _gen_condition(rng)
+        if not (cond[0] in KEY_COLUMNS and cond[1] == "="):
+            return cond
+
+
+def gen_keyed_case(rng: random.Random, n_rules: int) -> tuple[str, list[dict]]:
+    """Many rules whose lines mostly carry "=" conditions on indexed columns.
+
+    Values come from small pools, so many lines share a key. A line has zero
+    to three key conditions plus others, and a rule has one to three lines,
+    so the lines of one rule land under different keys and keyless lines
+    fall between keyed ones.
+    """
+    rules = []
+    lines = [ONTOLOGY_TEXT, "[rules]"]
+    for _ in range(n_rules):
+        label = rng.choice(LABELS)
+        detail = rng.choice(DETAILS)
+        lines.append(f"{label}, {detail}:")
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            n_keys = rng.choice([0, 1, 1, 2, 2, 2, 3])
+            conds = [_key_condition(rng, rng.choice(KEY_COLUMNS)) for _ in range(n_keys)]
+            n_other = rng.randint(1, 3) if conds else rng.randint(3, 4)
+            conds += [_unkeyed_condition(rng) for _ in range(n_other)]
+            rng.shuffle(conds)
+            lines.append(
+                "    - " + " and ".join(f"{c}{op}{text}" for c, op, _, text in conds)
+            )
+            groups.append(conds)
+        rules.append({"label": label, "detail": detail, "groups": groups})
+    return "\n".join(lines) + "\n", rules
+
+
+def flow_to_json(flow: dict) -> dict:
+    """The flow as a Zeek JSON-lines object; unset fields are left out, as Zeek does."""
+    obj = {
+        "ts": flow["ts"],
+        "uid": flow["uid"],
+        "id.orig_h": str(flow["src_ip"]),
+        "id.orig_p": flow["src_port"],
+        "id.resp_h": str(flow["dst_ip"]),
+        "id.resp_p": flow["dst_port"],
+        "proto": flow["proto"],
+        "conn_state": flow["state"],
+        "duration": flow["duration"],
+        "orig_pkts": flow["orig_pkts"],
+        "resp_pkts": flow["resp_pkts"],
+        "orig_bytes": flow["orig_bytes"],
+        "resp_bytes": flow["resp_bytes"],
+    }
+    return {key: value for key, value in obj.items() if value is not None}
 
 
 def oracle_flow_value(column: str, flow: dict):

@@ -151,6 +151,76 @@ def test_label_json_lines_input(tmp_path, capsys):
     assert second["detailed_label"] == "(empty)"
 
 
+def _big_conn(path, rows: int, bad_row: bytes | None = None) -> int:
+    """A TSV conn.log; ``bad_row`` replaces the last data row. Returns its line."""
+    lines = conn_log_text([conn_row(uid=f"C{i}") for i in range(rows)]).encode().splitlines()
+    bad_line = len(lines) - 1  # the last data row sits just above #close
+    if bad_row is not None:
+        lines[bad_line - 1] = bad_row
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return bad_line
+
+
+def _one_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return errors[0]
+
+
+def test_label_short_row_leaves_no_output(tmp_path, capsys):
+    conn = tmp_path / "conn.log"
+    _big_conn(conn, 3001, bad_row=b"1674567890.5\tCshort\t10.0.0.1")
+    config = tmp_path / "r.conf"
+    config.write_text("Benign, (empty):\n    - Proto=tcp\n")
+    rc = main(["label", str(conn), "--config", str(config)])
+    assert rc == 1
+    assert "row 3001: expected 21 fields, got 3" in _one_error_line(capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log", "r.conf"]
+
+
+def test_propagate_malformed_log_leaves_no_partial_output(proplogs_dir, capsys):
+    _label_proplogs(proplogs_dir)
+    http = proplogs_dir / "http.log"
+    http.write_text(http.read_text().replace("#close", "short\trow\n#close"))
+    before = {p.name for p in proplogs_dir.iterdir()}
+    rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 1
+    assert "http.log: row" in _one_error_line(capsys.readouterr().err)
+    written = {p.name for p in proplogs_dir.iterdir()} - before
+    # logs before http.log in name order were finished; nothing else is left behind
+    assert written == {"dns.labeled.log", "files.labeled.log"}
+
+
+@pytest.mark.parametrize("command", ["label", "propagate", "eval-conn", "eval-detections"])
+def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.log"
+    line = _big_conn(bad, 3000, bad_row=b"1674567890.5\t\xff")
+    if command == "propagate":  # a uid-linked log other than conn
+        bad.write_bytes(bad.read_bytes().replace(b"#path\tconn", b"#path\thttp"))
+    if command == "eval-detections":
+        det_lines = [b'{"ip": "10.0.0.1", "time": 1.0, "evidence": []}'] * 500
+        det_lines[400] = b'{"ip": "10.0.0.1\xff", "time": 1.0, "evidence": []}'
+        bad.write_bytes(b"\n".join(det_lines) + b"\n")
+        line = 401
+    config = tmp_path / "r.conf"
+    config.write_text("Benign, (empty):\n    - Proto=tcp\n")
+    conn_labeled = DATA_DIR / "fig2" / "conn.labeled.log"
+    argv = {
+        "label": ["label", str(bad), "--config", str(config)],
+        "propagate": ["propagate", str(conn_labeled), str(tmp_path)],
+        "eval-conn": ["eval", str(bad), str(DATA_DIR / "fig2" / "detections.jsonl")],
+        "eval-detections": ["eval", str(conn_labeled), str(bad)],
+    }[command]
+    rc = main(argv)
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {bad}: line {line}: not valid UTF-8"
+    )
+    assert not list(tmp_path.glob("*.labeled.log"))
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
 def _label_proplogs(proplogs_dir) -> None:
     rc = main(
         [

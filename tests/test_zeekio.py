@@ -231,37 +231,36 @@ def _flow(**overrides):
 
 def test_flow_view_typed_values():
     flow = _flow()
-    assert flow.uid == "CDEFAULTuid"
-    assert flow.start == 1674567890.5
-    assert flow.date.isoformat() == "2023-01-24"
-    assert flow.duration == 1.5
-    assert flow.proto == "tcp"
-    assert flow.state == "SF"
-    assert str(flow.src_ip) == "10.0.0.1"
-    assert str(flow.dst_ip) == "203.0.113.10"
-    assert flow.src_port == 40000
-    assert flow.dst_port == 443
-    assert flow.packets == 22
-    assert flow.bytes == 5000
-    assert flow.tos is None  # conn.log has no tos column
+    assert flow.value("start") == 1674567890.5
+    assert flow.value("Date").isoformat() == "2023-01-24"
+    assert flow.value("Duration") == 1.5
+    assert flow.value("Proto") == "tcp"
+    assert flow.value("State") == "sf"  # lowercased: Proto/State compare case-insensitively
+    assert flow.value("srcIP") == "10.0.0.1"
+    assert flow.value("dstIP") == "203.0.113.10"
+    assert flow.value("srcPort") == 40000
+    assert flow.value("dstPort") == 443
+    assert flow.value("Packets") == 22
+    assert flow.value("Bytes") == 5000
+    assert flow.value("Tos") is None  # conn.log has no tos column
 
 
 def test_flow_view_unset_halves_count_as_zero():
     flow = _flow(orig_pkts="10", resp_pkts="-", orig_bytes="-", resp_bytes="300")
-    assert flow.packets == 10
-    assert flow.bytes == 300
+    assert flow.value("Packets") == 10
+    assert flow.value("Bytes") == 300
 
 
 def test_flow_view_all_unset_volume_is_zero():
     flow = _flow(orig_pkts="-", resp_pkts="-")
-    assert flow.packets == 0
+    assert flow.value("Packets") == 0
 
 
 def test_flow_view_unset_scalar_is_none():
     flow = _flow(ts="-", duration="-")
-    assert flow.start is None
-    assert flow.date is None
-    assert flow.duration is None
+    assert flow.value("start") is None
+    assert flow.value("Date") is None
+    assert flow.value("Duration") is None
 
 
 def test_flow_view_json_rows():
@@ -282,11 +281,11 @@ def test_flow_view_json_rows():
     table = table_from_text(_json_lines(objs))
     schema = ConnSchema(table.header, table.format)
     flow = schema.view(next(table.iter_rows()))
-    assert flow.start == 1674567890.5
-    assert flow.src_port == 40000
-    assert str(flow.src_ip) == "10.0.0.1"
-    assert flow.packets == 22
-    assert flow.duration is None
+    assert flow.value("start") == 1674567890.5
+    assert flow.value("srcPort") == 40000
+    assert flow.value("srcIP") == "10.0.0.1"
+    assert flow.value("Packets") == 22
+    assert flow.value("Duration") is None
 
 
 def test_fixture_logs_parse(data_dir):
