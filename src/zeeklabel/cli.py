@@ -14,6 +14,7 @@ import hashlib
 import ipaddress
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -32,21 +33,22 @@ from .metrics import (
     check_detection_times,
     compute_metrics,
     flow_confusion,
-    ip_detection_timeline,
     read_detections,
     timeline_confusion,
+    timeline_runs,
     MALICIOUS,
     UNKNOWN,
 )
 from .ontology import builtin_ontology, load_ontology
 from .propagate import (
     X509_ID_FIELDS,
+    _field_alias,
     accumulate_cert_labels,
     files_row_labels,
     lookup_row,
 )
 from .rules import load_config
-from .zeekio import LABEL_FIELDS, ConnSchema, ZeekLogReader, ZeekLogWriter, read_log, row_field
+from .zeekio import LABEL_FIELDS, ConnSchema, ZeekLogReader, ZeekLogWriter, _to_float, row_field
 
 logger = logging.getLogger(__name__)
 
@@ -199,12 +201,7 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
                     "%s has no uid linkage; passing rows through as (empty)",
                     path.name,
                 )
-            id_field = None
-            if route == "x509":
-                for name in X509_ID_FIELDS:
-                    if name in header.fields:
-                        id_field = name
-                        break
+            id_field = _field_alias(header, X509_ID_FIELDS)
             for row in reader.rows():
                 if route == "uid":
                     pair = lookup_row(row, header, index)
@@ -232,34 +229,32 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
 
 
 def _load_flows(conn_path: Path) -> list[LabeledFlow]:
+    flows: list[LabeledFlow] = []
+    skipped = 0
+    addresses: dict[str | None, ipaddress.IPv4Address | ipaddress.IPv6Address | None] = {}
     with open(conn_path, encoding="utf-8") as fh:
-        table = read_log(fh, str(conn_path))
-    header = table.header
+        reader = ZeekLogReader(fh, str(conn_path))
+        header = reader.header
+        for row in reader.rows():
+            uid = row_field(row, header, "uid")
+            ts = _to_float(row_field(row, header, "ts"))
+            src = row_field(row, header, "id.orig_h")
+            if src not in addresses:
+                try:
+                    addresses[src] = ipaddress.ip_address(src)
+                except ValueError:
+                    addresses[src] = None
+            src_ip = addresses[src]
+            if uid is None or ts is None or not math.isfinite(ts) or src_ip is None:
+                skipped += 1
+                continue
+            label = row_field(row, header, LABEL_FIELDS[0])
+            flows.append(LabeledFlow(uid, ts, src_ip, label or EMPTY_PAIR[0]))
+    # after the stream: bad rows are reported first, and JSON keys are complete
     if header.index_of(LABEL_FIELDS[0]) is None:
         raise UsageError(
             f"{conn_path} has no label column; run 'label' before 'eval'"
         )
-    flows: list[LabeledFlow] = []
-    skipped = 0
-    for row in table.iter_rows():
-        uid = row_field(row, header, "uid")
-        ts = row_field(row, header, "ts")
-        src = row_field(row, header, "id.orig_h")
-        label = row_field(row, header, LABEL_FIELDS[0])
-        if uid is None or ts is None or src is None:
-            skipped += 1
-            continue
-        try:
-            flows.append(
-                LabeledFlow(
-                    uid=uid,
-                    start=float(ts),
-                    src_ip=ipaddress.ip_address(src),
-                    label=label if label is not None else EMPTY_PAIR[0],
-                )
-            )
-        except ValueError:
-            skipped += 1
     if skipped:
         logger.warning(
             "%d rows skipped during evaluation (missing uid, ts or source IP)",
@@ -286,7 +281,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     unlabeled = sum(1 for f in in_scope if f.label == EMPTY_PAIR[0])
     malicious = sum(1 for f in in_scope if f.label == MALICIOUS)
 
-    timelines = ip_detection_timeline(flows, detections, ns.window, ns.threshold)
+    timelines = timeline_runs(flows, detections, ns.window, ns.threshold)
     ip_counts = timeline_confusion(timelines)
     ip_report = compute_metrics(ip_counts)
 
@@ -321,14 +316,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "timelines": {
                     str(ip): [
                         {
-                            "window_start": s.window_start,
-                            "truth": s.truth,
-                            "predicted": s.predicted,
-                            "status": s.status,
+                            "window_start": w * ns.window,
+                            "truth": run.truth,
+                            "predicted": run.predicted,
+                            "status": run.status,
                         }
-                        for s in statuses
+                        for run in runs
+                        for w in range(run.first_window, run.first_window + run.length)
                     ]
-                    for ip, statuses in timelines.items()
+                    for ip, runs in timelines.items()
                 },
             },
         }
@@ -349,8 +345,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     print(
         f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})"
     )
-    for ip, statuses in timelines.items():
-        marks = " ".join(s.status for s in statuses)
+    for ip, runs in timelines.items():
+        marks = " ".join(" ".join([run.status] * run.length) for run in runs)
         print(f"  {ip}: {marks}")
     c = ip_report.counts
     print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")

@@ -5,7 +5,11 @@ against flow labels one-to-one (Malicious is the positive class, Unknown
 flows are excluded and reported separately, unlabeled ``(empty)`` flows
 count as negatives). IP-level: time is cut into fixed windows aligned to
 the epoch and each (source IP, window) pair becomes one decision, which is
-how "was the attacker flagged while attacking" is scored.
+how "was the attacker flagged while attacking" is scored. One sweep over
+each IP's activity and detection windows gives its decisions as runs of
+equal windows (:func:`timeline_runs`), so scoring costs O(flows +
+detections) however many quiet windows the span holds; counts, reports and
+the per-window list (:func:`ip_detection_timeline`) all derive from it.
 
 Undefined ratios stay undefined (None), they are never reported as 0.
 """
@@ -17,7 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError
 from .zeekio import utf8_error
@@ -56,8 +60,8 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def add(self, status: str) -> None:
-        setattr(self, status.lower(), getattr(self, status.lower()) + 1)
+    def add(self, status: str, n: int = 1) -> None:
+        setattr(self, status.lower(), getattr(self, status.lower()) + n)
 
 
 @dataclass(frozen=True)
@@ -124,17 +128,94 @@ def flow_confusion(
     return counts
 
 
+_STATUS = {(True, True): "TP", (True, False): "FN", (False, True): "FP", (False, False): "TN"}
+
+
 @dataclass(frozen=True)
 class WindowStatus:
     window_start: float
     truth: bool
     predicted: bool
+    length = 1  # windows covered, as for a WindowRun
 
     @property
     def status(self) -> str:
-        if self.truth:
-            return "TP" if self.predicted else "FN"
-        return "FP" if self.predicted else "TN"
+        return _STATUS[self.truth, self.predicted]
+
+
+class WindowRun(NamedTuple):
+    """``length`` consecutive windows from ``first_window`` with one status."""
+
+    first_window: int
+    length: int
+    truth: bool
+    predicted: bool
+
+    @property
+    def status(self) -> str:
+        return _STATUS[self.truth, self.predicted]
+
+
+def timeline_runs(
+    flows: Sequence[LabeledFlow],
+    detections: Sequence[DetectionRecord],
+    window: float,
+    threshold: int = 1,
+) -> dict[ipaddress.IPv4Address | ipaddress.IPv6Address, list[WindowRun]]:
+    """Per-source-IP, per-window ground truth and prediction, as runs.
+
+    Windows tumble in fixed strides aligned to the epoch; every IP's runs
+    cover the same span, from the first flow or qualifying detection to the
+    last. Ground truth for (ip, window) is positive iff a malicious-labeled
+    flow of that IP starts inside the window. The prediction is positive in a
+    detection's own window (detections below the evidence threshold are
+    ignored), and stays positive afterwards only while the IP's most recent
+    activity window contains malicious flows; once the IP goes quiet or
+    benign the alert reverts immediately.
+
+    Only a window with activity or a detection changes that state, so the
+    sweep visits those windows and covers each quiet gap with one run.
+    """
+    if not window > 0:  # NaN too
+        raise UsageError("window must be a positive number of seconds")
+    activity: dict = {}
+    malicious: dict = {}
+    detected: dict = {}
+    for flow in flows:
+        w = math.floor(flow.start / window)
+        activity.setdefault(flow.src_ip, set()).add(w)
+        if flow.label == MALICIOUS:
+            malicious.setdefault(flow.src_ip, set()).add(w)
+    for det in detections:
+        if len(det.evidence) >= threshold:
+            detected.setdefault(det.ip, set()).add(math.floor(det.time / window))
+    events = [*activity.values(), *detected.values()]
+    if not events:
+        return {}
+    lo = min(min(ws) for ws in events)
+    hi = max(max(ws) for ws in events)
+
+    timelines: dict = {}
+    for ip in sorted(set(activity) | set(detected), key=lambda ip: (ip.version, int(ip))):
+        acts = activity.get(ip, set())
+        mals = malicious.get(ip, set())
+        dets = detected.get(ip, set())
+        runs: list[WindowRun] = []
+        seen_detection = last_malicious = latched = False
+        gap_start = lo
+        for w in sorted(acts | dets):
+            if w > gap_start:
+                runs.append(WindowRun(gap_start, w - gap_start, False, latched))
+            if w in acts:
+                last_malicious = w in mals
+            seen_detection = seen_detection or w in dets
+            latched = seen_detection and last_malicious
+            runs.append(WindowRun(w, 1, w in mals, w in dets or latched))
+            gap_start = w + 1
+        if hi >= gap_start:
+            runs.append(WindowRun(gap_start, hi + 1 - gap_start, False, latched))
+        timelines[ip] = runs
+    return timelines
 
 
 def ip_detection_timeline(
@@ -143,84 +224,23 @@ def ip_detection_timeline(
     window: float,
     threshold: int = 1,
 ) -> dict[ipaddress.IPv4Address | ipaddress.IPv6Address, list[WindowStatus]]:
-    """Per-source-IP, per-window ground truth and prediction.
-
-    Windows tumble in fixed strides aligned to the epoch. Ground truth for
-    (ip, window) is positive iff a malicious-labeled flow of that IP starts
-    inside the window. The prediction is positive in a detection's own
-    window (detections below the evidence threshold are ignored), and stays
-    positive afterwards only while the IP's most recent activity window
-    contains malicious flows; once the IP goes quiet or benign the alert
-    reverts immediately.
-    """
-    if window <= 0:
-        raise UsageError("window must be a positive number of seconds")
-    qualifying = [d for d in detections if len(d.evidence) >= threshold]
-
-    def win(ts: float) -> int:
-        return math.floor(ts / window)
-
-    activity: dict[object, set[int]] = {}
-    malicious: dict[object, set[int]] = {}
-    detected: dict[object, set[int]] = {}
-    lo: int | None = None
-    hi: int | None = None
-
-    def widen(w: int) -> None:
-        nonlocal lo, hi
-        lo = w if lo is None else min(lo, w)
-        hi = w if hi is None else max(hi, w)
-
-    for flow in flows:
-        w = win(flow.start)
-        widen(w)
-        activity.setdefault(flow.src_ip, set()).add(w)
-        if flow.label == MALICIOUS:
-            malicious.setdefault(flow.src_ip, set()).add(w)
-    for det in qualifying:
-        w = win(det.time)
-        widen(w)
-        detected.setdefault(det.ip, set()).add(w)
-
-    timelines: dict = {}
-    if lo is None:
-        return timelines
-    ips = sorted(set(activity) | set(detected), key=lambda ip: (ip.version, int(ip)))
-    for ip in ips:
-        acts = activity.get(ip, set())
-        mals = malicious.get(ip, set())
-        dets = detected.get(ip, set())
-        statuses: list[WindowStatus] = []
-        last_activity: int | None = None
-        has_detection_before = False
-        for w in range(lo, hi + 1):
-            if w in acts:
-                last_activity = w
-            if w in dets:
-                predicted = True
-                has_detection_before = True
-            else:
-                predicted = (
-                    has_detection_before
-                    and last_activity is not None
-                    and last_activity in mals
-                )
-            statuses.append(
-                WindowStatus(
-                    window_start=w * window,
-                    truth=w in mals,
-                    predicted=predicted,
-                )
-            )
-        timelines[ip] = statuses
-    return timelines
+    """:func:`timeline_runs` with every run expanded to one status per window."""
+    return {
+        ip: [
+            WindowStatus(w * window, run.truth, run.predicted)
+            for run in runs
+            for w in range(run.first_window, run.first_window + run.length)
+        ]
+        for ip, runs in timeline_runs(flows, detections, window, threshold).items()
+    }
 
 
 def timeline_confusion(timelines: dict) -> ConfusionCounts:
+    """Counts over per-window statuses or runs; a run counts once per window."""
     counts = ConfusionCounts()
     for statuses in timelines.values():
         for status in statuses:
-            counts.add(status.status)
+            counts.add(status.status, status.length)
     return counts
 
 
@@ -246,6 +266,8 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
                 raise LogFormatError(
                     f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
                 ) from None
+            if not math.isfinite(time):
+                raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
             records.append(DetectionRecord(ip=ip, time=time, evidence=evidence))
     except UnicodeDecodeError as exc:
         raise utf8_error(source, lineno, exc) from None

@@ -366,6 +366,125 @@ def test_eval_timeline_narrative(capsys):
     assert "10.0.0.9: TN TN TN" in out
 
 
+def _render_eval(flow: dict, timelines: dict, window: float, as_json: bool) -> str:
+    """The eval report for known flow numbers and (start, truth, predicted) windows."""
+
+    def status(truth, predicted):
+        return ("TP" if predicted else "FN") if truth else ("FP" if predicted else "TN")
+
+    def scored(counts):
+        def ratio(num, den):
+            return num / den if den else None
+
+        tp, fp, tn, fn = counts["tp"], counts["fp"], counts["tn"], counts["fn"]
+        return {
+            "fpr": ratio(fp, fp + tn),
+            "tpr": ratio(tp, tp + fn),
+            "accuracy": ratio(tp + tn, tp + fp + tn + fn),
+            "f1": ratio(2 * tp, 2 * tp + fp + fn),
+        }
+
+    ip_counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for windows in timelines.values():
+        for _, truth, predicted in windows:
+            ip_counts[status(truth, predicted).lower()] += 1
+    if as_json:
+        payload = {
+            "parameters": {"window": window, "threshold": 1, "cutoff": None},
+            "flow": {**flow, "metrics": scored(flow["counts"])},
+            "ip": {
+                "counts": ip_counts,
+                "metrics": scored(ip_counts),
+                "timelines": {
+                    ip: [
+                        {"window_start": start, "truth": t, "predicted": p, "status": status(t, p)}
+                        for start, t, p in windows
+                    ]
+                    for ip, windows in timelines.items()
+                },
+            },
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def summary(counts):
+        m = {k: "n/a" if v is None else f"{100 * v:.1f}%" for k, v in scored(counts).items()}
+        return [
+            f"  TP {counts['tp']}  FP {counts['fp']}  FN {counts['fn']}  TN {counts['tn']}",
+            f"  FPR {m['fpr']}  TPR {m['tpr']}  Accuracy {m['accuracy']}  F1 {m['f1']}",
+        ]
+
+    lines = [
+        "flow-level evaluation",
+        f"  flows: {flow['flows']} (malicious {flow['malicious']}, unknown excluded "
+        f"{flow['unknown_excluded']}, unlabeled {flow['unlabeled_negative']})",
+        *summary(flow["counts"]),
+        f"ip-level evaluation (window {window:g}s, threshold 1)",
+        *(
+            f"  {ip}: " + " ".join(status(t, p) for _, t, p in windows)
+            for ip, windows in timelines.items()
+        ),
+        *summary(ip_counts),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_eval_timeline_full_output(capsys, as_json):
+    argv = [
+        "eval",
+        str(DATA_DIR / "timeline" / "conn.labeled.log"),
+        str(DATA_DIR / "timeline" / "detections.jsonl"),
+    ]
+    rc = main(argv + ["--json"] * as_json)
+    assert rc == 0
+    # one-hour windows from 2023-01-24 08:00 UTC: attack, pause, attack again
+    hours = [1674547200.0, 1674550800.0, 1674554400.0]
+    timelines = {
+        "10.0.0.5": list(zip(hours, [True, False, True], [True, False, True])),
+        "10.0.0.9": list(zip(hours, [False] * 3, [False] * 3)),
+    }
+    flow = {
+        "flows": 9,
+        "malicious": 5,
+        "unknown_excluded": 0,
+        "unlabeled_negative": 0,
+        "counts": {"tp": 3, "fp": 0, "tn": 4, "fn": 2},
+    }
+    assert capsys.readouterr().out == _render_eval(flow, timelines, 3600.0, as_json)
+
+
+@pytest.mark.parametrize("time", ["1e400", "-1e400", "NaN", "Infinity"])
+def test_eval_non_finite_detection_time_exits_1(tmp_path, capsys, time):
+    det = tmp_path / "d.jsonl"
+    det.write_text(
+        '{"ip": "192.168.100.7", "time": 1674550500.0, "evidence": []}\n'
+        f'{{"ip": "192.168.100.7", "time": {time}, "evidence": []}}\n'
+    )
+    rc = main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(det)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {det}: line 2: time must be a finite number"
+    )
+
+
+@pytest.mark.parametrize("ts", ["inf", "-1e400", "nan"])
+def test_eval_non_finite_conn_ts_is_a_skipped_row(tmp_path, capsys, caplog, ts):
+    conn = tmp_path / "conn.labeled.log"
+    text = (DATA_DIR / "fig2" / "conn.labeled.log").read_text()
+    conn.write_text(text.replace("1674550000.000000\tCFIG201qWm", f"{ts}\tCFIG201qWm"))
+    with caplog.at_level("WARNING"):
+        rc = main(["eval", str(conn), str(DATA_DIR / "fig2" / "detections.jsonl")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err and "error:" not in captured.err
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 rows skipped during evaluation (missing uid, ts or source IP)"
+    ]
+    # the benign CFIG201qWm is gone from the flow-level counts
+    assert "flows: 14 (malicious 5, unknown excluded 0, unlabeled 0)" in captured.out
+    assert "TP 3  FP 1  FN 2  TN 8" in captured.out
+
+
 def test_eval_cutoff_limits_scored_flows(capsys):
     rc = main(
         [

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeeklabel.errors import LogFormatError, UsageError
 from zeeklabel.metrics import (
@@ -18,6 +20,7 @@ from zeeklabel.metrics import (
     ip_detection_timeline,
     read_detections,
     timeline_confusion,
+    timeline_runs,
 )
 
 ATTACKER = ipaddress.ip_address("10.0.0.5")
@@ -239,6 +242,8 @@ def test_timeline_window_must_be_positive():
         ip_detection_timeline([], [], window=0.0)
     with pytest.raises(UsageError, match="window must be a positive"):
         ip_detection_timeline([], [], window=-5.0)
+    with pytest.raises(UsageError, match="window must be a positive"):
+        ip_detection_timeline([], [], window=math.nan)
 
 
 def test_timeline_empty_inputs_empty_result():
@@ -333,6 +338,60 @@ def test_timeline_agrees_with_brute_enumeration():
             assert [
                 (s.window_start, s.truth, s.predicted) for s in got[ip]
             ] == want[ip]
+
+
+_SWEEP_IPS = [
+    ipaddress.ip_address(a) for a in ("10.0.0.1", "10.0.0.2", "192.168.1.9", "2001:db8::1", "::1")
+]
+
+
+@st.composite
+def _timeline_cases(draw):
+    """Flows and detections a few dozen windows apart, anywhere on the time axis.
+
+    Flow IPs come from the first three addresses and detection IPs from all
+    five, so some IPs appear only in detections; detections may fall before
+    the first flow or after the last.
+    """
+    window = draw(st.sampled_from([1.0, 7.0, 60.0, 250.0, 3600.0]) | st.floats(0.3, 900.0))
+    base = draw(st.sampled_from([-8.64e7, -1234.5, 0.0, 1674518400.0]))
+    labels = st.sampled_from(["Malicious", "Benign", "Unknown", "(empty)"])
+    flow_specs = draw(
+        st.lists(st.tuples(st.sampled_from(_SWEEP_IPS[:3]), st.floats(0.0, 30.0 * window), labels),
+                 max_size=20)
+    )
+    flows = [
+        _flow(f"C{i}", base + at, label, ip=ip) for i, (ip, at, label) in enumerate(flow_specs)
+    ]
+    detection_specs = draw(
+        st.lists(st.tuples(st.sampled_from(_SWEEP_IPS), st.floats(-10.0 * window, 40.0 * window),
+                           st.integers(0, 3)),
+                 max_size=6)
+    )
+    detections = [
+        DetectionRecord(ip=ip, time=base + at, evidence=frozenset(f"C{j}" for j in range(k)))
+        for ip, at, k in detection_specs
+    ]
+    return flows, detections, window, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timeline_cases())
+def test_timeline_sweep_agrees_with_brute_enumeration(case):
+    flows, detections, window, threshold = case
+    got = ip_detection_timeline(flows, detections, window, threshold)
+    want = _brute_timeline(flows, detections, window, threshold)
+    assert {ip: [(s.window_start, s.truth, s.predicted) for s in got[ip]] for ip in got} == want
+    runs = timeline_runs(flows, detections, window, threshold)
+    assert timeline_confusion(runs) == timeline_confusion(got)
+    # each quiet gap is one run, so an IP has at most two runs per event window
+    for ip, ip_runs in runs.items():
+        events = {math.floor(f.start / window) for f in flows if f.src_ip == ip} | {
+            math.floor(d.time / window)
+            for d in detections
+            if d.ip == ip and len(d.evidence) >= threshold
+        }
+        assert len(ip_runs) <= 2 * len(events) + 1
 
 
 def test_timeline_ips_sorted_in_output():
