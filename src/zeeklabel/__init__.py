@@ -11,9 +11,7 @@ from .labeler import (
     EMPTY_PAIR,
     UidIndex,
     apply_rules,
-    build_uid_index,
     label_conn,
-    labels_of_table,
 )
 from .metrics import (
     ConfusionCounts,
@@ -40,13 +38,7 @@ from .ontology import (
     render_detailed_label,
     validate_assignment,
 )
-from .propagate import (
-    cert_label_map,
-    merge_labels,
-    propagate_files_log,
-    propagate_log,
-    propagate_x509,
-)
+from .propagate import merge_labels, propagate_dir
 from .rules import (
     COLUMNS,
     Condition,
@@ -100,23 +92,18 @@ __all__ = [
     "ZeekLogTable",
     "ZeekLogWriter",
     "apply_rules",
-    "build_uid_index",
     "builtin_ontology",
-    "cert_label_map",
     "compute_metrics",
     "flow_confusion",
     "ip_detection_timeline",
     "label_conn",
-    "labels_of_table",
     "load_config",
     "load_ontology",
     "match_rule",
     "merge_labels",
     "parse_detailed_label",
     "parse_ruleset",
-    "propagate_files_log",
-    "propagate_log",
-    "propagate_x509",
+    "propagate_dir",
     "read_detections",
     "read_log",
     "render_detailed_label",

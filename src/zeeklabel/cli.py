@@ -15,19 +15,12 @@ import ipaddress
 import json
 import logging
 import math
-import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
 
 from .errors import ConfigError, LogFormatError, UsageError
-from .labeler import (
-    EMPTY_PAIR,
-    apply_rules,
-    index_from_labeled_rows,
-)
+from .labeler import EMPTY_PAIR, apply_rules
 from .metrics import (
     LabeledFlow,
     check_detection_times,
@@ -40,15 +33,10 @@ from .metrics import (
     UNKNOWN,
 )
 from .ontology import builtin_ontology, load_ontology
-from .propagate import (
-    X509_ID_FIELDS,
-    _field_alias,
-    accumulate_cert_labels,
-    files_row_labels,
-    lookup_row,
-)
+from .propagate import propagate_dir
 from .rules import load_config
-from .zeekio import LABEL_FIELDS, ConnSchema, ZeekLogReader, ZeekLogWriter, _to_float, row_field
+from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogWriter, _to_float
+from .zeekio import field_getter, replace_on_success
 
 logger = logging.getLogger(__name__)
 
@@ -69,23 +57,6 @@ def _labeled_path(path: Path) -> Path:
     return path.with_name(path.name + ".labeled")
 
 
-@contextmanager
-def _replace_on_success(path: Path) -> Iterator[IO[str]]:
-    """Write ``path`` through a temp file beside it, moved in place on success.
-
-    The temp name does not end in ``.log``, so a directory scan for logs never
-    picks it up; on any error it is removed and ``path`` is left untouched.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
@@ -100,19 +71,17 @@ def cmd_label(ns: argparse.Namespace) -> int:
     if out_path.resolve() == conn_path.resolve():
         raise UsageError(f"refusing to overwrite the input file {conn_path}")
 
-    histogram: Counter[str] = Counter()
-    rows = 0
-    with open(conn_path, encoding="utf-8") as src, _replace_on_success(out_path) as dst:
+    with open(conn_path, encoding="utf-8") as src, replace_on_success(out_path) as dst:
         reader = ZeekLogReader(src, str(conn_path))
         schema = ConnSchema(reader.header, reader.format)
         writer = ZeekLogWriter(dst, reader.header, reader.format)
-        for row in reader.rows():
-            pair = apply_rules(ruleset, schema.view(row))
-            writer.write_row(row, pair[0], pair[1])
-            histogram[pair[0]] += 1
-            rows += 1
+        counts = writer.write_rows(reader.records(), lambda record: apply_rules(ruleset, Flow(record, schema)))
         writer.finish(reader.trailer)
 
+    histogram: Counter[str] = Counter()
+    for pair, count in counts.items():
+        histogram[pair[0]] += count
+    rows = sum(counts.values())
     unlabeled = histogram.get(EMPTY_PAIR[0], 0)
     print(f"rows: {rows}")
     print(f"labeled: {rows - unlabeled}")
@@ -125,106 +94,21 @@ def cmd_label(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _route_for(path: Path, fields: list[str], header_path: str | None) -> str:
-    stem = path.name.split(".", 1)[0]
-    if stem == "conn" or header_path == "conn":
-        return "conn"
-    if "conn_uids" in fields:
-        return "files"
-    if stem == "x509" or header_path == "x509":
-        return "x509"
-    if "uid" in fields or "uids" in fields:
-        return "uid"
-    return "none"
+# how each route is named in the summary line of a log
+_ROUTE_NOTES = {"uid": "", "files": " (via conn_uids)", "x509": " (via ssl.log)", "none": " (no uid field)"}
 
 
 def cmd_propagate(ns: argparse.Namespace) -> int:
-    conn_path = Path(ns.conn_labeled)
     log_dir = Path(ns.log_dir)
-    out_dir = Path(ns.output) if ns.output else log_dir
     if not log_dir.is_dir():
         raise UsageError(f"{log_dir} is not a directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(conn_path, encoding="utf-8") as src:
-        reader = ZeekLogReader(src, str(conn_path))
-        index = index_from_labeled_rows(reader.header, reader.rows())
-
-    candidates = sorted(
-        p
-        for p in log_dir.iterdir()
-        if p.is_file()
-        and p.name.endswith(".log")
-        and ".labeled" not in p.name
-        and p.resolve() != conn_path.resolve()
-    )
-
-    routes: dict[Path, str] = {}
-    for path in candidates:
-        with open(path, encoding="utf-8") as fh:
-            reader = ZeekLogReader(fh, str(path))
-            routes[path] = _route_for(path, reader.header.fields, reader.header.path)
-
-    # the flow log is where the labels come from, not a propagation target
-    for path in [p for p in candidates if routes[p] == "conn"]:
-        logger.info("%s is the label source; skipping", path.name)
-        candidates.remove(path)
-
-    cert_map: dict[str, tuple[str, str]] = {}
-    if any(route == "x509" for route in routes.values()):
-        ssl_paths = [
-            p
-            for p in candidates
-            if p.name.split(".", 1)[0] == "ssl" and routes.get(p) == "uid"
-        ]
-        if not ssl_paths:
-            logger.warning(
-                "x509 log present but no ssl.log found; certificates will be "
-                "labeled (empty)"
-            )
-        for ssl_path in ssl_paths:
-            with open(ssl_path, encoding="utf-8") as fh:
-                reader = ZeekLogReader(fh, str(ssl_path))
-                accumulate_cert_labels(reader.header, reader.rows(), index, cert_map)
-
-    for path in candidates:
-        route = routes[path]
-        out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-        rows = 0
-        labeled = 0
-        with open(path, encoding="utf-8") as src, _replace_on_success(out_path) as dst:
-            reader = ZeekLogReader(src, str(path))
-            header = reader.header
-            writer = ZeekLogWriter(dst, header, reader.format)
-            if route == "none":
-                logger.warning(
-                    "%s has no uid linkage; passing rows through as (empty)",
-                    path.name,
-                )
-            id_field = _field_alias(header, X509_ID_FIELDS)
-            for row in reader.rows():
-                if route == "uid":
-                    pair = lookup_row(row, header, index)
-                elif route == "files":
-                    pair = files_row_labels(row, header, index)
-                elif route == "x509" and id_field is not None:
-                    fid = row_field(row, header, id_field)
-                    pair = cert_map.get(fid, EMPTY_PAIR) if fid else EMPTY_PAIR
-                else:
-                    pair = EMPTY_PAIR
-                writer.write_row(row, pair[0], pair[1])
-                rows += 1
-                if pair != EMPTY_PAIR:
-                    labeled += 1
-            writer.finish(reader.trailer)
-        note = {"uid": "", "files": " (via conn_uids)", "x509": " (via ssl.log)"}.get(
-            route, " (no uid field)"
-        )
+    report = propagate_dir(Path(ns.conn_labeled), log_dir, Path(ns.output) if ns.output else log_dir)
+    for log in report.logs:
         print(
-            f"{path.name}: {rows} rows, {labeled} labeled, "
-            f"{rows - labeled} (empty){note} -> {out_path.name}"
+            f"{log.name}: {log.rows} rows, {log.labeled} labeled, "
+            f"{log.rows - log.labeled} (empty){_ROUTE_NOTES[log.route]} -> {log.output.name}"
         )
-    print(f"index: {len(index)} uids")
+    print(f"index: {report.index_uids} uids")
     return 0
 
 
@@ -235,10 +119,14 @@ def _load_flows(conn_path: Path) -> list[LabeledFlow]:
     with open(conn_path, encoding="utf-8") as fh:
         reader = ZeekLogReader(fh, str(conn_path))
         header = reader.header
-        for row in reader.rows():
-            uid = row_field(row, header, "uid")
-            ts = _to_float(row_field(row, header, "ts"))
-            src = row_field(row, header, "id.orig_h")
+        uid_of, ts_of, src_of, label_of = (
+            field_getter(header, reader.format, name)
+            for name in ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
+        )
+        for record in reader.records():
+            uid = uid_of(record)
+            ts = _to_float(ts_of(record))
+            src = src_of(record)
             if src not in addresses:
                 try:
                     addresses[src] = ipaddress.ip_address(src)
@@ -248,8 +136,7 @@ def _load_flows(conn_path: Path) -> list[LabeledFlow]:
             if uid is None or ts is None or not math.isfinite(ts) or src_ip is None:
                 skipped += 1
                 continue
-            label = row_field(row, header, LABEL_FIELDS[0])
-            flows.append(LabeledFlow(uid, ts, src_ip, label or EMPTY_PAIR[0]))
+            flows.append(LabeledFlow(uid, ts, src_ip, label_of(record) or EMPTY_PAIR[0]))
     # after the stream: bad rows are reported first, and JSON keys are complete
     if header.index_of(LABEL_FIELDS[0]) is None:
         raise UsageError(

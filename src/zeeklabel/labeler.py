@@ -8,11 +8,10 @@ belong above general ones in the config. Flows no rule matches get the
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Iterator
 
 from .errors import UsageError
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ConnSchema, Flow, Row, ZeekHeader, ZeekLogTable, row_field
+from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable, field_getter
 
 logger = logging.getLogger(__name__)
 
@@ -34,93 +33,48 @@ def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
     return [apply_rules(ruleset, schema.view(row)) for row in table.iter_rows()]
 
 
-class UidIndex:
+class UidIndex(dict):
     """uid -> (label, detailed_label); first writer of a uid wins.
 
     ``get`` returns None for absent uids, which is distinct from a present
-    uid that carries the ``(empty)`` pair.
+    uid that carries the ``(empty)`` pair. Equal pairs share one tuple.
     """
 
-    def __init__(self) -> None:
-        self._map: dict[str, LabelPair] = {}
-        self.duplicates = 0
-        self.skipped_unset = 0
-
-    def add(self, uid: str, pair: LabelPair) -> None:
-        if uid in self._map:
-            self.duplicates += 1
-            return
-        self._map[uid] = pair
-
-    def get(self, uid: str) -> LabelPair | None:
-        return self._map.get(uid)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, uid: str) -> bool:
-        return uid in self._map
+    duplicates = 0
+    skipped_unset = 0
 
 
-def build_uid_index(
-    table: ZeekLogTable, assignments: list[LabelPair]
-) -> UidIndex:
-    """Index labeled conn rows by uid.
+def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
+    """Index a labeled conn.log stream by uid.
 
     Rows with an unset uid cannot be joined against and are skipped with a
-    warning; duplicate uids keep their first labels.
+    warning; duplicate uids keep their first labels. An unset label cell
+    reads as ``(empty)``.
     """
-    if len(assignments) != len(table.records):
-        raise UsageError(
-            f"{len(assignments)} label pairs for {len(table.records)} records"
-        )
-    index = UidIndex()
-    header = table.header
-    for row, pair in zip(table.iter_rows(), assignments):
-        uid = row_field(row, header, "uid")
-        if uid is None:
-            index.skipped_unset += 1
-            continue
-        index.add(uid, pair)
-    _warn_index(index)
-    return index
-
-
-def labels_of_table(table: ZeekLogTable) -> list[LabelPair]:
-    """Read back the label columns of an already-labeled table."""
-    label_idx = table.header.index_of(LABEL_FIELDS[0])
-    detail_idx = table.header.index_of(LABEL_FIELDS[1])
-    if label_idx is None or detail_idx is None:
-        raise UsageError(
-            "table has no label/detailed_label columns; label it first"
-        )
-    return [(cells[label_idx], cells[detail_idx]) for cells in table.records]
-
-
-def index_from_labeled_rows(
-    header: ZeekHeader, rows: Iterable[Row] | Iterator[Row]
-) -> UidIndex:
-    """Build a UidIndex from a labeled conn.log stream."""
+    header = reader.header
     if not all(name in header.fields for name in LABEL_FIELDS):
         raise UsageError(
             "labeled conn.log has no label/detailed_label columns; run "
             "'label' before 'propagate'"
         )
+    uid_of, label_of, detail_of = (
+        field_getter(header, reader.format, name) for name in ("uid", *LABEL_FIELDS)
+    )
     index = UidIndex()
-    for row in rows:
-        uid = row_field(row, header, "uid")
+    add = index.setdefault
+    pairs = {EMPTY_PAIR: EMPTY_PAIR}
+    intern = pairs.setdefault
+    rows = unset = 0
+    for record in reader.records():
+        uid = uid_of(record)
         if uid is None:
-            index.skipped_unset += 1
+            unset += 1
             continue
-        label = row_field(row, header, LABEL_FIELDS[0])
-        detail = row_field(row, header, LABEL_FIELDS[1])
-        index.add(
-            uid,
-            (
-                EMPTY_LABEL if label is None else label,
-                EMPTY_LABEL if detail is None else detail,
-            ),
-        )
+        rows += 1
+        pair = (label_of(record) or EMPTY_LABEL, detail_of(record) or EMPTY_LABEL)
+        add(uid, intern(pair, pair))
+    index.skipped_unset = unset
+    index.duplicates = rows - len(index)
     _warn_index(index)
     return index
 

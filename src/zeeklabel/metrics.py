@@ -181,14 +181,17 @@ def timeline_runs(
     activity: dict = {}
     malicious: dict = {}
     detected: dict = {}
-    for flow in flows:
-        w = math.floor(flow.start / window)
-        activity.setdefault(flow.src_ip, set()).add(w)
-        if flow.label == MALICIOUS:
-            malicious.setdefault(flow.src_ip, set()).add(w)
-    for det in detections:
-        if len(det.evidence) >= threshold:
-            detected.setdefault(det.ip, set()).add(math.floor(det.time / window))
+    try:
+        for flow in flows:
+            w = math.floor(flow.start / window)
+            activity.setdefault(flow.src_ip, set()).add(w)
+            if flow.label == MALICIOUS:
+                malicious.setdefault(flow.src_ip, set()).add(w)
+        for det in detections:
+            if len(det.evidence) >= threshold:
+                detected.setdefault(det.ip, set()).add(math.floor(det.time / window))
+    except OverflowError:  # a flow or detection time / window of infinity
+        raise UsageError(f"window {window:g}s is too small for the flow and detection times") from None
     events = [*activity.values(), *detected.values()]
     if not events:
         return {}

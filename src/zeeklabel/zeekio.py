@@ -17,8 +17,12 @@ from __future__ import annotations
 import datetime
 import ipaddress
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from itertools import chain
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import LogFormatError, UsageError
 
@@ -51,10 +55,9 @@ class ZeekHeader:
 
 @dataclass(slots=True)
 class Row:
-    """One data record: TSV rows carry cells+raw line, JSON rows the object."""
+    """One data record of a table: the cells of a TSV row, or a JSON row's object."""
 
     cells: list[str] | None
-    raw: str | None
     obj: dict | None
 
 
@@ -64,7 +67,6 @@ class ZeekLogTable:
 
     header: ZeekHeader
     records: list[list[str]]
-    raws: list[str] | None
     objects: list[dict] | None
     trailer: list[str]
     format: str  # "tsv" | "json"
@@ -74,11 +76,7 @@ class ZeekLogTable:
 
     def iter_rows(self) -> Iterator[Row]:
         for i, cells in enumerate(self.records):
-            yield Row(
-                cells,
-                self.raws[i] if self.raws is not None else None,
-                self.objects[i] if self.objects is not None else None,
-            )
+            yield Row(cells, self.objects[i] if self.objects is not None else None)
 
 
 def _unescape_separator(text: str) -> str:
@@ -131,7 +129,6 @@ class ZeekLogReader:
         self.format = ""
         self._pending: str | None = None
         self._lineno = 0
-        self._rowno = 0
         self._read_preamble()
 
     def _next_line(self) -> str | None:
@@ -153,7 +150,7 @@ class ZeekLogReader:
         if line.lstrip().startswith("{"):
             self.format = "json"
             self._pending = line
-            self._ingest_json_keys(self._parse_json(line))
+            self.header.fields = list(self._parse_json(line, self._lineno))
             return
         if not line.startswith("#separator"):
             raise LogFormatError(
@@ -191,68 +188,77 @@ class ZeekLogReader:
             )
         self._pending = line
 
-    def _parse_json(self, line: str) -> dict:
+    def _parse_json(self, line: str, lineno: int) -> dict:
         try:
             obj = json.loads(line)
         except ValueError:
-            raise LogFormatError(
-                f"{self.source}: line {self._lineno}: invalid JSON"
-            ) from None
+            raise LogFormatError(f"{self.source}: line {lineno}: invalid JSON") from None
         if not isinstance(obj, dict):
             raise LogFormatError(
-                f"{self.source}: line {self._lineno}: expected a JSON object"
+                f"{self.source}: line {lineno}: expected a JSON object"
             )
         return obj
 
-    def _ingest_json_keys(self, obj: dict) -> None:
-        known = set(self.header.fields)
-        for key in obj:
-            if key not in known:
-                self.header.fields.append(key)
+    def records(self) -> Iterator[list[str] | dict]:
+        """The data rows: a list of cells per TSV line, the object per JSON line.
 
-    def rows(self) -> Iterator[Row]:
+        A TSV line splits back to its exact text with ``header.separator``.
+        """
         if self.format == "tsv":
-            yield from self._tsv_rows()
-        else:
-            yield from self._json_rows()
+            return self._tsv_records()
+        return self._json_records()
 
-    def _tsv_rows(self) -> Iterator[Row]:
+    def _tsv_records(self) -> Iterator[list[str]]:
+        line, self._pending = self._pending, None
+        if line is None:
+            return
         sep = self.header.separator
         n_fields = len(self.header.fields)
-        line = self._pending
-        self._pending = None
-        while line is not None:
-            if line.startswith("#"):
-                # footer directives (#close); everything after is kept verbatim
-                self.trailer.append(line)
-                line = self._next_line()
-                while line is not None:
-                    self.trailer.append(line)
-                    line = self._next_line()
-                return
-            cells = line.split(sep)
-            self._rowno += 1
-            if len(cells) != n_fields:
-                raise LogFormatError(
-                    f"{self.source}: row {self._rowno}: expected {n_fields} "
-                    f"fields, got {len(cells)}"
-                )
-            yield Row(cells, line, None)
-            line = self._next_line()
+        trailer = self.trailer
+        # lines before the pending one; rows and trailer lines count the rest
+        lines_before = self._lineno - 1
+        rowno = 0
+        lines = chain((line,), self._stream)
+        try:
+            for line in lines:
+                line = line.rstrip("\n")
+                if line[:1] == "#":
+                    # footer directives (#close); everything after is kept verbatim
+                    trailer.append(line)
+                    trailer.extend(rest.rstrip("\n") for rest in lines)
+                    return
+                cells = line.split(sep)
+                rowno += 1
+                if len(cells) != n_fields:
+                    raise LogFormatError(
+                        f"{self.source}: row {rowno}: expected {n_fields} "
+                        f"fields, got {len(cells)}"
+                    )
+                yield cells
+        except UnicodeDecodeError as exc:
+            raise utf8_error(self.source, lines_before + rowno + len(trailer), exc) from None
 
-    def _json_rows(self) -> Iterator[Row]:
-        line = self._pending
-        self._pending = None
-        first = True
-        while line is not None:
-            if line.strip():
-                obj = self._parse_json(line)
-                if not first:
-                    self._ingest_json_keys(obj)
-                first = False
-                self._rowno += 1
-                yield Row(None, line, obj)
-            line = self._next_line()
+    def _json_records(self) -> Iterator[dict]:
+        line, self._pending = self._pending, None
+        if line is None:
+            return
+        fields = self.header.fields
+        known = set(fields)
+        lineno = self._lineno
+        parse = self._parse_json
+        try:
+            for lineno, line in enumerate(chain((line,), self._stream), lineno):
+                if not line.strip():
+                    continue
+                obj = parse(line, lineno)
+                if not known.issuperset(obj):
+                    for key in obj:
+                        if key not in known:
+                            known.add(key)
+                            fields.append(key)
+                yield obj
+        except UnicodeDecodeError as exc:
+            raise utf8_error(self.source, lineno, exc) from None
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
@@ -262,23 +268,24 @@ def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
     keys in first-appearance order; missing keys surface as the unset marker.
     """
     reader = ZeekLogReader(stream, source)
-    rows = list(reader.rows())
+    rows = list(reader.records())
     header = reader.header
     if reader.format == "json":
         records = [
             [
-                _json_cell(row.obj.get(name), header) if name in row.obj else header.unset_field  # type: ignore[union-attr]
+                _json_cell(obj[name], header) if name in obj else header.unset_field
                 for name in header.fields
             ]
-            for row in rows
+            for obj in rows
         ]
-        objects = [row.obj for row in rows]  # type: ignore[misc]
-        raws = None
-    else:
-        records = [row.cells for row in rows]  # type: ignore[misc]
-        objects = None
-        raws = [row.raw for row in rows]  # type: ignore[misc]
-    return ZeekLogTable(header, records, raws, objects, reader.trailer, reader.format)
+        return ZeekLogTable(header, records, rows, reader.trailer, "json")  # type: ignore[arg-type]
+    return ZeekLogTable(header, rows, None, reader.trailer, "tsv")  # type: ignore[arg-type]
+
+
+# rows a writer joins into one write; bounds its buffer however long the log
+WRITE_CHUNK_ROWS = 256
+
+_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 class ZeekLogWriter:
@@ -326,18 +333,43 @@ class ZeekLogWriter:
             out.append("#types" + sep + sep.join(h.types))
         return out
 
-    def write_row(self, row: Row, label: str, detailed: str) -> None:
+    def write_rows(
+        self, records: Iterable[list[str] | dict], pair_of: Callable
+    ) -> dict[tuple[str, str], int]:
+        """Write each record with the label pair ``pair_of(record)`` appended.
+
+        ``records`` are what :meth:`ZeekLogReader.records` yields. Returns
+        how many rows got each pair.
+        """
+        write = self._stream.write
+        counts: dict[tuple[str, str], int] = {}
+        buf: list[str] = []
         if self._format == "tsv":
             sep = self._header.separator
-            raw = row.raw if row.raw is not None else sep.join(row.cells or [])
-            self._stream.write(raw + sep + label + sep + detailed + "\n")
+            join = sep.join
+            tails: dict[tuple[str, str], str] = {}
+            for cells in records:
+                pair = pair_of(cells)
+                tail = tails.get(pair)
+                if tail is None:
+                    tail = tails[pair] = f"{sep}{pair[0]}{sep}{pair[1]}\n"
+                    counts[pair] = 0
+                counts[pair] += 1
+                buf.append(join(cells) + tail)
+                if len(buf) == WRITE_CHUNK_ROWS:
+                    write("".join(buf))
+                    buf.clear()
         else:
-            obj = dict(row.obj or {})
-            obj[self._label_fields[0]] = label
-            obj[self._label_fields[1]] = detailed
-            self._stream.write(
-                json.dumps(obj, separators=(",", ":"), ensure_ascii=False) + "\n"
-            )
+            label_key, detail_key = self._label_fields
+            for obj in records:
+                pair = pair_of(obj)
+                counts[pair] = counts.get(pair, 0) + 1
+                buf.append(_encode_json({**obj, label_key: pair[0], detail_key: pair[1]}) + "\n")
+                if len(buf) == WRITE_CHUNK_ROWS:
+                    write("".join(buf))
+                    buf.clear()
+        write("".join(buf))
+        return counts
 
     def finish(self, trailer: list[str] | None = None) -> None:
         for line in trailer or []:
@@ -353,9 +385,27 @@ def write_log(
             f"{len(labels)} label pairs for {len(table.records)} records"
         )
     writer = ZeekLogWriter(stream, table.header, table.format)
-    for row, (label, detailed) in zip(table.iter_rows(), labels):
-        writer.write_row(row, label, detailed)
+    pairs = iter(labels)
+    records = table.objects if table.format == "json" else table.records
+    writer.write_rows(records, lambda _: next(pairs))  # type: ignore[arg-type]
     writer.finish(table.trailer)
+
+
+@contextmanager
+def replace_on_success(path: Path) -> Iterator[IO[str]]:
+    """Write ``path`` through a temp file beside it, moved in place on success.
+
+    The temp name does not end in ``.log``, so a directory scan for logs never
+    picks it up; on any error it is removed and ``path`` is left untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def row_field(row: Row, header: ZeekHeader, name: str) -> str | None:
@@ -391,6 +441,58 @@ def row_set_field(row: Row, header: ZeekHeader, name: str) -> list[str]:
     if cell is None:
         return []
     return cell.split(header.set_separator)
+
+
+def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] | dict], str | None]:
+    """``row_field`` for one column, resolved once: a function of a record.
+
+    The records are what :meth:`ZeekLogReader.records` yields for ``fmt``.
+    """
+    null = frozenset((header.unset_field, header.empty_field, ""))
+    if fmt == "json":
+
+        def get(obj):
+            value = obj.get(name)
+            if value is None:
+                return None
+            text = value if type(value) is str else _json_cell(value, header)
+            return None if text in null else text
+
+        return get
+    idx = header.index_of(name)
+    if idx is None:
+        return lambda cells: None
+
+    def cell(cells):
+        text = cells[idx]
+        return None if text in null else text
+
+    return cell
+
+
+def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] | dict], list[str]]:
+    """``row_set_field`` for one column, resolved once: a function of a record."""
+    null = frozenset((header.unset_field, header.empty_field, ""))
+    if fmt == "json":
+
+        def members(obj):
+            value = obj.get(name)
+            if value is None:
+                return []
+            if type(value) is list:
+                return [_json_scalar(v) for v in value]
+            text = _json_scalar(value)
+            return [] if text in null else [text]
+
+        return members
+    get = field_getter(header, fmt, name)
+    set_sep = header.set_separator
+
+    def split(cells):
+        text = get(cells)
+        return [] if text is None else text.split(set_sep)
+
+    return split
 
 
 def _to_float(value) -> float | None:
@@ -469,10 +571,10 @@ class Flow(dict):
     canonical form.
     """
 
-    __slots__ = ("_row", "_schema")
+    __slots__ = ("_record", "_schema")
 
-    def __init__(self, row: Row, schema: "ConnSchema") -> None:
-        self._row = row
+    def __init__(self, record: list[str] | dict, schema: "ConnSchema") -> None:
+        self._record = record
         self._schema = schema
 
     def __missing__(self, column: str):
@@ -484,14 +586,14 @@ class Flow(dict):
     def cell(self, name: str):
         """A conn.log field as the row holds it; None when unset or absent."""
         schema = self._schema
-        obj = self._row.obj
-        if obj is None:
+        record = self._record
+        if type(record) is list:
             idx = schema.indices.get(name)
             if idx is None:
                 return None
-            value = self._row.cells[idx]  # type: ignore[index]
+            value = record[idx]
         else:
-            value = obj.get(name)
+            value = record.get(name)  # type: ignore[union-attr]
             if not isinstance(value, str):
                 return value
         return None if value in schema.null_cells else value
@@ -510,4 +612,4 @@ class ConnSchema:
             self.indices.setdefault(name, i)
 
     def view(self, row: Row) -> Flow:
-        return Flow(row, self)
+        return Flow(row.cells if row.obj is None else row.obj, self)  # type: ignore[arg-type]

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from conftest import DATA_DIR, conn_log_text, conn_row
+from conftest import DATA_DIR, conn_log_text, conn_row, zeek_tsv
 
 from zeeklabel.cli import main
 
@@ -315,6 +315,63 @@ def test_propagate_warns_on_x509_without_ssl(proplogs_dir, capsys, caplog):
     assert "x509.log: 5 rows, 0 labeled, 5 (empty) (via ssl.log)" in out
 
 
+# route -> (log name, fields, one row's values); list values are Zeek sets
+_ROUTE_LOGS = {
+    "conn": ("conn.labeled.log", ["ts", "uid", "label", "detailed_label"],
+             lambda i: [f"C{i}", "Malicious", "(empty)"]),
+    "uid": ("http.log", ["ts", "uid"], lambda i: [f"C{i}"]),
+    "uids": ("dhcp.log", ["ts", "uids"], lambda i: [[f"C{i}", f"C{i + 1}"]]),
+    "files": ("files.log", ["ts", "fuid", "conn_uids"], lambda i: [f"F{i}", [f"C{i}"]]),
+    "ssl": ("ssl.log", ["ts", "uid", "cert_chain_fuids"], lambda i: [f"C{i}", [f"F{i}"]]),
+    "x509": ("x509.log", ["ts", "id"], lambda i: [f"F{i}"]),
+    "none": ("software.log", ["ts", "host"], lambda i: ["10.0.0.1"]),
+}
+_FAULT_ROWS, _FAULT_AT = 3000, 1500  # past the first read and write chunks
+
+
+def _route_log_bytes(route: str, fmt: str, fault: str | None = None) -> bytes:
+    name, fields, values = _ROUTE_LOGS[route]
+    rows = [[float(i), *values(i)] for i in range(_FAULT_ROWS)]
+    if fmt == "json":
+        lines = [json.dumps(dict(zip(fields, row))).encode() for row in rows]
+        bad = {"invalid-json": b'{"ts": 1.0,', "non-utf8": b'{"ts": 1.0, "x": "\xff"}'}
+        at = _FAULT_AT - 1
+    else:
+        text = zeek_tsv(name.split(".")[0], fields, ["string"] * len(fields),
+                        [[",".join(v) if isinstance(v, list) else str(v) for v in row] for row in rows])
+        lines = text.encode().splitlines()
+        bad = {"short-row": b"short", "non-utf8": b"1.0\t\xff" + b"\tx" * (len(fields) - 2)}
+        at = 8 + _FAULT_AT - 1  # below the eight header lines
+    if fault is not None:
+        lines[at] = bad[fault]
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("fmt,fault", [
+    ("tsv", "short-row"), ("json", "invalid-json"), ("tsv", "non-utf8"), ("json", "non-utf8"),
+])
+@pytest.mark.parametrize("route", sorted(_ROUTE_LOGS))
+def test_propagate_bad_row_in_each_route_is_a_one_line_error(tmp_path, capsys, route, fmt, fault):
+    for other in ("conn", route, *{"ssl": ["x509"], "x509": ["ssl"]}.get(route, [])):
+        name = _ROUTE_LOGS[other][0]
+        (tmp_path / name).write_bytes(_route_log_bytes(other, fmt, fault if other == route else None))
+    before = {p.name for p in tmp_path.iterdir()}
+    bad = tmp_path / _ROUTE_LOGS[route][0]
+    rc = main(["propagate", str(tmp_path / "conn.labeled.log"), str(tmp_path)])
+    assert rc == 1
+    where = {
+        "short-row": f"row {_FAULT_AT}: expected {len(_ROUTE_LOGS[route][1])} fields, got 1",
+        "invalid-json": f"line {_FAULT_AT}: invalid JSON",
+        "non-utf8": f"line {_FAULT_AT + 8 * (fmt == 'tsv')}: not valid UTF-8",
+    }[fault]
+    assert _one_error_line(capsys.readouterr().err) == f"error: {bad}: {where}"
+    written = {p.name for p in tmp_path.iterdir()} - before
+    if route in ("conn", "ssl"):  # read before any output is written
+        assert written == set()
+    else:
+        assert written <= {"ssl.labeled.log"}
+
+
 def test_eval_fig2_numbers(capsys):
     rc = main(
         [
@@ -544,6 +601,24 @@ def test_eval_bad_window_exits_2(capsys):
     )
     assert rc == 2
     assert "window must be a positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["flow", "detection"])
+def test_eval_window_overflow_is_a_usage_error(tmp_path, capsys, which):
+    # 1.0 / 1e-300 is a finite window index; 1e10 / 1e-300 overflows to inf
+    if which == "flow":
+        conn, det = DATA_DIR / "fig2" / "conn.labeled.log", DATA_DIR / "fig2" / "detections.jsonl"
+    else:
+        conn, det = tmp_path / "conn.labeled.log", tmp_path / "d.jsonl"
+        flow = {"ts": 1.0, "uid": "C1", "id.orig_h": "10.0.0.1",
+                "label": "Malicious", "detailed_label": "(empty)"}
+        conn.write_text(json.dumps(flow) + "\n")
+        det.write_text(json.dumps({"ip": "10.0.0.1", "time": 1e10, "evidence": ["C1"]}) + "\n")
+    rc = main(["eval", str(conn), str(det), "--window", "1e-300"])
+    assert rc == 2
+    assert _one_error_line(capsys.readouterr().err) == (
+        "error: window 1e-300s is too small for the flow and detection times"
+    )
 
 
 def test_validate_config_ok(capsys):

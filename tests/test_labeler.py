@@ -1,19 +1,15 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
 from conftest import conn_log_text, conn_row, table_from_text
 
 from zeeklabel.errors import UsageError
-from zeeklabel.labeler import (
-    EMPTY_PAIR,
-    build_uid_index,
-    index_from_labeled_rows,
-    label_conn,
-    labels_of_table,
-)
+from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
+from zeeklabel.propagate import propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, write_log
 
@@ -43,15 +39,22 @@ def test_label_conn_empty_ruleset_labels_nothing():
     assert label_conn(table, ruleset) == [EMPTY_PAIR, EMPTY_PAIR]
 
 
+def _labeled_text(rows, pairs) -> str:
+    table = table_from_text(conn_log_text(rows))
+    out = io.StringIO()
+    write_log(table, pairs, out)
+    return out.getvalue()
+
+
+def _index(text: str):
+    return index_from_labeled_rows(ZeekLogReader(io.StringIO(text), "conn.labeled.log"))
+
+
 def test_build_uid_index_maps_uids():
     _, ruleset = load_config(TCP_OR_UDP)
-    table = table_from_text(
-        conn_log_text(
-            [conn_row(uid="Ctcp", proto="tcp"), conn_row(uid="Cudp", proto="udp")]
-        )
-    )
-    pairs = label_conn(table, ruleset)
-    index = build_uid_index(table, pairs)
+    rows = [conn_row(uid="Ctcp", proto="tcp"), conn_row(uid="Cudp", proto="udp")]
+    pairs = label_conn(table_from_text(conn_log_text(rows)), ruleset)
+    index = _index(_labeled_text(rows, pairs))
     assert len(index) == 2
     assert index.get("Ctcp") == ("Malicious", "(empty)")
     assert index.get("Cudp") == ("Benign", "(empty)")
@@ -60,52 +63,44 @@ def test_build_uid_index_maps_uids():
 
 
 def test_build_uid_index_skips_unset_uids_with_warning(caplog):
-    table = table_from_text(
-        conn_log_text([conn_row(uid="-"), conn_row(uid="Cok")])
-    )
+    text = _labeled_text([conn_row(uid="-"), conn_row(uid="Cok")], [EMPTY_PAIR, EMPTY_PAIR])
     with caplog.at_level("WARNING"):
-        index = build_uid_index(table, [EMPTY_PAIR, EMPTY_PAIR])
+        index = _index(text)
     assert len(index) == 1
     assert index.skipped_unset == 1
     assert "had no uid" in caplog.text
 
 
 def test_build_uid_index_keeps_first_of_duplicates(caplog):
-    table = table_from_text(
-        conn_log_text([conn_row(uid="Cdup"), conn_row(uid="Cdup")])
+    text = _labeled_text(
+        [conn_row(uid="Cdup"), conn_row(uid="Cdup")],
+        [("Benign", "(empty)"), ("Malicious", "(empty)")],
     )
     with caplog.at_level("WARNING"):
-        index = build_uid_index(
-            table, [("Benign", "(empty)"), ("Malicious", "(empty)")]
-        )
+        index = _index(text)
     assert index.get("Cdup") == ("Benign", "(empty)")
     assert index.duplicates == 1
     assert "duplicate uids" in caplog.text
 
 
-def test_build_uid_index_rejects_length_mismatch():
-    table = table_from_text(conn_log_text([conn_row()]))
-    with pytest.raises(UsageError, match="0 label pairs for 1 records"):
-        build_uid_index(table, [])
-
-
-def _labeled_text(rows, pairs) -> str:
-    table = table_from_text(conn_log_text(rows))
-    out = io.StringIO()
-    write_log(table, pairs, out)
-    return out.getvalue()
-
-
 def test_labels_of_table_reads_back_written_labels():
-    text = _labeled_text([conn_row()], [("Malicious", "From_malicious")])
-    table = table_from_text(text)
-    assert labels_of_table(table) == [("Malicious", "From_malicious")]
+    text = _labeled_text(
+        [conn_row(uid="Ca"), conn_row(uid="Cb"), conn_row(uid="Cc")],
+        [("Malicious", "From_malicious"), ("Malicious", "From_malicious"), ("-", "")],
+    )
+    index = _index(text)
+    assert index.get("Ca") == ("Malicious", "From_malicious")
+    # equal pairs share one tuple, and unset label cells read as (empty)
+    assert index.get("Ca") is index.get("Cb")
+    assert index.get("Cc") is EMPTY_PAIR
 
 
-def test_labels_of_table_requires_label_columns():
-    table = table_from_text(conn_log_text([conn_row()]))
-    with pytest.raises(UsageError, match="label it first"):
-        labels_of_table(table)
+def test_labels_of_table_requires_label_columns(tmp_path):
+    conn = tmp_path / "conn.log"
+    conn.write_text(conn_log_text([conn_row()]))
+    with pytest.raises(UsageError, match="run 'label' before 'propagate'"):
+        propagate_dir(conn, tmp_path, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log"]
 
 
 def test_index_from_labeled_rows_streaming():
@@ -113,14 +108,25 @@ def test_index_from_labeled_rows_streaming():
         [conn_row(uid="Ca"), conn_row(uid="Cb", proto="udp")],
         [("Malicious", "From_malicious"), EMPTY_PAIR],
     )
-    reader = ZeekLogReader(io.StringIO(text), "conn.labeled.log")
-    index = index_from_labeled_rows(reader.header, reader.rows())
+    index = _index(text)
     assert index.get("Ca") == ("Malicious", "From_malicious")
     # the written (empty) marker reads back as the (empty) pair, not None
     assert index.get("Cb") == EMPTY_PAIR
 
 
+def test_index_from_labeled_rows_json_lines():
+    objs = [
+        {"uid": "Ca", "label": "Malicious", "detailed_label": "From_malicious"},
+        {"uid": None, "label": "Benign", "detailed_label": "(empty)"},
+        {"uid": "Cb", "label": "", "detailed_label": "-"},
+        {"uid": "Ca", "label": "Benign", "detailed_label": "(empty)"},
+    ]
+    index = _index("".join(json.dumps(o) + "\n" for o in objs))
+    assert dict(index) == {"Ca": ("Malicious", "From_malicious"), "Cb": EMPTY_PAIR}
+    assert (index.skipped_unset, index.duplicates) == (1, 1)
+
+
 def test_index_from_labeled_rows_requires_label_columns():
     reader = ZeekLogReader(io.StringIO(conn_log_text([conn_row()])), "conn.log")
     with pytest.raises(UsageError, match="run 'label' before 'propagate'"):
-        index_from_labeled_rows(reader.header, reader.rows())
+        index_from_labeled_rows(reader)

@@ -1,40 +1,57 @@
 from __future__ import annotations
 
+import io
+import shutil
+
 import pytest
 
-from conftest import table_from_text, zeek_tsv
+from conftest import DATA_DIR, zeek_tsv
 
 from zeeklabel.errors import LogFormatError
-from zeeklabel.labeler import EMPTY_PAIR, build_uid_index, label_conn
-from zeeklabel.propagate import (
-    cert_label_map,
-    lookup_row,
-    merge_labels,
-    propagate_files_log,
-    propagate_log,
-    propagate_x509,
-)
+from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
+from zeeklabel.propagate import accumulate_cert_labels, merge_labels, propagate_dir
 from zeeklabel.rules import load_config
-from zeeklabel.zeekio import read_log
+from zeeklabel.zeekio import ZeekLogReader, read_log, write_log
 
 MAL = ("Malicious", "From_malicious-To_benign-Command_and_control")
 BEN = ("Benign", "From_benign-To_benign")
 UNK = ("Unknown", "(empty)")
 
 
-@pytest.fixture(scope="module")
-def proplogs():
-    from conftest import DATA_DIR
+def _labels(path) -> list[tuple[str, str]]:
+    with open(path, encoding="utf-8") as fh:
+        table = read_log(fh, str(path))
+    li, di = (table.header.index_of(n) for n in ("label", "detailed_label"))
+    return [(cells[li], cells[di]) for cells in table.records]
 
-    tables = {}
-    for name in ("conn", "ssl", "x509", "http", "dns", "files"):
-        path = DATA_DIR / "proplogs" / f"{name}.log"
-        with open(path, encoding="utf-8") as fh:
-            tables[name] = read_log(fh, str(path))
-    config = (DATA_DIR / "proplogs" / "labeling.conf").read_text()
-    _, ruleset = load_config(config)
-    index = build_uid_index(tables["conn"], label_conn(tables["conn"], ruleset))
-    return tables, index
+
+@pytest.fixture(scope="module")
+def conn_labeled(tmp_path_factory):
+    """The proplogs conn.log, labeled by its config."""
+    path = tmp_path_factory.mktemp("conn") / "conn.labeled.log"
+    with open(DATA_DIR / "proplogs" / "conn.log", encoding="utf-8") as fh:
+        table = read_log(fh, "conn.log")
+    _, ruleset = load_config((DATA_DIR / "proplogs" / "labeling.conf").read_text())
+    with open(path, "w", encoding="utf-8") as fh:
+        write_log(table, label_conn(table, ruleset), fh)
+    return path
+
+
+@pytest.fixture(scope="module")
+def proplogs(conn_labeled, tmp_path_factory):
+    """Every proplogs log propagated: (report, {stem: labels})."""
+    d = tmp_path_factory.mktemp("proplogs")
+    shutil.copytree(DATA_DIR / "proplogs", d, dirs_exist_ok=True)
+    report = propagate_dir(conn_labeled, d, d)
+    return report, {log.name[: -len(".log")]: _labels(log.output) for log in report.logs}
+
+
+def _propagate(conn_labeled, tmp_path, logs: dict[str, str]):
+    """Propagate into a directory holding only ``logs``: (report, {stem: labels})."""
+    for name, text in logs.items():
+        (tmp_path / name).write_text(text)
+    report = propagate_dir(conn_labeled, tmp_path, tmp_path)
+    return report, {log.name[: -len(".log")]: _labels(log.output) for log in report.logs}
 
 
 def test_merge_precedence_order():
@@ -59,68 +76,77 @@ def test_merge_none_and_empty_inputs():
     assert merge_labels([None, BEN, None]) == BEN
 
 
-def _uid_table(field: str, cells: list[str]):
-    return table_from_text(
-        zeek_tsv("x", ["ts", field], ["time", "string"],
-                 [[f"16745600{i:02d}.0", c] for i, c in enumerate(cells)])
-    )
+def _uid_log(field: str, cells: list[str]) -> str:
+    return zeek_tsv("x", ["ts", field], ["time", "string"],
+                    [[f"16745600{i:02d}.0", c] for i, c in enumerate(cells)])
 
 
-def test_lookup_row_scalar_uid(proplogs):
-    _, index = proplogs
-    table = _uid_table("uid", ["CPRP01aaaa", "CPRP05eeee", "CNOSUCH000", "-"])
-    pairs = [lookup_row(r, table.header, index) for r in table.iter_rows()]
-    assert pairs == [MAL, EMPTY_PAIR, EMPTY_PAIR, EMPTY_PAIR]
+def test_lookup_row_scalar_uid(conn_labeled, tmp_path):
+    _, labels = _propagate(conn_labeled, tmp_path, {
+        "x.log": _uid_log("uid", ["CPRP01aaaa", "CPRP05eeee", "CNOSUCH000", "-"]),
+    })
+    assert labels["x"] == [MAL, EMPTY_PAIR, EMPTY_PAIR, EMPTY_PAIR]
 
 
-def test_lookup_row_uids_set_merges(proplogs):
-    _, index = proplogs
-    table = _uid_table("uids", ["CPRP02bbbb,CPRP01aaaa", "CPRP02bbbb", "-"])
-    pairs = [lookup_row(r, table.header, index) for r in table.iter_rows()]
-    assert pairs == [MAL, BEN, EMPTY_PAIR]
+def test_lookup_row_uids_set_merges(conn_labeled, tmp_path):
+    _, labels = _propagate(conn_labeled, tmp_path, {
+        "x.log": _uid_log("uids", ["CPRP02bbbb,CPRP01aaaa", "CPRP02bbbb", "-"]),
+    })
+    assert labels["x"] == [MAL, BEN, EMPTY_PAIR]
 
 
-def test_propagate_log_requires_uid_linkage(proplogs):
-    _, index = proplogs
-    table = table_from_text(
-        zeek_tsv("weird", ["ts", "note"], ["time", "string"], [["1.0", "x"]])
-    )
-    with pytest.raises(LogFormatError, match="has no uid field"):
-        propagate_log(table, index)
+def test_propagate_log_requires_uid_linkage(conn_labeled, tmp_path, caplog):
+    weird = zeek_tsv("weird", ["ts", "note"], ["time", "string"], [["1.0", "x"]])
+    with caplog.at_level("WARNING"):
+        report, labels = _propagate(conn_labeled, tmp_path, {"weird.log": weird})
+    assert [(log.route, log.rows, log.labeled) for log in report.logs] == [("none", 1, 0)]
+    assert labels["weird"] == [EMPTY_PAIR]
+    assert "weird.log has no uid linkage" in caplog.text
+
+
+def test_propagate_dir_report(proplogs):
+    report, _ = proplogs
+    assert (report.index_uids, report.index_duplicates, report.index_skipped_unset) == (6, 0, 0)
+    assert [(log.name, log.route, log.rows, log.labeled, log.output.name) for log in report.logs] == [
+        ("dns.log", "uid", 3, 0, "dns.labeled.log"),
+        ("files.log", "files", 4, 2, "files.labeled.log"),
+        ("http.log", "uid", 5, 4, "http.labeled.log"),
+        ("ssl.log", "uid", 4, 3, "ssl.labeled.log"),
+        ("x509.log", "x509", 5, 3, "x509.labeled.log"),
+    ]
 
 
 def test_propagate_http_by_uid(proplogs):
-    tables, index = proplogs
-    assert propagate_log(tables["http"], index) == [MAL, MAL, MAL, BEN, EMPTY_PAIR]
+    assert proplogs[1]["http"] == [MAL, MAL, MAL, BEN, EMPTY_PAIR]
 
 
 def test_propagate_dns_unmatched_conn_rows_stay_empty(proplogs):
-    tables, index = proplogs
     # CPRP05eeee is in the index but its conn row matched no rule
-    assert propagate_log(tables["dns"], index) == [EMPTY_PAIR, EMPTY_PAIR, EMPTY_PAIR]
+    assert proplogs[1]["dns"] == [EMPTY_PAIR, EMPTY_PAIR, EMPTY_PAIR]
 
 
 def test_propagate_files_via_conn_uids(proplogs):
-    tables, index = proplogs
-    pairs, by_fuid = propagate_files_log(tables["files"], index)
-    assert pairs == [BEN, MAL, EMPTY_PAIR, EMPTY_PAIR]
-    assert by_fuid == {
-        "FFILa1httA": BEN,
-        "FFILa2httB": MAL,
-        "FFILa3httC": EMPTY_PAIR,
-        "FFILa4httD": EMPTY_PAIR,
-    }
+    assert proplogs[1]["files"] == [BEN, MAL, EMPTY_PAIR, EMPTY_PAIR]
 
 
-def test_propagate_files_requires_conn_uids(proplogs):
-    tables, index = proplogs
-    with pytest.raises(LogFormatError, match="no conn_uids field"):
-        propagate_files_log(tables["http"], index)
+def test_propagate_files_requires_conn_uids(conn_labeled, tmp_path):
+    # a log named files.log without conn_uids is routed by its uid column
+    files = (DATA_DIR / "proplogs" / "http.log").read_text().replace("#path\thttp", "#path\tfiles")
+    report, labels = _propagate(conn_labeled, tmp_path, {"files.log": files})
+    assert [log.route for log in report.logs] == ["uid"]
+    assert labels["files"] == [MAL, MAL, MAL, BEN, EMPTY_PAIR]
 
 
-def test_cert_label_map_merges_across_ssl_rows(proplogs):
-    tables, index = proplogs
-    mapping = cert_label_map(tables["ssl"], index)
+def _cert_map(conn_labeled, ssl_text: str) -> dict:
+    with open(conn_labeled, encoding="utf-8") as fh:
+        index = index_from_labeled_rows(ZeekLogReader(fh, "conn.labeled.log"))
+    mapping: dict = {}
+    accumulate_cert_labels(ZeekLogReader(io.StringIO(ssl_text), "ssl.log"), index, mapping)
+    return mapping
+
+
+def test_cert_label_map_merges_across_ssl_rows(conn_labeled):
+    mapping = _cert_map(conn_labeled, (DATA_DIR / "proplogs" / "ssl.log").read_text())
     assert mapping["FPRPa1sslA"] == MAL
     # FPRPa2sslB is presented by a Benign flow and an Unknown flow
     assert mapping["FPRPa2sslB"] == UNK
@@ -130,46 +156,46 @@ def test_cert_label_map_merges_across_ssl_rows(proplogs):
 
 
 def test_propagate_x509_two_hops(proplogs):
-    tables, index = proplogs
-    pairs = propagate_x509(tables["x509"], tables["ssl"], index)
     # rows: FPRPa1sslA, FPRPa2sslB, FPRPa3sslC, FPRPa4sslX (orphan), FPRPa9sslD
-    assert pairs == [MAL, UNK, UNK, EMPTY_PAIR, EMPTY_PAIR]
+    assert proplogs[1]["x509"] == [MAL, UNK, UNK, EMPTY_PAIR, EMPTY_PAIR]
 
 
 def test_propagate_ssl_itself_by_uid(proplogs):
-    tables, index = proplogs
-    assert propagate_log(tables["ssl"], index) == [MAL, BEN, UNK, EMPTY_PAIR]
+    assert proplogs[1]["ssl"] == [MAL, BEN, UNK, EMPTY_PAIR]
 
 
-def test_modern_field_spellings_accepted(proplogs):
-    _, index = proplogs
-    ssl = table_from_text(
-        zeek_tsv(
-            "ssl",
-            ["ts", "uid", "cert_chain_fps"],
-            ["time", "string", "vector[string]"],
-            [["1.0", "CPRP01aaaa", "FNEWHASH01"]],
-        )
+def test_modern_field_spellings_accepted(conn_labeled, tmp_path):
+    ssl = zeek_tsv(
+        "ssl",
+        ["ts", "uid", "cert_chain_fps"],
+        ["time", "string", "vector[string]"],
+        [["1.0", "CPRP01aaaa", "FNEWHASH01"]],
     )
-    x509 = table_from_text(
-        zeek_tsv(
-            "x509",
-            ["ts", "fingerprint"],
-            ["time", "string"],
-            [["1.0", "FNEWHASH01"], ["1.1", "FUNSEEN999"]],
-        )
+    x509 = zeek_tsv(
+        "x509",
+        ["ts", "fingerprint"],
+        ["time", "string"],
+        [["1.0", "FNEWHASH01"], ["1.1", "FUNSEEN999"]],
     )
-    assert cert_label_map(ssl, index) == {"FNEWHASH01": MAL}
-    assert propagate_x509(x509, ssl, index) == [MAL, EMPTY_PAIR]
+    assert _cert_map(conn_labeled, ssl) == {"FNEWHASH01": MAL}
+    _, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl, "x509.log": x509})
+    assert labels["x509"] == [MAL, EMPTY_PAIR]
 
 
-def test_ssl_without_chain_field_rejected(proplogs):
-    tables, index = proplogs
+def test_ssl_without_chain_field_rejected(conn_labeled, tmp_path):
+    http = (DATA_DIR / "proplogs" / "http.log").read_text()
     with pytest.raises(LogFormatError, match="no certificate chain field"):
-        cert_label_map(tables["http"], index)
+        _cert_map(conn_labeled, http)
+    # propagate_dir builds the certificate map before writing any output
+    x509 = (DATA_DIR / "proplogs" / "x509.log").read_text()
+    with pytest.raises(LogFormatError, match="ssl.log: ssl log has no certificate chain field"):
+        _propagate(conn_labeled, tmp_path, {"ssl.log": http, "x509.log": x509})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ssl.log", "x509.log"]
 
 
-def test_x509_without_id_field_rejected(proplogs):
-    tables, index = proplogs
-    with pytest.raises(LogFormatError, match="no certificate id field"):
-        propagate_x509(tables["http"], tables["ssl"], index)
+def test_x509_without_id_field_passes_through_empty(conn_labeled, tmp_path):
+    ssl = (DATA_DIR / "proplogs" / "ssl.log").read_text()
+    x509 = zeek_tsv("x509", ["ts", "serial"], ["time", "string"], [["1.0", "FPRPa1sslA"]])
+    report, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl, "x509.log": x509})
+    assert [log.route for log in report.logs] == ["uid", "x509"]
+    assert labels["x509"] == [EMPTY_PAIR]
