@@ -23,6 +23,7 @@ from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, apply_rules
 from .metrics import (
     LabeledFlow,
+    MetricsReport,
     check_detection_times,
     compute_metrics,
     flow_confusion,
@@ -32,7 +33,7 @@ from .metrics import (
     MALICIOUS,
     UNKNOWN,
 )
-from .ontology import builtin_ontology, load_ontology
+from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
 from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogWriter, _to_float
@@ -73,7 +74,10 @@ def cmd_label(ns: argparse.Namespace) -> int:
 
     with open(conn_path, encoding="utf-8") as src, replace_on_success(out_path) as dst:
         reader = ZeekLogReader(src, str(conn_path))
-        schema = ConnSchema(reader.header, reader.format)
+        try:
+            schema = ConnSchema(reader.header, reader.format)
+        except LogFormatError as exc:
+            raise LogFormatError(f"{conn_path}: {exc}") from None
         writer = ZeekLogWriter(dst, reader.header, reader.format)
         counts = writer.write_rows(reader.records(), lambda record: apply_rules(ruleset, Flow(record, schema)))
         writer.finish(reader.trailer)
@@ -150,6 +154,27 @@ def _load_flows(conn_path: Path) -> list[LabeledFlow]:
     return flows
 
 
+def _score_json(report: MetricsReport) -> dict:
+    return {
+        "counts": vars(report.counts),
+        "metrics": {
+            "fpr": report.fpr,
+            "tpr": report.tpr,
+            "accuracy": report.accuracy,
+            "f1": report.f1,
+        },
+    }
+
+
+def _print_score(report: MetricsReport) -> None:
+    c = report.counts
+    print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")
+    print(
+        f"  FPR {_pct(report.fpr)}  TPR {_pct(report.tpr)}  "
+        f"Accuracy {_pct(report.accuracy)}  F1 {_pct(report.f1)}"
+    )
+
+
 def cmd_eval(ns: argparse.Namespace) -> int:
     flows = _load_flows(Path(ns.conn_labeled))
     with open(ns.detections, encoding="utf-8") as fh:
@@ -161,12 +186,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         evidence.update(det.evidence)
 
     cutoff = ns.cutoff
-    counts = flow_confusion(flows, evidence, cutoff)
-    flow_report = compute_metrics(counts)
-    in_scope = [f for f in flows if cutoff is None or f.start <= cutoff]
-    unknown_excluded = sum(1 for f in in_scope if f.label == UNKNOWN)
-    unlabeled = sum(1 for f in in_scope if f.label == EMPTY_PAIR[0])
-    malicious = sum(1 for f in in_scope if f.label == MALICIOUS)
+    flow_report = compute_metrics(flow_confusion(flows, evidence, cutoff))
+    labels = Counter(f.label for f in flows if cutoff is None or f.start <= cutoff)
+    scored = labels.total()
 
     timelines = timeline_runs(flows, detections, ns.window, ns.threshold)
     ip_counts = timeline_confusion(timelines)
@@ -180,26 +202,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "cutoff": cutoff,
             },
             "flow": {
-                "flows": len(in_scope),
-                "malicious": malicious,
-                "unknown_excluded": unknown_excluded,
-                "unlabeled_negative": unlabeled,
-                "counts": vars(flow_report.counts),
-                "metrics": {
-                    "fpr": flow_report.fpr,
-                    "tpr": flow_report.tpr,
-                    "accuracy": flow_report.accuracy,
-                    "f1": flow_report.f1,
-                },
+                "flows": scored,
+                "malicious": labels[MALICIOUS],
+                "unknown_excluded": labels[UNKNOWN],
+                "unlabeled_negative": labels[EMPTY_PAIR[0]],
+                **_score_json(flow_report),
             },
             "ip": {
-                "counts": vars(ip_report.counts),
-                "metrics": {
-                    "fpr": ip_report.fpr,
-                    "tpr": ip_report.tpr,
-                    "accuracy": ip_report.accuracy,
-                    "f1": ip_report.f1,
-                },
+                **_score_json(ip_report),
                 "timelines": {
                     str(ip): [
                         {
@@ -220,27 +230,17 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     print("flow-level evaluation")
     print(
-        f"  flows: {len(in_scope)} (malicious {malicious}, "
-        f"unknown excluded {unknown_excluded}, unlabeled {unlabeled})"
+        f"  flows: {scored} (malicious {labels[MALICIOUS]}, "
+        f"unknown excluded {labels[UNKNOWN]}, unlabeled {labels[EMPTY_PAIR[0]]})"
     )
-    c = flow_report.counts
-    print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")
-    print(
-        f"  FPR {_pct(flow_report.fpr)}  TPR {_pct(flow_report.tpr)}  "
-        f"Accuracy {_pct(flow_report.accuracy)}  F1 {_pct(flow_report.f1)}"
-    )
+    _print_score(flow_report)
     print(
         f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})"
     )
     for ip, runs in timelines.items():
         marks = " ".join(" ".join([run.status] * run.length) for run in runs)
         print(f"  {ip}: {marks}")
-    c = ip_report.counts
-    print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")
-    print(
-        f"  FPR {_pct(ip_report.fpr)}  TPR {_pct(ip_report.tpr)}  "
-        f"Accuracy {_pct(ip_report.accuracy)}  F1 {_pct(ip_report.f1)}"
-    )
+    _print_score(ip_report)
     return 0
 
 
@@ -256,11 +256,7 @@ def cmd_validate_config(ns: argparse.Namespace) -> int:
 
 
 def cmd_show_ontology(ns: argparse.Namespace) -> int:
-    if ns.config:
-        text, _ = _read_config(Path(ns.config))
-        spec = load_ontology(text)
-    else:
-        spec = builtin_ontology()
+    spec = load_ontology(_read_config(Path(ns.config))[0] if ns.config else "")
     if ns.json:
         payload = {
             lvl.name: {

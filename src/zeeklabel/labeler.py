@@ -30,7 +30,7 @@ def apply_rules(ruleset: RuleSet, flow: Flow) -> LabelPair:
 def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
     """One (label, detailed_label) pair per record, in record order."""
     schema = ConnSchema(table.header, table.format)
-    return [apply_rules(ruleset, schema.view(row)) for row in table.iter_rows()]
+    return [apply_rules(ruleset, Flow(record, schema)) for record in table.records]
 
 
 class UidIndex(dict):

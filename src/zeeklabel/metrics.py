@@ -264,14 +264,18 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
             try:
                 ip = ipaddress.ip_address(obj["ip"])
                 time = float(obj["time"])
-                evidence = frozenset(str(u) for u in obj["evidence"])
+                evidence = obj["evidence"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(
                     f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
                 ) from None
+            if not isinstance(evidence, list):
+                raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
             if not math.isfinite(time):
                 raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
-            records.append(DetectionRecord(ip=ip, time=time, evidence=evidence))
+            records.append(
+                DetectionRecord(ip=ip, time=time, evidence=frozenset(str(u) for u in evidence))
+            )
     except UnicodeDecodeError as exc:
         raise utf8_error(source, lineno, exc) from None
     return records

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .config import SECTION_ONTOLOGY, split_sections
 from .errors import ConfigError
@@ -67,12 +67,9 @@ class OntologySpec:
                 return lvl
         raise KeyError(name)
 
-    def detail_levels(self) -> tuple[LevelSpec, ...]:
-        return self.levels[1:]
-
     def levels_of_item(self, item: str) -> list[str]:
         """Names of detail levels containing ``item`` (levels 2-7 only)."""
-        return [lvl.name for lvl in self.detail_levels() if item in lvl.items]
+        return [lvl.name for lvl in self.levels[1:] if item in lvl.items]
 
 
 @dataclass(frozen=True)
@@ -93,16 +90,7 @@ class LabelAssignment:
 
 def builtin_ontology() -> OntologySpec:
     """The vocabulary available before any config is read."""
-    levels = tuple(
-        LevelSpec(
-            name=name,
-            mandatory=name == "label",
-            extensible=name not in _CLOSED_LEVELS,
-            items=_BUILTIN_ITEMS.get(name, ()),
-        )
-        for name in LEVEL_NAMES
-    )
-    return OntologySpec(levels)
+    return load_ontology("")
 
 
 def load_ontology(config_text: str) -> OntologySpec:
@@ -231,9 +219,3 @@ def parse_detailed_label(text: str, spec: OntologySpec) -> dict[str, str]:
             )
         detail[name] = token
     return detail
-
-
-def items_in_levels(spec: OntologySpec) -> Iterable[tuple[str, tuple[str, ...]]]:
-    """(level name, items) pairs in level order, for display."""
-    for lvl in spec.levels:
-        yield lvl.name, lvl.items

@@ -53,35 +53,28 @@ class ZeekHeader:
             return None
 
 
-@dataclass(slots=True)
-class Row:
-    """One data record of a table: the cells of a TSV row, or a JSON row's object."""
-
-    cells: list[str] | None
-    obj: dict | None
-
-
 @dataclass
 class ZeekLogTable:
-    """A whole log held in memory; records are lists of verbatim string cells."""
+    """A whole log held in memory, as the records :meth:`ZeekLogReader.records` yields."""
 
     header: ZeekHeader
-    records: list[list[str]]
-    objects: list[dict] | None
+    records: list[list[str] | dict]
     trailer: list[str]
     format: str  # "tsv" | "json"
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def iter_rows(self) -> Iterator[Row]:
-        for i, cells in enumerate(self.records):
-            yield Row(cells, self.objects[i] if self.objects is not None else None)
+    def iter_rows(self) -> Iterator[list[str] | dict]:
+        return iter(self.records)
 
 
-def _unescape_separator(text: str) -> str:
+def _unescape_separator(text: str) -> str | None:
     # the #separator directive spells the byte as an escape, e.g. \x09
-    return text.encode("ascii").decode("unicode_escape")
+    try:
+        return text.encode("ascii").decode("unicode_escape") or None
+    except UnicodeError:
+        return None
 
 
 def _json_scalar(value: object) -> str:
@@ -162,7 +155,13 @@ class ZeekLogReader:
         while line is not None and line.startswith("#"):
             h.preamble.append(line)
             if line.startswith("#separator "):
-                h.separator = _unescape_separator(line[len("#separator ") :])
+                text = line[len("#separator ") :]
+                sep = _unescape_separator(text)
+                if sep is None:
+                    raise LogFormatError(
+                        f"{self.source}: line {self._lineno}: invalid #separator {text!r}"
+                    )
+                h.separator = sep
             else:
                 parts = line.split(h.separator)
                 name = parts[0]
@@ -262,24 +261,16 @@ class ZeekLogReader:
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
-    """Read a whole log into a table.
+    """Read a whole log into a table of the records the streaming reader yields.
 
-    JSON-lines input gets a synthetic header whose fields are the union of
-    keys in first-appearance order; missing keys surface as the unset marker.
+    A TSV record is the list of a line's verbatim cells, a JSON-lines record
+    the line's object as parsed. For JSON lines the header's fields are the
+    union of keys in first-appearance order; a key an object lacks reads as
+    unset through :func:`row_field`.
     """
     reader = ZeekLogReader(stream, source)
-    rows = list(reader.records())
-    header = reader.header
-    if reader.format == "json":
-        records = [
-            [
-                _json_cell(obj[name], header) if name in obj else header.unset_field
-                for name in header.fields
-            ]
-            for obj in rows
-        ]
-        return ZeekLogTable(header, records, rows, reader.trailer, "json")  # type: ignore[arg-type]
-    return ZeekLogTable(header, rows, None, reader.trailer, "tsv")  # type: ignore[arg-type]
+    records = list(reader.records())
+    return ZeekLogTable(reader.header, records, reader.trailer, reader.format)
 
 
 # rows a writer joins into one write; bounds its buffer however long the log
@@ -291,47 +282,22 @@ _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encod
 class ZeekLogWriter:
     """Streaming writer that appends label columns while copying everything else."""
 
-    def __init__(
-        self,
-        stream: IO[str],
-        header: ZeekHeader,
-        fmt: str,
-        label_fields: tuple[str, str] = LABEL_FIELDS,
-    ) -> None:
+    def __init__(self, stream: IO[str], header: ZeekHeader, fmt: str) -> None:
         self._stream = stream
         self._header = header
         self._format = fmt
-        self._label_fields = label_fields
         if fmt == "tsv":
             self._write_preamble()
 
     def _write_preamble(self) -> None:
-        h = self._header
-        sep = h.separator
-        lines = h.preamble or self._synthesized_preamble()
-        for line in lines:
+        # the header comes from a reader, which kept its directive lines verbatim
+        sep = self._header.separator
+        for line in self._header.preamble:
             if line.startswith("#fields" + sep) or line == "#fields":
-                line = line + sep + sep.join(self._label_fields)
+                line = line + sep + sep.join(LABEL_FIELDS)
             elif line.startswith("#types" + sep) or line == "#types":
-                line = line + sep + sep.join(["string"] * len(self._label_fields))
+                line = line + sep + sep.join(["string"] * len(LABEL_FIELDS))
             self._stream.write(line + "\n")
-
-    def _synthesized_preamble(self) -> list[str]:
-        # used only for programmatically built tables (no original header text)
-        h = self._header
-        sep = h.separator
-        out = [
-            "#separator " + "".join(f"\\x{ord(c):02x}" for c in sep),
-            "#set_separator" + sep + h.set_separator,
-            "#empty_field" + sep + h.empty_field,
-            "#unset_field" + sep + h.unset_field,
-        ]
-        if h.path is not None:
-            out.append("#path" + sep + h.path)
-        out.append("#fields" + sep + sep.join(h.fields))
-        if h.types is not None:
-            out.append("#types" + sep + sep.join(h.types))
-        return out
 
     def write_rows(
         self, records: Iterable[list[str] | dict], pair_of: Callable
@@ -360,7 +326,7 @@ class ZeekLogWriter:
                     write("".join(buf))
                     buf.clear()
         else:
-            label_key, detail_key = self._label_fields
+            label_key, detail_key = LABEL_FIELDS
             for obj in records:
                 pair = pair_of(obj)
                 counts[pair] = counts.get(pair, 0) + 1
@@ -386,8 +352,7 @@ def write_log(
         )
     writer = ZeekLogWriter(stream, table.header, table.format)
     pairs = iter(labels)
-    records = table.objects if table.format == "json" else table.records
-    writer.write_rows(records, lambda _: next(pairs))  # type: ignore[arg-type]
+    writer.write_rows(table.records, lambda _: next(pairs))
     writer.finish(table.trailer)
 
 
@@ -408,10 +373,10 @@ def replace_on_success(path: Path) -> Iterator[IO[str]]:
         raise
 
 
-def row_field(row: Row, header: ZeekHeader, name: str) -> str | None:
-    """A single field as verbatim text, or None when unset/absent."""
-    if row.obj is not None:
-        value = row.obj.get(name)
+def row_field(record: list[str] | dict, header: ZeekHeader, name: str) -> str | None:
+    """A single field of a record as verbatim text, or None when unset/absent."""
+    if isinstance(record, dict):
+        value = record.get(name)
         if value is None:
             return None
         text = _json_cell(value, header)
@@ -419,16 +384,16 @@ def row_field(row: Row, header: ZeekHeader, name: str) -> str | None:
         idx = header.index_of(name)
         if idx is None:
             return None
-        text = row.cells[idx]  # type: ignore[index]
+        text = record[idx]
     if text == header.unset_field or text == header.empty_field or text == "":
         return None
     return text
 
 
-def row_set_field(row: Row, header: ZeekHeader, name: str) -> list[str]:
-    """A set/vector field as a list of member strings (empty when unset)."""
-    if row.obj is not None:
-        value = row.obj.get(name)
+def row_set_field(record: list[str] | dict, header: ZeekHeader, name: str) -> list[str]:
+    """A set/vector field of a record as a list of member strings (empty when unset)."""
+    if isinstance(record, dict):
+        value = record.get(name)
         if value is None:
             return []
         if isinstance(value, list):
@@ -437,7 +402,7 @@ def row_set_field(row: Row, header: ZeekHeader, name: str) -> list[str]:
         if text in (header.unset_field, header.empty_field, ""):
             return []
         return [text]
-    cell = row_field(row, header, name)
+    cell = row_field(record, header, name)
     if cell is None:
         return []
     return cell.split(header.set_separator)
@@ -611,5 +576,5 @@ class ConnSchema:
         for i, name in enumerate(header.fields):
             self.indices.setdefault(name, i)
 
-    def view(self, row: Row) -> Flow:
-        return Flow(row.cells if row.obj is None else row.obj, self)  # type: ignore[arg-type]
+    def view(self, record: list[str] | dict) -> Flow:
+        return Flow(record, self)

@@ -221,6 +221,37 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob(".*.tmp"))
 
 
+@pytest.mark.parametrize("separator", ["\\x", "", "é"])
+@pytest.mark.parametrize("command", ["label", "propagate", "eval"])
+def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, command, separator):
+    bad = tmp_path / "bad.log"
+    bad.write_text(f"#separator {separator}\n#fields\tts\tuid\n1.0\tC1\n", encoding="utf-8")
+    config = tmp_path / "r.conf"
+    config.write_text("Benign, (empty):\n    - Proto=tcp\n")
+    argv = {
+        "label": ["label", str(bad), "--config", str(config)],
+        "propagate": ["propagate", str(bad), str(tmp_path)],
+        "eval": ["eval", str(bad), str(DATA_DIR / "fig2" / "detections.jsonl")],
+    }[command]
+    rc = main(argv)
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {bad}: line 1: invalid #separator {separator!r}"
+    )
+    assert not list(tmp_path.glob("*.labeled.log"))
+
+
+def test_label_without_uid_column_names_the_file(tmp_path, capsys):
+    conn = tmp_path / "conn.log"
+    conn.write_text(zeek_tsv("conn", ["ts", "proto"], ["time", "enum"], [["1.0", "tcp"]]))
+    config = tmp_path / "r.conf"
+    config.write_text("Benign, (empty):\n    - Proto=tcp\n")
+    rc = main(["label", str(conn), "--config", str(config)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: {conn}: flow table has no uid field"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log", "r.conf"]
+
+
 def _label_proplogs(proplogs_dir) -> None:
     rc = main(
         [
@@ -587,6 +618,20 @@ def test_eval_bad_detections_exit_1(tmp_path, capsys):
     rc = main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(det)])
     assert rc == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("evidence", ['"CxY"', '{"CPRP01aaaa": 1}', "null"])
+def test_eval_evidence_that_is_not_a_list_exits_1(tmp_path, capsys, evidence):
+    det = tmp_path / "d.jsonl"
+    det.write_text(
+        '{"ip": "192.168.100.7", "time": 1674550500.0, "evidence": ["C1"]}\n'
+        f'{{"ip": "192.168.100.7", "time": 1674550500.0, "evidence": {evidence}}}\n'
+    )
+    rc = main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(det)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {det}: line 2: evidence must be a list of uids"
+    )
 
 
 def test_eval_bad_window_exits_2(capsys):

@@ -205,7 +205,7 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         stem, fields = path.name.split(".")[0], table.header.fields
         # JSON routes see the keys of the first object only
         if table.format == "json":
-            fields = list(table.objects[0])
+            fields = list(table.records[0])
         if stem == "conn" or table.header.path == "conn":
             return "conn"
         if "conn_uids" in fields:
@@ -220,7 +220,7 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         for path, table in tables.items():
             if routes[path] != "uid" or path.name.split(".")[0] != "ssl":
                 continue
-            fields = table.objects[0] if table.format == "json" else table.header.fields
+            fields = table.records[0] if table.format == "json" else table.header.fields
             chain = "cert_chain_fuids" if "cert_chain_fuids" in fields else "cert_chain_fps"
             for row in table.iter_rows():
                 uid = row_field(row, table.header, "uid")
@@ -235,7 +235,7 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         if r == "conn":
             continue
         h = table.header
-        fields = table.objects[0] if table.format == "json" else h.fields
+        fields = table.records[0] if table.format == "json" else h.fields
         id_field = next((f for f in ("id", "fingerprint") if f in fields), None)
         pairs = []
         for row in table.iter_rows():
@@ -257,7 +257,7 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         if table.format == "json":
             lines = [
                 json.dumps({**obj, "label": a, "detailed_label": b}, separators=(",", ":"), ensure_ascii=False)
-                for obj, (a, b) in zip(table.objects, pairs)
+                for obj, (a, b) in zip(table.records, pairs)
             ]
         else:
             sep = h.separator

@@ -97,9 +97,9 @@ def test_json_lines_detected_and_fields_grow():
     table = table_from_text(_json_lines(objs))
     assert table.format == "json"
     assert table.header.fields == ["ts", "uid", "id.orig_h", "service"]
-    # missing keys surface as the unset marker
-    assert table.records[0][3] == "-"
-    assert table.records[1][2] == "-"
+    # missing keys read as unset
+    assert row_field(table.records[0], table.header, "service") is None
+    assert row_field(table.records[1], table.header, "id.orig_h") is None
 
 
 def test_json_invalid_line_reports_number():
