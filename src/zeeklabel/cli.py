@@ -20,7 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import ConfigError, LogFormatError, UsageError
-from .labeler import EMPTY_PAIR, apply_rules
+from .labeler import EMPTY_PAIR, label_file
 from .metrics import (
     LabeledFlow,
     MetricsReport,
@@ -36,8 +36,7 @@ from .metrics import (
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
-from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogWriter, _to_float
-from .zeekio import field_getter, replace_on_success
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, field_getter
 
 logger = logging.getLogger(__name__)
 
@@ -72,16 +71,7 @@ def cmd_label(ns: argparse.Namespace) -> int:
     if out_path.resolve() == conn_path.resolve():
         raise UsageError(f"refusing to overwrite the input file {conn_path}")
 
-    with open(conn_path, encoding="utf-8") as src, replace_on_success(out_path) as dst:
-        reader = ZeekLogReader(src, str(conn_path))
-        try:
-            schema = ConnSchema(reader.header, reader.format)
-        except LogFormatError as exc:
-            raise LogFormatError(f"{conn_path}: {exc}") from None
-        writer = ZeekLogWriter(dst, reader.header, reader.format)
-        counts = writer.write_rows(reader.records(), lambda record: apply_rules(ruleset, Flow(record, schema)))
-        writer.finish(reader.trailer)
-
+    counts = label_file(conn_path, ruleset, out_path)
     histogram: Counter[str] = Counter()
     for pair, count in counts.items():
         histogram[pair[0]] += count

@@ -8,10 +8,13 @@ belong above general ones in the config. Flows no rule matches get the
 from __future__ import annotations
 
 import logging
+from pathlib import Path
+from typing import Callable
 
-from .errors import UsageError
+from .errors import LogFormatError, UsageError
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable, field_getter
+from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable, ZeekLogWriter
+from .zeekio import field_getter, replace_all_on_success
 
 logger = logging.getLogger(__name__)
 
@@ -27,10 +30,36 @@ def apply_rules(ruleset: RuleSet, flow: Flow) -> LabelPair:
     return EMPTY_PAIR if rule is None else rule.label_pair
 
 
+def _pair_function(
+    ruleset: RuleSet, log: ZeekLogReader | ZeekLogTable
+) -> Callable[[list[str] | dict], LabelPair]:
+    """The label pair of one record of ``log``, a conn.log."""
+    schema = ConnSchema(log.header, log.format)
+    return lambda record: apply_rules(ruleset, Flow(record, schema))
+
+
 def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
     """One (label, detailed_label) pair per record, in record order."""
-    schema = ConnSchema(table.header, table.format)
-    return [apply_rules(ruleset, Flow(record, schema)) for record in table.records]
+    if "uid" not in table.header.fields:
+        raise LogFormatError("flow table has no uid field")
+    return list(map(_pair_function(ruleset, table), table.records))
+
+
+def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) -> dict[LabelPair, int]:
+    """Stream a conn.log into its labeled copy at ``out_path``; rows per label pair.
+
+    The copy appears only once complete, and only if the log has a uid column.
+    """
+    with open(conn_path, encoding="utf-8") as src, replace_all_on_success() as open_output:
+        reader = ZeekLogReader(src, str(conn_path))
+        with open_output(Path(out_path)) as dst:
+            writer = ZeekLogWriter(dst, reader.header, reader.format)
+            counts = writer.write_rows(reader.records(), _pair_function(ruleset, reader))
+            writer.finish(reader.trailer)
+        # after the stream, before the move: a JSON log's fields are complete only now
+        if "uid" not in reader.header.fields:
+            raise LogFormatError(f"{conn_path}: flow table has no uid field")
+    return counts
 
 
 class UidIndex(dict):
@@ -52,11 +81,6 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
     reads as ``(empty)``.
     """
     header = reader.header
-    if not all(name in header.fields for name in LABEL_FIELDS):
-        raise UsageError(
-            "labeled conn.log has no label/detailed_label columns; run "
-            "'label' before 'propagate'"
-        )
     uid_of, label_of, detail_of = (
         field_getter(header, reader.format, name) for name in ("uid", *LABEL_FIELDS)
     )
@@ -73,6 +97,12 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
         rows += 1
         pair = (label_of(record) or EMPTY_LABEL, detail_of(record) or EMPTY_LABEL)
         add(uid, intern(pair, pair))
+    # after the stream: bad rows are reported first, and JSON keys are complete
+    if not all(name in header.fields for name in LABEL_FIELDS):
+        raise UsageError(
+            "labeled conn.log has no label/detailed_label columns; run "
+            "'label' before 'propagate'"
+        )
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
     _warn_index(index)

@@ -269,12 +269,12 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
                 raise LogFormatError(
                     f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
                 ) from None
-            if not isinstance(evidence, list):
+            if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
                 raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
             if not math.isfinite(time):
                 raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
             records.append(
-                DetectionRecord(ip=ip, time=time, evidence=frozenset(str(u) for u in evidence))
+                DetectionRecord(ip=ip, time=time, evidence=frozenset(evidence))
             )
     except UnicodeDecodeError as exc:
         raise utf8_error(source, lineno, exc) from None

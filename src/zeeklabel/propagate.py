@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
-from .zeekio import ZeekHeader, ZeekLogReader, ZeekLogWriter, field_getter, replace_on_success, set_getter
+from .zeekio import ZeekHeader, ZeekLogReader, ZeekLogWriter, field_getter, replace_all_on_success, set_getter
 
 logger = logging.getLogger(__name__)
 
@@ -161,9 +161,10 @@ def propagate_dir(
     """Label every other ``*.log`` in ``log_dir`` from a labeled conn.log.
 
     Each output is ``<stem>.labeled.log`` in ``out_dir`` (created if
-    missing), written in name order, and appears only once complete. Every
-    log's header is read, and the ssl certificate map built, before the
-    first output is written.
+    missing), written in name order to a temp file. The outputs are moved
+    into place only after the last one is complete, so a run that fails
+    leaves none of them. Every log's header is read, and the ssl certificate
+    map built, before the first output is written.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,15 +204,16 @@ def propagate_dir(
                 accumulate_cert_labels(ZeekLogReader(fh, str(ssl_path)), index, cert_map)
 
     report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
-    for path, route in routes.items():
-        out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-        if route == "none":
-            logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
-        with open(path, encoding="utf-8") as src, replace_on_success(out_path) as dst:
-            reader = ZeekLogReader(src, str(path))
-            writer = ZeekLogWriter(dst, reader.header, reader.format)
-            counts = writer.write_rows(reader.records(), _pair_function(route, reader, index, cert_map))
-            writer.finish(reader.trailer)
-        rows = sum(counts.values())
-        report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+    with replace_all_on_success() as open_output:
+        for path, route in routes.items():
+            out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
+            if route == "none":
+                logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+            with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
+                reader = ZeekLogReader(src, str(path))
+                writer = ZeekLogWriter(dst, reader.header, reader.format)
+                counts = writer.write_rows(reader.records(), _pair_function(route, reader, index, cert_map))
+                writer.finish(reader.trailer)
+            rows = sum(counts.values())
+            report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
     return report

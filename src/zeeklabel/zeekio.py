@@ -7,9 +7,10 @@ verbatim so a labeled file is byte-identical to its input apart from the
 two appended columns. JSON-lines rows are re-serialized from the original
 objects with the two label keys added.
 
-The module also owns the rule-facing view of a conn.log record: a
-:class:`Flow` maps rule columns (srcIP, Bytes, Date, ...) onto Zeek's field
-names and memoizes each column's typed value, with an explicit unset notion.
+Cells are read through readers resolved once per header (:func:`field_getter`,
+:func:`set_getter`), and so are rule columns: :class:`ConnSchema` builds one
+per column (srcIP, Bytes, Date, ...) from the field's reader and a converter,
+and a :class:`Flow` memoizes one record's typed values, with unset as None.
 """
 
 from __future__ import annotations
@@ -357,19 +358,28 @@ def write_log(
 
 
 @contextmanager
-def replace_on_success(path: Path) -> Iterator[IO[str]]:
-    """Write ``path`` through a temp file beside it, moved in place on success.
+def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
+    """Write files through temp files beside them, all moved in place on success.
 
-    The temp name does not end in ``.log``, so a directory scan for logs never
-    picks it up; on any error it is removed and ``path`` is left untouched.
+    ``open_output(path)`` opens the temp file of ``path``; the caller closes
+    it. A temp name does not end in ``.log``, so a scan for logs skips it. On
+    any error every temp file is removed and no ``path`` is touched; a crash
+    between two renames can still leave some outputs new and others old.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    moves: list[tuple[Path, Path]] = []
+
+    def open_output(path: Path) -> IO[str]:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        moves.append((tmp, path))
+        return open(tmp, "w", encoding="utf-8")
+
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield open_output
+        for tmp, path in moves:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -437,20 +447,17 @@ def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str]
 
 def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] | dict], list[str]]:
     """``row_set_field`` for one column, resolved once: a function of a record."""
-    null = frozenset((header.unset_field, header.empty_field, ""))
+    get = field_getter(header, fmt, name)
     if fmt == "json":
 
         def members(obj):
             value = obj.get(name)
-            if value is None:
-                return []
             if type(value) is list:
                 return [_json_scalar(v) for v in value]
-            text = _json_scalar(value)
-            return [] if text in null else [text]
+            text = get(obj)
+            return [] if text is None else [text]
 
         return members
-    get = field_getter(header, fmt, name)
     set_sep = header.set_separator
 
     def split(cells):
@@ -460,32 +467,27 @@ def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] |
     return split
 
 
-def _to_float(value) -> float | None:
+def _to_float(text: str | None) -> float | None:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
+        return float(text)
+    except (TypeError, ValueError):
         return None
 
 
-def _to_int(value) -> int | None:
-    if isinstance(value, int):
-        return None if isinstance(value, bool) else value
+def _to_int(text: str) -> int | None:
+    # int() first keeps counters past 2**53 exact; int(float()) takes "80.0" and "1e3"
     try:
-        return int(float(value))
-    except (TypeError, ValueError, OverflowError):
-        return None
+        return int(text)
+    except ValueError:
+        try:
+            return int(float(text))
+        except (ValueError, OverflowError):
+            return None
 
 
-def _lower(value) -> str | None:
-    return None if value is None else str(value).lower()
-
-
-def _address(value) -> str | None:
+def _address(text: str) -> str | None:
     # IPv4 text is kept as written: ipaddress accepts only the canonical
     # dotted quad, so no other spelling can equal a rule's address anyway
-    if value is None:
-        return None
-    text = str(value)
     if ":" not in text:
         return text
     try:
@@ -503,37 +505,16 @@ def _utc_date(ts: float | None) -> datetime.date | None:
         return None
 
 
-def _volume(flow: "Flow", orig: str, resp: str) -> int:
-    return (_to_int(flow.cell(orig)) or 0) + (_to_int(flow.cell(resp)) or 0)
-
-
-# rule column -> its typed value on a flow
-_READERS = {
-    "Date": lambda flow: _utc_date(flow.value("start")),
-    "start": lambda flow: _to_float(flow.cell("ts")),
-    "Duration": lambda flow: _to_float(flow.cell("duration")),
-    "Proto": lambda flow: _lower(flow.cell("proto")),
-    "srcIP": lambda flow: _address(flow.cell("id.orig_h")),
-    "srcPort": lambda flow: _to_int(flow.cell("id.orig_p")),
-    "dstIP": lambda flow: _address(flow.cell("id.resp_h")),
-    "dstPort": lambda flow: _to_int(flow.cell("id.resp_p")),
-    "State": lambda flow: _lower(flow.cell("conn_state")),
-    "Tos": lambda flow: _to_int(flow.cell("tos")),
-    "Packets": lambda flow: _volume(flow, "orig_pkts", "resp_pkts"),
-    "Bytes": lambda flow: _volume(flow, "orig_bytes", "resp_bytes"),
-}
-
-
 class Flow(dict):
     """One conn.log record as a memo of its rule-column values.
 
     ``value(column)`` (or ``flow[column]``) reads a rule column's typed value
-    on first use and keeps it, so each cell is converted at most once per row
-    however many conditions test it. None means unset: the cell is unset or
-    absent or does not parse as its type. Packets/Bytes count unset halves as
-    0, so a partially logged flow still has a volume. Date is the UTC date of
-    ``start``. Proto and State are lowercased, IPs are address text in
-    canonical form.
+    through its schema's per-header reader on first use and keeps it, so each
+    column is converted at most once per row however many conditions test it.
+    None means unset: the cell is unset or absent or does not parse as its
+    type. Packets/Bytes count unset halves as 0, so a partially logged flow
+    still has a volume. Date is the UTC date of ``start``. Proto and State are
+    lowercased, IPs are address text in canonical form.
     """
 
     __slots__ = ("_record", "_schema")
@@ -543,38 +524,44 @@ class Flow(dict):
         self._schema = schema
 
     def __missing__(self, column: str):
-        value = self[column] = _READERS[column](self)
+        value = self[column] = self._schema.readers[column](self._record)
         return value
 
     value = dict.__getitem__
 
-    def cell(self, name: str):
-        """A conn.log field as the row holds it; None when unset or absent."""
-        schema = self._schema
-        record = self._record
-        if type(record) is list:
-            idx = schema.indices.get(name)
-            if idx is None:
-                return None
-            value = record[idx]
-        else:
-            value = record.get(name)  # type: ignore[union-attr]
-            if not isinstance(value, str):
-                return value
-        return None if value in schema.null_cells else value
-
 
 class ConnSchema:
-    """Precomputed column lookup for viewing a table's rows as flows."""
+    """The rule columns of one conn.log layout, each resolved once to a reader.
+
+    ``readers[column]`` maps a record of ``header`` and ``fmt`` to the column's
+    typed value: the field's text from :func:`field_getter`, converted. So a
+    JSON value reads as the text Zeek's TSV writer prints for it.
+    """
 
     def __init__(self, header: ZeekHeader, fmt: str) -> None:
-        if "uid" not in header.fields:
-            raise LogFormatError("flow table has no uid field")
-        self.format = fmt
-        self.null_cells = frozenset({header.unset_field, header.empty_field, ""})
-        self.indices: dict[str, int] = {}
-        for i, name in enumerate(header.fields):
-            self.indices.setdefault(name, i)
+        def read(name: str, convert: Callable) -> Callable:
+            get = field_getter(header, fmt, name)
+            return lambda record: None if (text := get(record)) is None else convert(text)
+
+        def total(orig: str, resp: str) -> Callable:
+            orig_of, resp_of = read(orig, _to_int), read(resp, _to_int)
+            return lambda record: (orig_of(record) or 0) + (resp_of(record) or 0)
+
+        start = read("ts", _to_float)
+        self.readers: dict[str, Callable[[list[str] | dict], object]] = {
+            "Date": lambda record: _utc_date(start(record)),
+            "start": start,
+            "Duration": read("duration", _to_float),
+            "Proto": read("proto", str.lower),
+            "srcIP": read("id.orig_h", _address),
+            "srcPort": read("id.orig_p", _to_int),
+            "dstIP": read("id.resp_h", _address),
+            "dstPort": read("id.resp_p", _to_int),
+            "State": read("conn_state", str.lower),
+            "Tos": read("tos", _to_int),
+            "Packets": total("orig_pkts", "resp_pkts"),
+            "Bytes": total("orig_bytes", "resp_bytes"),
+        }
 
     def view(self, record: list[str] | dict) -> Flow:
         return Flow(record, self)

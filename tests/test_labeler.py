@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from conftest import conn_log_text, conn_row, table_from_text
+from conftest import conn_log_text, conn_row, table_from_text, zeek_tsv
 
-from zeeklabel.errors import UsageError
+from zeeklabel.errors import LogFormatError, UsageError
 from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
 from zeeklabel.propagate import propagate_dir
 from zeeklabel.rules import load_config
@@ -31,6 +31,12 @@ def test_label_conn_no_match_is_empty_pair():
     _, ruleset = load_config("Malicious, (empty):\n    - Proto=icmp\n")
     table = table_from_text(conn_log_text([conn_row(proto="tcp")]))
     assert label_conn(table, ruleset) == [EMPTY_PAIR]
+
+
+def test_label_conn_requires_uid():
+    table = table_from_text(zeek_tsv("conn", ["ts", "proto"], ["time", "enum"], [["1.0", "tcp"]]))
+    with pytest.raises(LogFormatError, match="no uid field"):
+        label_conn(table, load_config(TCP_OR_UDP)[1])
 
 
 def test_label_conn_empty_ruleset_labels_nothing():
@@ -130,3 +136,12 @@ def test_index_from_labeled_rows_requires_label_columns():
     reader = ZeekLogReader(io.StringIO(conn_log_text([conn_row()])), "conn.log")
     with pytest.raises(UsageError, match="run 'label' before 'propagate'"):
         index_from_labeled_rows(reader)
+
+
+def test_index_from_labeled_rows_takes_label_keys_after_the_first_object():
+    objs = [
+        {"uid": "Ca"},
+        {"uid": "Cb", "label": "Malicious", "detailed_label": "From_malicious"},
+    ]
+    index = _index("".join(json.dumps(o) + "\n" for o in objs))
+    assert dict(index) == {"Ca": EMPTY_PAIR, "Cb": ("Malicious", "From_malicious")}

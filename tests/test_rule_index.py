@@ -2,7 +2,8 @@
 
 Configs are large and key-heavy (see randgen.gen_keyed_case), and every flow
 is labeled from a TSV and from a JSON-lines rendering of the same record,
-with IPv6 cells sometimes in an alternate spelling.
+with IPv6 cells sometimes in an alternate spelling. Both renderings must
+also read every rule column as the oracle does.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from randgen import (
     gen_keyed_case,
     make_flow,
     oracle_first_match,
+    oracle_flow_value,
     oracle_match,
 )
 
 from zeeklabel.labeler import label_conn
-from zeeklabel.rules import load_config, match_rule
+from zeeklabel.rules import COLUMNS, load_config, match_rule
 from zeeklabel.zeekio import ConnSchema, read_log
 
 _IP_FIELDS = ("id.orig_h", "id.resp_h")
@@ -43,6 +45,16 @@ def _renderings(flows: list[dict], rng: random.Random) -> tuple[str, str]:
         tsv_rows.append(cells)
         json_lines.append(json.dumps(obj))
     return conn_log_text(tsv_rows), "\n".join(json_lines) + "\n"
+
+
+def _library_value(column: str, flow: dict):
+    """The oracle's value as a Flow types it: address text, lowercased Proto/State."""
+    value = oracle_flow_value(column, flow)
+    if column in ("srcIP", "dstIP"):
+        return str(value)
+    if column in ("Proto", "State"):
+        return value.lower()
+    return value
 
 
 def _line_kinds(group: list[tuple]) -> set[str]:
@@ -82,6 +94,8 @@ def test_index_agrees_with_oracle_on_tsv_and_json():
             schema = ConnSchema(table.header, table.format)
             for row, flow in zip(table.iter_rows(), flows[:5]):
                 view = schema.view(row)
+                for column in COLUMNS:
+                    assert view.value(column) == _library_value(column, flow), (column, table.format)
                 for rule, oracle_rule in zip(ruleset.rules, oracle_rules):
                     assert match_rule(rule, view) == oracle_match(oracle_rule, flow)
             checked += len(flows)

@@ -217,17 +217,15 @@ def test_streaming_reader_header_before_rows():
     assert reader.trailer == ["#close\t2023-01-24-14-00-00"]
 
 
-def test_conn_schema_requires_uid():
-    text = zeek_tsv("conn", ["ts", "proto"], ["time", "enum"], [])
-    table = table_from_text(text)
-    with pytest.raises(LogFormatError, match="no uid field"):
-        ConnSchema(table.header, table.format)
-
-
 def _flow(**overrides):
     table = table_from_text(conn_log_text([conn_row(**overrides)]))
     schema = ConnSchema(table.header, table.format)
     return schema.view(next(table.iter_rows()))
+
+
+def _json_flow(obj: dict):
+    table = table_from_text(_json_lines([obj]))
+    return ConnSchema(table.header, table.format).view(table.records[0])
 
 
 def test_flow_view_typed_values():
@@ -279,14 +277,26 @@ def test_flow_view_json_rows():
             "resp_pkts": 10,
         }
     ]
-    table = table_from_text(_json_lines(objs))
-    schema = ConnSchema(table.header, table.format)
-    flow = schema.view(next(table.iter_rows()))
+    flow = _json_flow(objs[0])
     assert flow.value("start") == 1674567890.5
     assert flow.value("srcPort") == 40000
     assert flow.value("srcIP") == "10.0.0.1"
     assert flow.value("Packets") == 22
     assert flow.value("Duration") is None
+
+
+def test_flow_view_counters_read_exactly():
+    big = 2**63 - 1  # past 2**53, where a float would round it
+    assert _flow(orig_bytes=str(big), resp_bytes="-").value("Bytes") == big
+    assert _json_flow({"uid": "C1", "orig_bytes": big}).value("Bytes") == big
+
+
+def test_flow_view_json_bool_in_a_number_column_is_unset():
+    # a JSON bool reads as the text the TSV writer prints for it, T or F
+    flow = _json_flow({"uid": "C1", "ts": True, "proto": False})
+    assert flow.value("start") is None
+    assert flow.value("Date") is None
+    assert flow.value("Proto") == "f"
 
 
 def test_fixture_logs_parse(data_dir):
