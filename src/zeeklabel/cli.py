@@ -11,34 +11,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import ipaddress
 import json
 import logging
-import math
 import sys
 from collections import Counter
 from pathlib import Path
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
-from .metrics import (
-    LabeledFlow,
-    MetricsReport,
-    check_detection_times,
-    compute_metrics,
-    flow_confusion,
-    read_detections,
-    timeline_confusion,
-    timeline_runs,
-    MALICIOUS,
-    UNKNOWN,
-)
+from .metrics import MALICIOUS, UNKNOWN, MetricsReport, evaluate
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, field_getter
-
-logger = logging.getLogger(__name__)
 
 
 def _read_config(path: Path) -> tuple[str, str]:
@@ -106,54 +90,9 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_flows(conn_path: Path) -> list[LabeledFlow]:
-    flows: list[LabeledFlow] = []
-    skipped = 0
-    addresses: dict[str | None, ipaddress.IPv4Address | ipaddress.IPv6Address | None] = {}
-    with open(conn_path, encoding="utf-8") as fh:
-        reader = ZeekLogReader(fh, str(conn_path))
-        header = reader.header
-        uid_of, ts_of, src_of, label_of = (
-            field_getter(header, reader.format, name)
-            for name in ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
-        )
-        for record in reader.records():
-            uid = uid_of(record)
-            ts = _to_float(ts_of(record))
-            src = src_of(record)
-            if src not in addresses:
-                try:
-                    addresses[src] = ipaddress.ip_address(src)
-                except ValueError:
-                    addresses[src] = None
-            src_ip = addresses[src]
-            if uid is None or ts is None or not math.isfinite(ts) or src_ip is None:
-                skipped += 1
-                continue
-            flows.append(LabeledFlow(uid, ts, src_ip, label_of(record) or EMPTY_PAIR[0]))
-    # after the stream: bad rows are reported first, and JSON keys are complete
-    if header.index_of(LABEL_FIELDS[0]) is None:
-        raise UsageError(
-            f"{conn_path} has no label column; run 'label' before 'eval'"
-        )
-    if skipped:
-        logger.warning(
-            "%d rows skipped during evaluation (missing uid, ts or source IP)",
-            skipped,
-        )
-    return flows
-
-
 def _score_json(report: MetricsReport) -> dict:
-    return {
-        "counts": vars(report.counts),
-        "metrics": {
-            "fpr": report.fpr,
-            "tpr": report.tpr,
-            "accuracy": report.accuracy,
-            "f1": report.f1,
-        },
-    }
+    metrics = {name: getattr(report, name) for name in ("fpr", "tpr", "accuracy", "f1")}
+    return {"counts": vars(report.counts), "metrics": metrics}
 
 
 def _print_score(report: MetricsReport) -> None:
@@ -166,40 +105,22 @@ def _print_score(report: MetricsReport) -> None:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    flows = _load_flows(Path(ns.conn_labeled))
-    with open(ns.detections, encoding="utf-8") as fh:
-        detections = read_detections(fh, str(ns.detections))
-    check_detection_times(detections, flows)
-
-    evidence: set[str] = set()
-    for det in detections:
-        evidence.update(det.evidence)
-
-    cutoff = ns.cutoff
-    flow_report = compute_metrics(flow_confusion(flows, evidence, cutoff))
-    labels = Counter(f.label for f in flows if cutoff is None or f.start <= cutoff)
+    report = evaluate(ns.conn_labeled, ns.detections, ns.window, ns.threshold, ns.cutoff)
+    labels = report.labels
     scored = labels.total()
-
-    timelines = timeline_runs(flows, detections, ns.window, ns.threshold)
-    ip_counts = timeline_confusion(timelines)
-    ip_report = compute_metrics(ip_counts)
 
     if ns.json:
         payload = {
-            "parameters": {
-                "window": ns.window,
-                "threshold": ns.threshold,
-                "cutoff": cutoff,
-            },
+            "parameters": {"window": ns.window, "threshold": ns.threshold, "cutoff": ns.cutoff},
             "flow": {
                 "flows": scored,
                 "malicious": labels[MALICIOUS],
                 "unknown_excluded": labels[UNKNOWN],
                 "unlabeled_negative": labels[EMPTY_PAIR[0]],
-                **_score_json(flow_report),
+                **_score_json(report.flow),
             },
             "ip": {
-                **_score_json(ip_report),
+                **_score_json(report.ip),
                 "timelines": {
                     str(ip): [
                         {
@@ -211,7 +132,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                         for run in runs
                         for w in range(run.first_window, run.first_window + run.length)
                     ]
-                    for ip, runs in timelines.items()
+                    for ip, runs in report.timelines.items()
                 },
             },
         }
@@ -223,14 +144,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         f"  flows: {scored} (malicious {labels[MALICIOUS]}, "
         f"unknown excluded {labels[UNKNOWN]}, unlabeled {labels[EMPTY_PAIR[0]]})"
     )
-    _print_score(flow_report)
+    _print_score(report.flow)
     print(
         f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})"
     )
-    for ip, runs in timelines.items():
+    for ip, runs in report.timelines.items():
         marks = " ".join(" ".join([run.status] * run.length) for run in runs)
         print(f"  {ip}: {marks}")
-    _print_score(ip_report)
+    _print_score(report.ip)
     return 0
 
 

@@ -5,11 +5,12 @@ against flow labels one-to-one (Malicious is the positive class, Unknown
 flows are excluded and reported separately, unlabeled ``(empty)`` flows
 count as negatives). IP-level: time is cut into fixed windows aligned to
 the epoch and each (source IP, window) pair becomes one decision, which is
-how "was the attacker flagged while attacking" is scored. One sweep over
-each IP's activity and detection windows gives its decisions as runs of
-equal windows (:func:`timeline_runs`), so scoring costs O(flows +
-detections) however many quiet windows the span holds; counts, reports and
-the per-window list (:func:`ip_detection_timeline`) all derive from it.
+how "was the attacker flagged while attacking" is scored.
+
+:func:`score` takes the detections and one pass over the flows, which it
+does not keep. One sweep over each IP's event windows gives its decisions as
+runs of equal windows, so scoring costs O(flows + detections) however many
+quiet windows the span holds. :func:`evaluate` streams a conn.log into it.
 
 Undefined ratios stay undefined (None), they are never reported as 0.
 """
@@ -20,32 +21,35 @@ import ipaddress
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import LogFormatError, UsageError
-from .zeekio import utf8_error
+from .errors import LogFormatError, UsageError, ZeekLabelError
+from .labeler import EMPTY_LABEL
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, field_getter, utf8_error
 
 logger = logging.getLogger(__name__)
 
 MALICIOUS = "Malicious"
-BENIGN = "Benign"
 UNKNOWN = "Unknown"
 
+IPAddress = ipaddress.IPv4Address | ipaddress.IPv6Address
 
-@dataclass(frozen=True)
-class LabeledFlow:
+
+class LabeledFlow(NamedTuple):
     """The slice of a labeled conn row that evaluation needs."""
 
     uid: str
     start: float
-    src_ip: ipaddress.IPv4Address | ipaddress.IPv6Address
+    src_ip: IPAddress
     label: str
 
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    ip: ipaddress.IPv4Address | ipaddress.IPv6Address
+    ip: IPAddress
     time: float
     evidence: frozenset[str]
 
@@ -88,46 +92,6 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
     )
 
 
-def flow_confusion(
-    flows: Sequence[LabeledFlow],
-    evidence: Iterable[str],
-    cutoff: float | None = None,
-) -> ConfusionCounts:
-    """Flow-level confusion between labels and a detector's evidence uids.
-
-    Evidence uids must exist in ``flows`` (checked against the full list);
-    when a cutoff is given only flows starting at or before it are counted.
-    Unknown-labeled flows are excluded entirely; any other non-Malicious
-    label, including ``(empty)``, is a negative.
-    """
-    evidence_set = set(evidence)
-    known = {flow.uid for flow in flows}
-    missing = sorted(evidence_set - known)
-    if missing:
-        raise UsageError(
-            "evidence uids not present in the labeled flows: " + ", ".join(missing)
-        )
-    counts = ConfusionCounts()
-    for flow in flows:
-        if cutoff is not None and flow.start > cutoff:
-            continue
-        if flow.label == UNKNOWN:
-            continue
-        positive_truth = flow.label == MALICIOUS
-        detected = flow.uid in evidence_set
-        if positive_truth:
-            if detected:
-                counts.tp += 1
-            else:
-                counts.fn += 1
-        else:
-            if detected:
-                counts.fp += 1
-            else:
-                counts.tn += 1
-    return counts
-
-
 _STATUS = {(True, True): "TP", (True, False): "FN", (False, True): "FP", (False, False): "TN"}
 
 
@@ -156,53 +120,110 @@ class WindowRun(NamedTuple):
         return _STATUS[self.truth, self.predicted]
 
 
-def timeline_runs(
-    flows: Sequence[LabeledFlow],
+@dataclass(frozen=True)
+class EvalReport:
+    """What :func:`score` finds: the flow-level and IP-level results of one evaluation."""
+
+    labels: Counter[str]  # flows in scope, per label
+    flow: MetricsReport
+    ip: MetricsReport
+    timelines: dict[IPAddress, list[WindowRun]]
+    missing_evidence: list[str]  # evidence uids that name no flow, sorted
+    predating: list[tuple[DetectionRecord, float]]  # with the start of its latest evidence
+
+
+def score(
+    flows: Iterable[LabeledFlow],
     detections: Sequence[DetectionRecord],
     window: float,
     threshold: int = 1,
-) -> dict[ipaddress.IPv4Address | ipaddress.IPv6Address, list[WindowRun]]:
-    """Per-source-IP, per-window ground truth and prediction, as runs.
+    cutoff: float | None = None,
+) -> EvalReport:
+    """Score detections against ``(uid, start, src_ip, label)`` flows in one pass.
 
-    Windows tumble in fixed strides aligned to the epoch; every IP's runs
-    cover the same span, from the first flow or qualifying detection to the
-    last. Ground truth for (ip, window) is positive iff a malicious-labeled
-    flow of that IP starts inside the window. The prediction is positive in a
-    detection's own window (detections below the evidence threshold are
-    ignored), and stays positive afterwards only while the IP's most recent
-    activity window contains malicious flows; once the IP goes quiet or
-    benign the alert reverts immediately.
+    Flow level: a flow is in scope when it starts at or before ``cutoff``, if
+    given. Unknown flows are excluded; any other non-Malicious label, also
+    ``(empty)``, is a negative. Evidence uids are looked up in every flow.
 
-    Only a window with activity or a detection changes that state, so the
-    sweep visits those windows and covers each quiet gap with one run.
+    IP level, over every flow: windows tumble in fixed strides aligned to the
+    epoch, and every IP's runs span from the first flow or qualifying
+    detection to the last. Ground truth for (ip, window) is positive iff a
+    malicious flow of that IP starts in the window. The prediction is
+    positive in a detection's own window (detections with fewer than
+    ``threshold`` evidence uids are ignored), and stays positive afterwards
+    only while the IP's most recent activity window holds malicious flows.
     """
     if not window > 0:  # NaN too
         raise UsageError("window must be a positive number of seconds")
-    activity: dict = {}
-    malicious: dict = {}
-    detected: dict = {}
+    if cutoff is not None and math.isnan(cutoff):
+        raise UsageError("cutoff must be a number")
+    evidence: set[str] = set().union(*(det.evidence for det in detections))
+    labels: Counter[str] = Counter()  # in scope, per label
+    detected: Counter[str] = Counter()  # in scope and in the evidence, per label
+    starts: dict[str, float] = {}  # of the evidence uids; a repeated uid keeps its last
+    activity: dict[IPAddress, set[int]] = {}
+    malicious: dict[IPAddress, set[int]] = {}
+    alerts: dict[IPAddress, set[int]] = {}
     try:
-        for flow in flows:
-            w = math.floor(flow.start / window)
-            activity.setdefault(flow.src_ip, set()).add(w)
-            if flow.label == MALICIOUS:
-                malicious.setdefault(flow.src_ip, set()).add(w)
         for det in detections:
             if len(det.evidence) >= threshold:
-                detected.setdefault(det.ip, set()).add(math.floor(det.time / window))
+                alerts.setdefault(det.ip, set()).add(math.floor(det.time / window))
+        for uid, start, ip, label in flows:
+            w = math.floor(start / window)
+            activity.setdefault(ip, set()).add(w)
+            if label == MALICIOUS:
+                malicious.setdefault(ip, set()).add(w)
+            in_scope = cutoff is None or start <= cutoff
+            if in_scope:
+                labels[label] += 1
+            if uid in evidence:
+                starts[uid] = start
+                if in_scope:
+                    detected[label] += 1
     except OverflowError:  # a flow or detection time / window of infinity
         raise UsageError(f"window {window:g}s is too small for the flow and detection times") from None
-    events = [*activity.values(), *detected.values()]
+
+    predating = []
+    for det in detections:
+        latest = max((starts[u] for u in det.evidence if u in starts), default=None)
+        if latest is not None and det.time < latest:
+            predating.append((det, latest))
+    negatives = labels.total() - labels[MALICIOUS] - labels[UNKNOWN]
+    false_alarms = detected.total() - detected[MALICIOUS] - detected[UNKNOWN]
+    flow_counts = ConfusionCounts(
+        tp=detected[MALICIOUS],
+        fp=false_alarms,
+        tn=negatives - false_alarms,
+        fn=labels[MALICIOUS] - detected[MALICIOUS],
+    )
+    timelines = _sweep(activity, malicious, alerts)
+    return EvalReport(
+        labels=labels,
+        flow=compute_metrics(flow_counts),
+        ip=compute_metrics(timeline_confusion(timelines)),
+        timelines=timelines,
+        missing_evidence=sorted(evidence - starts.keys()),
+        predating=predating,
+    )
+
+
+def _sweep(activity: dict, malicious: dict, alerts: dict) -> dict[IPAddress, list[WindowRun]]:
+    """Each IP's runs, from its activity, malicious and alert windows.
+
+    Only a window with activity or a detection changes the state, so the
+    sweep visits those windows and covers each quiet gap with one run.
+    """
+    events = [*activity.values(), *alerts.values()]
     if not events:
         return {}
     lo = min(min(ws) for ws in events)
     hi = max(max(ws) for ws in events)
 
     timelines: dict = {}
-    for ip in sorted(set(activity) | set(detected), key=lambda ip: (ip.version, int(ip))):
+    for ip in sorted(set(activity) | set(alerts), key=lambda ip: (ip.version, int(ip))):
         acts = activity.get(ip, set())
         mals = malicious.get(ip, set())
-        dets = detected.get(ip, set())
+        dets = alerts.get(ip, set())
         runs: list[WindowRun] = []
         seen_detection = last_malicious = latched = False
         gap_start = lo
@@ -222,19 +243,16 @@ def timeline_runs(
 
 
 def ip_detection_timeline(
-    flows: Sequence[LabeledFlow],
-    detections: Sequence[DetectionRecord],
-    window: float,
-    threshold: int = 1,
-) -> dict[ipaddress.IPv4Address | ipaddress.IPv6Address, list[WindowStatus]]:
-    """:func:`timeline_runs` with every run expanded to one status per window."""
+    flows: Iterable[LabeledFlow], detections: Sequence[DetectionRecord], window: float, threshold: int = 1
+) -> dict[IPAddress, list[WindowStatus]]:
+    """The runs of :func:`score`, expanded to one status per window."""
     return {
         ip: [
             WindowStatus(w * window, run.truth, run.predicted)
             for run in runs
             for w in range(run.first_window, run.first_window + run.length)
         ]
-        for ip, runs in timeline_runs(flows, detections, window, threshold).items()
+        for ip, runs in score(flows, detections, window, threshold).timelines.items()
     }
 
 
@@ -281,17 +299,61 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
     return records
 
 
-def check_detection_times(
-    detections: Sequence[DetectionRecord], flows: Sequence[LabeledFlow]
-) -> None:
-    """Warn when a detection claims evidence from its own future."""
-    starts = {flow.uid: flow.start for flow in flows}
-    for det in detections:
-        latest = max((starts[u] for u in det.evidence if u in starts), default=None)
-        if latest is not None and det.time < latest:
-            logger.warning(
-                "detection of %s at %.6f predates evidence flow at %.6f",
-                det.ip,
-                det.time,
-                latest,
-            )
+def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, IPAddress, str]]:
+    """``(uid, start, src_ip, label)`` of each row with a uid, finite ts and source IP."""
+    skipped = 0
+    addresses: dict[str | None, IPAddress | None] = {}
+    with open(conn_path, encoding="utf-8") as fh:
+        reader = ZeekLogReader(fh, str(conn_path))
+        header = reader.header
+        uid_of, ts_of, src_of, label_of = (
+            field_getter(header, reader.format, name)
+            for name in ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
+        )
+        for record in reader.records():
+            uid = uid_of(record)
+            ts = _to_float(ts_of(record))
+            src = src_of(record)
+            if src not in addresses:
+                try:
+                    addresses[src] = ipaddress.ip_address(src)
+                except ValueError:
+                    addresses[src] = None
+            src_ip = addresses[src]
+            if uid is None or ts is None or not math.isfinite(ts) or src_ip is None:
+                skipped += 1
+                continue
+            yield uid, ts, src_ip, label_of(record) or EMPTY_LABEL
+    # after the stream: bad rows are reported first, and JSON keys are complete
+    if header.index_of(LABEL_FIELDS[0]) is None:
+        raise UsageError(f"{conn_path} has no label column; run 'label' before 'eval'")
+    if skipped:
+        logger.warning("%d rows skipped during evaluation (missing uid, ts or source IP)", skipped)
+
+
+def evaluate(
+    conn_labeled: str | Path, detections_path: str | Path, window: float, threshold: int = 1,
+    cutoff: float | None = None,
+) -> EvalReport:
+    """:func:`score` a JSON-lines detections file against a labeled conn.log.
+
+    The conn.log is streamed once, and its errors come first: when anything
+    else fails before the stream ends, the rest of it is still read.
+    Detections that predate their evidence are logged; evidence uids that
+    name no flow are a usage error.
+    """
+    flows = _read_flows(Path(conn_labeled))
+    try:
+        with open(detections_path, encoding="utf-8") as fh:
+            detections = read_detections(fh, str(detections_path))
+        report = score(flows, detections, window, threshold, cutoff)
+    except (ZeekLabelError, OSError):
+        for _ in flows:  # a conn.log error is reported first
+            pass
+        raise
+    for det, latest in report.predating:
+        logger.warning("detection of %s at %.6f predates evidence flow at %.6f", det.ip, det.time, latest)
+    if report.missing_evidence:
+        missing = ", ".join(report.missing_evidence)
+        raise UsageError(f"evidence uids not present in the labeled flows: {missing}")
+    return report

@@ -14,6 +14,7 @@ labels one record of that log.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,11 +164,11 @@ def propagate_dir(
     Each output is ``<stem>.labeled.log`` in ``out_dir`` (created if
     missing), written in name order to a temp file. The outputs are moved
     into place only after the last one is complete, so a run that fails
-    leaves none of them. Every log's header is read, and the ssl certificate
-    map built, before the first output is written.
+    leaves none of them, and no directory it created. Every log's header is
+    read, and the ssl certificate map built, before ``out_dir`` is created
+    and the first output is written.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(conn_labeled, encoding="utf-8") as src:
         index = index_from_labeled_rows(ZeekLogReader(src, str(conn_labeled)))
 
@@ -204,16 +205,24 @@ def propagate_dir(
                 accumulate_cert_labels(ZeekLogReader(fh, str(ssl_path)), index, cert_map)
 
     report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
-    with replace_all_on_success() as open_output:
-        for path, route in routes.items():
-            out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-            if route == "none":
-                logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
-            with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
-                reader = ZeekLogReader(src, str(path))
-                writer = ZeekLogWriter(dst, reader.header, reader.format)
-                counts = writer.write_rows(reader.records(), _pair_function(route, reader, index, cert_map))
-                writer.finish(reader.trailer)
-            rows = sum(counts.values())
-            report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with replace_all_on_success() as open_output:
+            for path, route in routes.items():
+                out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
+                if route == "none":
+                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+                with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
+                    reader = ZeekLogReader(src, str(path))
+                    writer = ZeekLogWriter(dst, reader.header, reader.format)
+                    counts = writer.write_rows(reader.records(), _pair_function(route, reader, index, cert_map))
+                    writer.finish(reader.trailer)
+                rows = sum(counts.values())
+                report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+    except BaseException:
+        for d in made:  # deepest first; a directory that existed before stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     return report

@@ -370,8 +370,13 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
 
     def open_output(path: Path) -> IO[str]:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            out = open(tmp, "w", encoding="utf-8")
+        except OSError as exc:
+            exc.filename = str(path)  # the output asked for, not its temp name
+            raise
         moves.append((tmp, path))
-        return open(tmp, "w", encoding="utf-8")
+        return out
 
     try:
         yield open_output

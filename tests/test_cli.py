@@ -73,6 +73,24 @@ def test_label_explicit_output(portscan_dir, tmp_path, capsys):
     assert f"wrote: {out_path}" in capsys.readouterr().out
 
 
+def test_label_output_in_a_missing_directory_names_the_output(portscan_dir, tmp_path, capsys):
+    out_path = tmp_path / "nodir" / "out.log"
+    rc = main(
+        [
+            "label",
+            str(portscan_dir / "conn.log"),
+            "--config",
+            str(portscan_dir / "portscan.conf"),
+            "--output",
+            str(out_path),
+        ]
+    )
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: [Errno 2] No such file or directory: '{out_path}'"
+    )
+
+
 def test_label_refuses_to_overwrite_input(portscan_dir, capsys):
     conn = portscan_dir / "conn.log"
     rc = main(
@@ -223,6 +241,22 @@ def test_propagate_malformed_log_leaves_no_partial_output(proplogs_dir, capsys):
     written = {p.name for p in proplogs_dir.iterdir()} - before
     # the logs before http.log in name order were finished, but none is moved into place
     assert written == set()
+
+
+def test_propagate_failure_removes_the_output_directories_it_made(proplogs_dir, tmp_path, capsys):
+    _label_proplogs(proplogs_dir)
+    http = proplogs_dir / "http.log"
+    http.write_text(http.read_text().replace("#close", "short\trow\n#close"))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out_dir in (tmp_path / "newout2" / "sub", kept):
+        rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir),
+                   "--output", str(out_dir)])
+        assert rc == 1
+        assert "http.log: row" in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "newout2").exists()
+    # a directory that existed before the run stays, and stays empty
+    assert list(kept.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["label", "propagate", "eval-conn", "eval-detections"])
@@ -679,6 +713,42 @@ def test_eval_bad_window_exits_2(capsys):
     )
     assert rc == 2
     assert "window must be a positive" in capsys.readouterr().err
+
+
+def test_eval_nan_cutoff_exits_2(capsys):
+    rc = main(
+        [
+            "eval",
+            str(DATA_DIR / "fig2" / "conn.labeled.log"),
+            str(DATA_DIR / "fig2" / "detections.jsonl"),
+            "--cutoff",
+            "nan",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == "error: cutoff must be a number"
+
+
+@pytest.mark.parametrize("conn_fault", ["short-row", "no-label-column"])
+def test_eval_conn_error_beats_invalid_detections(tmp_path, capsys, conn_fault):
+    conn = tmp_path / "conn.labeled.log"
+    if conn_fault == "short-row":
+        text = (DATA_DIR / "fig2" / "conn.labeled.log").read_text()
+        conn.write_text(text.replace("#close", "1674550000.0\tCshort\n#close"))
+    else:
+        conn.write_text(conn_log_text([conn_row()]))
+    det = tmp_path / "d.jsonl"
+    det.write_text("garbage\n")
+    rc = main(["eval", str(conn), str(det)])
+    error = _one_error_line(capsys.readouterr().err)
+    if conn_fault == "short-row":
+        assert rc == 1
+        assert error.startswith(f"error: {conn}: row ")
+    else:
+        assert rc == 2
+        assert error == f"error: {conn} has no label column; run 'label' before 'eval'"
 
 
 @pytest.mark.parametrize("which", ["flow", "detection"])

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import ipaddress
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,12 @@ from zeeklabel.metrics import (
     ConfusionCounts,
     DetectionRecord,
     LabeledFlow,
-    check_detection_times,
     compute_metrics,
-    flow_confusion,
+    evaluate,
     ip_detection_timeline,
     read_detections,
+    score,
     timeline_confusion,
-    timeline_runs,
 )
 
 ATTACKER = ipaddress.ip_address("10.0.0.5")
@@ -42,13 +43,21 @@ def _fig2_flows() -> list[LabeledFlow]:
 FIG2_EVIDENCE = ["C02", "C06", "C11", "C13"]
 
 
+def _detect(evidence, time: float = 0.0) -> list[DetectionRecord]:
+    return [DetectionRecord(ip=ATTACKER, time=time, evidence=frozenset(evidence))]
+
+
+def _flow_counts(flows, evidence, cutoff=None) -> ConfusionCounts:
+    return score(flows, _detect(evidence), window=100.0, cutoff=cutoff).flow.counts
+
+
 def test_flow_confusion_fig2_counts():
-    counts = flow_confusion(_fig2_flows(), FIG2_EVIDENCE)
+    counts = _flow_counts(_fig2_flows(), FIG2_EVIDENCE)
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (3, 1, 2, 9)
 
 
 def test_flow_confusion_fig2_metrics():
-    report = compute_metrics(flow_confusion(_fig2_flows(), FIG2_EVIDENCE))
+    report = score(_fig2_flows(), _detect(FIG2_EVIDENCE), window=100.0).flow
     assert report.fpr == pytest.approx(0.10)
     assert report.tpr == pytest.approx(0.60)
     assert report.accuracy == pytest.approx(0.80)
@@ -62,20 +71,38 @@ def test_flow_confusion_unknown_excluded_even_when_detected():
         _flow("Cc", 3.0, "Unknown"),
         _flow("Cd", 4.0, "Benign"),
     ]
-    counts = flow_confusion(flows, ["Ca", "Cb"])
+    counts = _flow_counts(flows, ["Ca", "Cb"])
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 0, 0, 1)
     assert counts.total() == 2
 
 
 def test_flow_confusion_empty_label_is_negative():
     flows = [_flow("Ca", 1.0, "(empty)"), _flow("Cb", 2.0, "(empty)")]
-    counts = flow_confusion(flows, ["Cb"])
+    counts = _flow_counts(flows, ["Cb"])
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 1, 0, 1)
 
 
-def test_flow_confusion_rejects_unknown_evidence_uids():
+def _write_inputs(tmp_path, flows, detections):
+    """A JSON-lines labeled conn.log and detections file holding these records."""
+    conn, det = tmp_path / "conn.labeled.log", tmp_path / "d.jsonl"
+    conn.write_text("".join(
+        json.dumps({"ts": f.start, "uid": f.uid, "id.orig_h": str(f.src_ip), "label": f.label}) + "\n"
+        for f in flows
+    ))
+    det.write_text("".join(
+        json.dumps({"ip": str(d.ip), "time": d.time, "evidence": sorted(d.evidence)}) + "\n"
+        for d in detections
+    ))
+    return conn, det
+
+
+def test_flow_confusion_rejects_unknown_evidence_uids(tmp_path):
+    detections = _detect(["C02", "Cgone2", "Cgone1"])
+    report = score(_fig2_flows(), detections, window=100.0)
+    assert report.missing_evidence == ["Cgone1", "Cgone2"]
+    conn, det = _write_inputs(tmp_path, _fig2_flows(), detections)
     with pytest.raises(UsageError, match="not present.*Cgone1, Cgone2"):
-        flow_confusion(_fig2_flows(), ["C02", "Cgone2", "Cgone1"])
+        evaluate(conn, det, window=100.0)
 
 
 def test_flow_confusion_cutoff_restricts_counted_flows():
@@ -84,14 +111,16 @@ def test_flow_confusion_cutoff_restricts_counted_flows():
         _flow("Cb", 20.0, "Benign"),
         _flow("Cc", 30.0, "Malicious"),
     ]
-    counts = flow_confusion(flows, ["Ca"], cutoff=20.0)
+    counts = _flow_counts(flows, ["Ca"], cutoff=20.0)
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 0, 0, 1)
 
 
 def test_flow_confusion_cutoff_still_validates_evidence_against_all_flows():
     flows = [_flow("Ca", 10.0, "Malicious"), _flow("Cc", 30.0, "Malicious")]
     # Cc starts after the cutoff but is a legitimate uid, so no error
-    counts = flow_confusion(flows, ["Cc"], cutoff=20.0)
+    report = score(flows, _detect(["Cc"]), window=100.0, cutoff=20.0)
+    assert report.missing_evidence == []
+    counts = report.flow.counts
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 0, 1, 0)
 
 
@@ -139,7 +168,7 @@ def test_flow_confusion_conserves_in_scope_flows():
         _flow(f"C{i}", float(i), rng.choice(labels)) for i in range(100)
     ]
     evidence = [f.uid for f in flows if rng.random() < 0.3]
-    counts = flow_confusion(flows, evidence)
+    counts = _flow_counts(flows, evidence)
     unknown = sum(1 for f in flows if f.label == "Unknown")
     assert counts.total() == len(flows) - unknown
 
@@ -382,8 +411,9 @@ def test_timeline_sweep_agrees_with_brute_enumeration(case):
     got = ip_detection_timeline(flows, detections, window, threshold)
     want = _brute_timeline(flows, detections, window, threshold)
     assert {ip: [(s.window_start, s.truth, s.predicted) for s in got[ip]] for ip in got} == want
-    runs = timeline_runs(flows, detections, window, threshold)
-    assert timeline_confusion(runs) == timeline_confusion(got)
+    report = score(flows, detections, window, threshold)
+    runs = report.timelines
+    assert report.ip.counts == timeline_confusion(runs) == timeline_confusion(got)
     # each quiet gap is one run, so an IP has at most two runs per event window
     for ip, ip_runs in runs.items():
         events = {math.floor(f.start / window) for f in flows if f.src_ip == ip} | {
@@ -434,21 +464,74 @@ def test_read_detections_non_object_rejected():
         read_detections(io.StringIO("[1]\n"))
 
 
-def test_check_detection_times_warns_on_future_evidence(caplog):
+def test_check_detection_times_warns_on_future_evidence(tmp_path, caplog):
     flows = [_flow("Ca", 100.0, "Malicious")]
-    detections = [
-        DetectionRecord(ip=ATTACKER, time=50.0, evidence=frozenset({"Ca"}))
-    ]
+    detections = _detect(["Ca"], time=50.0)
+    assert score(flows, detections, window=100.0).predating == [(detections[0], 100.0)]
+    conn, det = _write_inputs(tmp_path, flows, detections)
     with caplog.at_level("WARNING"):
-        check_detection_times(detections, flows)
+        evaluate(conn, det, window=100.0)
     assert "predates evidence" in caplog.text
 
 
-def test_check_detection_times_quiet_when_ordered(caplog):
+def test_check_detection_times_quiet_when_ordered(tmp_path, caplog):
     flows = [_flow("Ca", 100.0, "Malicious")]
-    detections = [
-        DetectionRecord(ip=ATTACKER, time=150.0, evidence=frozenset({"Ca"}))
-    ]
+    detections = _detect(["Ca"], time=150.0)
+    assert score(flows, detections, window=100.0).predating == []
+    conn, det = _write_inputs(tmp_path, flows, detections)
     with caplog.at_level("WARNING"):
-        check_detection_times(detections, flows)
+        evaluate(conn, det, window=100.0)
     assert caplog.text == ""
+
+
+def _brute_flow_scores(flows, detections, cutoff):
+    """Label counts, flow confusion and predating detections, one question at a time."""
+    evidence = {uid for d in detections for uid in d.evidence}
+    in_scope = [f for f in flows if cutoff is None or f.start <= cutoff]
+    counts = ConfusionCounts()
+    for f in in_scope:
+        if f.label != "Unknown":
+            truth, hit = f.label == "Malicious", f.uid in evidence
+            counts.add(("TP" if hit else "FN") if truth else ("FP" if hit else "TN"))
+    last_start = {}
+    for f in flows:  # a duplicate uid keeps its last row's start
+        last_start[f.uid] = f.start
+    predating = []
+    for d in detections:
+        seen = [last_start[u] for u in d.evidence if u in last_start]
+        if seen and d.time < max(seen):
+            predating.append((d, max(seen)))
+    missing = sorted(evidence - set(last_start))
+    return Counter(f.label for f in in_scope), counts, predating, missing
+
+
+def test_score_flow_level_agrees_with_brute_reference():
+    rng = random.Random(707)
+    labels = ["Malicious", "Benign", "Unknown", "(empty)"]
+    for _ in range(300):
+        uids = [f"C{i}" for i in range(rng.randint(1, 12))]
+        # integer starts from a short range: duplicate uids and cutoffs equal to a start are common
+        flows = [
+            _flow(rng.choice(uids), float(rng.randint(0, 20)), rng.choice(labels),
+                  ip=rng.choice([ATTACKER, BYSTANDER]))
+            for _ in range(rng.randint(0, 25))
+        ]
+        detections = [
+            DetectionRecord(
+                ip=rng.choice([ATTACKER, BYSTANDER]),
+                time=float(rng.randint(0, 20)),
+                evidence=frozenset(rng.choices(uids + ["Cgone"], k=rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+        cutoff = rng.choice([None, float(rng.randint(0, 20)), rng.uniform(-1.0, 21.0)])
+        if flows and rng.random() < 0.3:
+            cutoff = rng.choice(flows).start
+        report = score(flows, detections, window=5.0, cutoff=cutoff)
+        labels_want, counts_want, predating_want, missing_want = _brute_flow_scores(
+            flows, detections, cutoff
+        )
+        assert report.labels == labels_want
+        assert report.flow.counts == counts_want
+        assert report.predating == predating_want
+        assert report.missing_evidence == missing_want
