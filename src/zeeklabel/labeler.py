@@ -13,8 +13,8 @@ from typing import Callable
 
 from .errors import LogFormatError, UsageError
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable, ZeekLogWriter
-from .zeekio import field_getter, replace_all_on_success
+from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable
+from .zeekio import field_getter, replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,7 @@ def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) ->
     with open(conn_path, encoding="utf-8") as src, replace_all_on_success() as open_output:
         reader = ZeekLogReader(src, str(conn_path))
         with open_output(Path(out_path)) as dst:
-            writer = ZeekLogWriter(dst, reader.header, reader.format)
-            counts = writer.write_rows(reader.records(), _pair_function(ruleset, reader))
-            writer.finish(reader.trailer)
+            counts = write_labeled(dst, reader, reader.records(), _pair_function(ruleset, reader))
         # after the stream, before the move: a JSON log's fields are complete only now
         if "uid" not in reader.header.fields:
             raise LogFormatError(f"{conn_path}: flow table has no uid field")

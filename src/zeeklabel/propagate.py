@@ -7,9 +7,9 @@ ssl.log (certificate id -> ssl cert chain -> ssl uid). When one row has
 several parent flows the labels merge by severity: Malicious beats Unknown
 beats Benign beats ``(empty)``, ties keeping the first candidate seen.
 
-:func:`propagate_dir` runs the whole pipeline over a log directory. Each
-log's route is chosen once from its header, and with it the function that
-labels one record of that log.
+:func:`propagate_dir` runs the whole pipeline over a log directory. An
+x509 log is known by its name or ``#path``; any other log's record finds its
+flows through the columns (TSV) or keys (JSON lines) it has.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
-from .zeekio import ZeekHeader, ZeekLogReader, ZeekLogWriter, field_getter, replace_all_on_success, set_getter
+from .zeekio import ZeekLogReader, field_getter, first_getter, replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -53,86 +53,57 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
     return best
 
 
-def _field_alias(header: ZeekHeader, names: tuple[str, ...]) -> str | None:
-    for name in names:
-        if name in header.fields:
-            return name
-    return None
-
-
 def accumulate_cert_labels(
     reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]
 ) -> None:
     """Fold ssl rows into a certificate-id -> merged-labels mapping."""
     header = reader.header
-    chain_field = _field_alias(header, SSL_CHAIN_FIELDS)
-    if chain_field is None:
+    uid_of = field_getter(header, reader.format, "uid")
+    chain_of = first_getter(header, reader.format, SSL_CHAIN_FIELDS, set_getter)
+    for record in reader.records():
+        uid = uid_of(record)
+        pair = (index.get(uid) if uid is not None else None) or EMPTY_PAIR
+        for fid in chain_of(record) or ():
+            current = mapping.get(fid)
+            if current is None or _rank(pair) > _rank(current):
+                mapping[fid] = pair
+    # after the stream: bad rows are reported first, and JSON keys are complete
+    if not any(name in header.fields for name in SSL_CHAIN_FIELDS):
         raise LogFormatError(
             f"{reader.source}: ssl log has no certificate chain field "
             f"({' or '.join(SSL_CHAIN_FIELDS)})"
         )
-    uid_of = field_getter(header, reader.format, "uid")
-    chain_of = set_getter(header, reader.format, chain_field)
-    for record in reader.records():
-        uid = uid_of(record)
-        pair = (index.get(uid) if uid is not None else None) or EMPTY_PAIR
-        for fid in chain_of(record):
-            current = mapping.get(fid)
-            if current is None or _rank(pair) > _rank(current):
-                mapping[fid] = pair
-
-
-def _route_for(path: Path, header: ZeekHeader) -> str:
-    """How a log's rows find their flows: conn, files, x509, uid or none."""
-    stem = path.name.split(".", 1)[0]
-    if stem == "conn" or header.path == "conn":
-        return "conn"
-    if "conn_uids" in header.fields:
-        return "files"
-    if stem == "x509" or header.path == "x509":
-        return "x509"
-    if "uid" in header.fields or "uids" in header.fields:
-        return "uid"
-    return "none"
 
 
 def _pair_function(
-    route: str, reader: ZeekLogReader, index: UidIndex, cert_map: dict[str, LabelPair]
+    x509: bool, reader: ZeekLogReader, index: UidIndex, cert_map: dict[str, LabelPair]
 ) -> Callable[[list[str] | dict], LabelPair]:
-    """The labels of one record of ``reader``'s log, for its route."""
-    header, fmt = reader.header, reader.format
-    get = index.get
-    if route == "uid":
-        uid_of = field_getter(header, fmt, "uid")
-        uids_of = set_getter(header, fmt, "uids")
+    """The labels of one record of ``reader``'s log.
 
-        def by_uid(record):
+    An x509 record takes its certificate's labels. Any other record takes
+    those of its ``conn_uids`` when it has that column or key, else of its
+    ``uid``, else of its ``uids``; an unset ``uid`` falls back to ``uids``.
+    """
+    header, fmt = reader.header, reader.format
+    if x509:
+        fid_of = first_getter(header, fmt, X509_ID_FIELDS)
+        cert_get = cert_map.get
+        return lambda record: cert_get(fid_of(record), EMPTY_PAIR)
+    get = index.get
+    conn_uids_of = first_getter(header, fmt, ("conn_uids",), set_getter)
+    uid_of = field_getter(header, fmt, "uid")
+    uids_of = set_getter(header, fmt, "uids")
+
+    def lookup(record):
+        uids = conn_uids_of(record)
+        if uids is None:
             uid = uid_of(record)
             if uid is not None:
                 return get(uid) or EMPTY_PAIR
             uids = uids_of(record)
-            return merge_labels([get(u) for u in uids]) if uids else EMPTY_PAIR
+        return merge_labels([get(u) for u in uids]) if uids else EMPTY_PAIR
 
-        return by_uid
-    if route == "files":
-        conn_uids_of = set_getter(header, fmt, "conn_uids")
-
-        def by_conn_uids(record):
-            uids = conn_uids_of(record)
-            return merge_labels([get(u) for u in uids]) if uids else EMPTY_PAIR
-
-        return by_conn_uids
-    id_field = _field_alias(header, X509_ID_FIELDS) if route == "x509" else None
-    if id_field is not None:
-        fid_of = field_getter(header, fmt, id_field)
-        cert_get = cert_map.get
-
-        def by_certificate(record):
-            fid = fid_of(record)
-            return EMPTY_PAIR if fid is None else cert_get(fid, EMPTY_PAIR)
-
-        return by_certificate
-    return lambda record: EMPTY_PAIR
+    return lookup
 
 
 @dataclass
@@ -173,7 +144,8 @@ def propagate_dir(
         index = index_from_labeled_rows(ZeekLogReader(src, str(conn_labeled)))
 
     conn_resolved = conn_labeled.resolve()
-    routes: dict[Path, str] = {}
+    source = conn_labeled.name.replace(".labeled", "")
+    logs: dict[Path, bool] = {}  # every log to label -> whether it is an x509 log
     for path in sorted(log_dir.iterdir()):
         if not (
             path.is_file()
@@ -183,18 +155,20 @@ def propagate_dir(
         ):
             continue
         with open(path, encoding="utf-8") as fh:
-            route = _route_for(path, ZeekLogReader(fh, str(path)).header)
-        if route == "conn":
-            # the flow log is where the labels come from, not a propagation target
-            logger.info("%s is the label source; skipping", path.name)
+            header = ZeekLogReader(fh, str(path)).header
+        stem = path.name.split(".", 1)[0]
+        if stem == "conn" or header.path == "conn":
+            # a flow log is where labels come from, not a propagation target
+            if path.name == source:
+                logger.info("%s is the label source; skipping", path.name)
+            else:
+                logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
         else:
-            routes[path] = route
+            logs[path] = stem == "x509" or header.path == "x509"
 
     cert_map: dict[str, LabelPair] = {}
-    if "x509" in routes.values():
-        ssl_paths = [
-            p for p, route in routes.items() if route == "uid" and p.name.split(".", 1)[0] == "ssl"
-        ]
+    if any(logs.values()):
+        ssl_paths = [p for p, x509 in logs.items() if not x509 and p.name.split(".", 1)[0] == "ssl"]
         if not ssl_paths:
             logger.warning(
                 "x509 log present but no ssl.log found; certificates will be "
@@ -209,15 +183,22 @@ def propagate_dir(
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replace_all_on_success() as open_output:
-            for path, route in routes.items():
+            for path, x509 in logs.items():
                 out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-                if route == "none":
-                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
                 with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
                     reader = ZeekLogReader(src, str(path))
-                    writer = ZeekLogWriter(dst, reader.header, reader.format)
-                    counts = writer.write_rows(reader.records(), _pair_function(route, reader, index, cert_map))
-                    writer.finish(reader.trailer)
+                    pair_of = _pair_function(x509, reader, index, cert_map)
+                    counts = write_labeled(dst, reader, reader.records(), pair_of)
+                # the route a JSON log took is known only once all its keys are
+                fields = reader.header.fields
+                route = (
+                    "x509" if x509
+                    else "files" if "conn_uids" in fields
+                    else "uid" if "uid" in fields or "uids" in fields
+                    else "none"
+                )
+                if route == "none":
+                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
                 rows = sum(counts.values())
                 report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
     except BaseException:

@@ -16,6 +16,7 @@ and a :class:`Flow` memoizes one record's typed values, with unset as None.
 from __future__ import annotations
 
 import datetime
+import errno
 import ipaddress
 import json
 import os
@@ -153,7 +154,8 @@ class ZeekLogReader:
             )
         self.format = "tsv"
         h = self.header
-        while line is not None and line.startswith("#"):
+        # a log with no rows has its #close right after the header: a trailer line
+        while line is not None and line.startswith("#") and not line.startswith("#close"):
             h.preamble.append(line)
             if line.startswith("#separator "):
                 text = line[len("#separator ") :]
@@ -280,67 +282,57 @@ WRITE_CHUNK_ROWS = 256
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
-class ZeekLogWriter:
-    """Streaming writer that appends label columns while copying everything else."""
+def write_labeled(
+    stream: IO[str],
+    log: ZeekLogReader | ZeekLogTable,
+    records: Iterable[list[str] | dict],
+    pair_of: Callable[[list[str] | dict], tuple[str, str]],
+) -> dict[tuple[str, str], int]:
+    """Write ``log`` with the label pair ``pair_of(record)`` appended to each record.
 
-    def __init__(self, stream: IO[str], header: ZeekHeader, fmt: str) -> None:
-        self._stream = stream
-        self._header = header
-        self._format = fmt
-        if fmt == "tsv":
-            self._write_preamble()
-
-    def _write_preamble(self) -> None:
-        # the header comes from a reader, which kept its directive lines verbatim
-        sep = self._header.separator
-        for line in self._header.preamble:
+    ``records`` are what :meth:`ZeekLogReader.records` yields for ``log``. A
+    TSV log's directive lines are copied verbatim, with the two label columns
+    appended to ``#fields`` and ``#types``. The trailer is written last, as a
+    reader fills it only once its records are read. Returns how many rows got
+    each pair.
+    """
+    header = log.header
+    write = stream.write
+    counts: dict[tuple[str, str], int] = {}
+    buf: list[str] = []
+    if log.format == "tsv":
+        sep = header.separator
+        for line in header.preamble:
             if line.startswith("#fields" + sep) or line == "#fields":
                 line = line + sep + sep.join(LABEL_FIELDS)
             elif line.startswith("#types" + sep) or line == "#types":
                 line = line + sep + sep.join(["string"] * len(LABEL_FIELDS))
-            self._stream.write(line + "\n")
-
-    def write_rows(
-        self, records: Iterable[list[str] | dict], pair_of: Callable
-    ) -> dict[tuple[str, str], int]:
-        """Write each record with the label pair ``pair_of(record)`` appended.
-
-        ``records`` are what :meth:`ZeekLogReader.records` yields. Returns
-        how many rows got each pair.
-        """
-        write = self._stream.write
-        counts: dict[tuple[str, str], int] = {}
-        buf: list[str] = []
-        if self._format == "tsv":
-            sep = self._header.separator
-            join = sep.join
-            tails: dict[tuple[str, str], str] = {}
-            for cells in records:
-                pair = pair_of(cells)
-                tail = tails.get(pair)
-                if tail is None:
-                    tail = tails[pair] = f"{sep}{pair[0]}{sep}{pair[1]}\n"
-                    counts[pair] = 0
-                counts[pair] += 1
-                buf.append(join(cells) + tail)
-                if len(buf) == WRITE_CHUNK_ROWS:
-                    write("".join(buf))
-                    buf.clear()
-        else:
-            label_key, detail_key = LABEL_FIELDS
-            for obj in records:
-                pair = pair_of(obj)
-                counts[pair] = counts.get(pair, 0) + 1
-                buf.append(_encode_json({**obj, label_key: pair[0], detail_key: pair[1]}) + "\n")
-                if len(buf) == WRITE_CHUNK_ROWS:
-                    write("".join(buf))
-                    buf.clear()
-        write("".join(buf))
-        return counts
-
-    def finish(self, trailer: list[str] | None = None) -> None:
-        for line in trailer or []:
-            self._stream.write(line + "\n")
+            write(line + "\n")
+        join = sep.join
+        tails: dict[tuple[str, str], str] = {}
+        for cells in records:
+            pair = pair_of(cells)
+            tail = tails.get(pair)
+            if tail is None:
+                tail = tails[pair] = f"{sep}{pair[0]}{sep}{pair[1]}\n"
+                counts[pair] = 0
+            counts[pair] += 1
+            buf.append(join(cells) + tail)
+            if len(buf) == WRITE_CHUNK_ROWS:
+                write("".join(buf))
+                buf.clear()
+    else:
+        label_key, detail_key = LABEL_FIELDS
+        for obj in records:
+            pair = pair_of(obj)
+            counts[pair] = counts.get(pair, 0) + 1
+            buf.append(_encode_json({**obj, label_key: pair[0], detail_key: pair[1]}) + "\n")
+            if len(buf) == WRITE_CHUNK_ROWS:
+                write("".join(buf))
+                buf.clear()
+    write("".join(buf))
+    write("".join(line + "\n" for line in log.trailer))
+    return counts
 
 
 def write_log(
@@ -351,24 +343,25 @@ def write_log(
         raise UsageError(
             f"{len(labels)} label pairs for {len(table.records)} records"
         )
-    writer = ZeekLogWriter(stream, table.header, table.format)
     pairs = iter(labels)
-    writer.write_rows(table.records, lambda _: next(pairs))
-    writer.finish(table.trailer)
+    write_labeled(stream, table, table.records, lambda _: next(pairs))
 
 
 @contextmanager
 def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
     """Write files through temp files beside them, all moved in place on success.
 
-    ``open_output(path)`` opens the temp file of ``path``; the caller closes
-    it. A temp name does not end in ``.log``, so a scan for logs skips it. On
-    any error every temp file is removed and no ``path`` is touched; a crash
-    between two renames can still leave some outputs new and others old.
+    ``open_output(path)`` opens the temp file of ``path``, and refuses a
+    ``path`` that is a directory; the caller closes it. A temp name does not
+    end in ``.log``, so a scan for logs skips it. On any error every temp file
+    is removed and no ``path`` is touched; a crash between two renames can
+    still leave some outputs new and others old.
     """
     moves: list[tuple[Path, Path]] = []
 
     def open_output(path: Path) -> IO[str]:
+        if path.is_dir():  # the final rename would fail, after other outputs moved
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             out = open(tmp, "w", encoding="utf-8")
@@ -470,6 +463,31 @@ def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] |
         return [] if text is None else text.split(set_sep)
 
     return split
+
+
+def first_getter(
+    header: ZeekHeader, fmt: str, names: tuple[str, ...], getter: Callable = field_getter
+) -> Callable[[list[str] | dict], object]:
+    """``getter`` for the first of ``names`` a record has: a function of a record.
+
+    It returns None for a record with none of ``names``. A TSV log's records
+    all have its header's columns, so the column is chosen once; a JSON
+    object is judged on its own keys, as Zeek's JSON writer omits unset fields.
+    """
+    if fmt == "json":
+        getters = [(name, getter(header, fmt, name)) for name in names]
+
+        def first(obj):
+            for name, get in getters:
+                if name in obj:
+                    return get(obj)
+            return None
+
+        return first
+    for name in names:
+        if name in header.fields:
+            return getter(header, fmt, name)
+    return lambda cells: None
 
 
 def _to_float(text: str | None) -> float | None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,10 @@ def zeek_tsv(path: str, fields: list[str], types: list[str], rows: list[list[str
     if close:
         lines.append("#close\t2023-01-24-14-00-00")
     return "\n".join(lines) + "\n"
+
+
+def json_lines(*objects) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in objects)
 
 
 def conn_row(**overrides) -> list[str]:

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from conftest import DATA_DIR, conn_log_text, conn_row, zeek_tsv
+from conftest import DATA_DIR, conn_log_text, conn_row, json_lines, zeek_tsv
 
 from zeeklabel.cli import main
 
@@ -200,6 +200,74 @@ def test_propagate_json_label_keys_after_the_first_object(tmp_path, capsys):
     assert "http.log: 2 rows, 1 labeled" in capsys.readouterr().out
     rows = [json.loads(line) for line in (logs / "http.labeled.log").read_text().splitlines()]
     assert [row["label"] for row in rows] == ["(empty)", "Malicious"]
+
+
+def test_propagate_json_uid_key_after_the_first_object(proplogs_dir, capsys, caplog):
+    _label_proplogs(proplogs_dir)
+    (proplogs_dir / "dns.log").write_text(json_lines(
+        {"ts": 1.0, "query": "a.example"},
+        {"ts": 2.0, "uid": "CPRP01aaaa", "query": "evil.example"},
+    ))
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 0
+    assert "dns.log: 2 rows, 1 labeled, 1 (empty) -> dns.labeled.log" in capsys.readouterr().out
+    assert "uid linkage" not in caplog.text
+    rows = [json.loads(line) for line in (proplogs_dir / "dns.labeled.log").read_text().splitlines()]
+    assert [row["label"] for row in rows] == ["(empty)", "Malicious"]
+
+
+def test_propagate_json_ssl_chain_key_after_the_first_object(proplogs_dir, capsys):
+    _label_proplogs(proplogs_dir)
+    (proplogs_dir / "ssl.log").write_text(json_lines(
+        {"ts": 1.0, "uid": "CPRP02bbbb", "resumed": True},  # a resumed session has no chain
+        {"ts": 2.0, "uid": "CPRP01aaaa", "cert_chain_fuids": ["FPRPa1sslA"]},
+    ))
+    capsys.readouterr()
+    rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "ssl.log: 2 rows, 2 labeled, 0 (empty) -> ssl.labeled.log" in out
+    assert "x509.log: 5 rows, 1 labeled, 4 (empty) (via ssl.log)" in out
+    x509 = (proplogs_dir / "x509.labeled.log").read_text()
+    assert "FPRPa1sslA\t3\tCN=evil.example\tMalicious\t" in x509
+
+
+def test_label_output_that_is_a_directory_is_refused(portscan_dir, capsys):
+    out_dir = portscan_dir / "out.log"
+    out_dir.mkdir()
+    rc = main(["label", str(portscan_dir / "conn.log"), "--config", str(portscan_dir / "portscan.conf"),
+               "--output", str(out_dir)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: [Errno 21] Is a directory: '{out_dir}'"
+    assert sorted(p.name for p in portscan_dir.iterdir()) == ["conn.log", "out.log", "portscan.conf"]
+
+
+def test_propagate_output_that_is_a_directory_is_refused(proplogs_dir, capsys):
+    _label_proplogs(proplogs_dir)
+    (proplogs_dir / "http.labeled.log").mkdir()
+    before = {p.name for p in proplogs_dir.iterdir()}
+    rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: [Errno 21] Is a directory: '{proplogs_dir / 'http.labeled.log'}'"
+    )
+    # dns and files come before http in name order, and none of theirs is left
+    assert {p.name for p in proplogs_dir.iterdir()} == before
+
+
+def test_propagate_warns_on_conn_logs_other_than_the_label_source(proplogs_dir, capsys, caplog):
+    _label_proplogs(proplogs_dir)
+    shutil.copy(proplogs_dir / "conn.log", proplogs_dir / "conn.00:00:00-01:00:00.log")
+    capsys.readouterr()
+    with caplog.at_level("INFO"):
+        rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warned == ["conn.00:00:00-01:00:00.log is a conn log but not conn.log, the label source; skipping"]
+    assert "conn.log is the label source; skipping" in caplog.text
+    assert "conn.00" not in capsys.readouterr().out
 
 
 def _big_conn(path, rows: int, bad_row: bytes | None = None) -> int:

@@ -3,10 +3,12 @@
 Every case is a seeded log directory: a labeled conn.log and a random
 subset of uid, uids-set, files, ssl, x509 and uid-less logs, each in TSV (with
 random separator, set separator, unset and empty markers, with or without a
-``#close`` trailer) or in JSON lines. The reference below re-derives every
-output from the whole-table reader and the row helpers only: ``read_log``,
-``row_field``, ``row_set_field`` and ``merge_labels``. The command must
-match it byte for byte, in every ``*.labeled.log`` and in its summary.
+``#close`` trailer) or in JSON lines, whose objects omit some unset keys and
+so vary their key sets, the first object included. The reference below
+re-derives every output from the whole-table reader and the row helpers
+only: ``read_log``, ``row_field``, ``row_set_field`` and ``merge_labels``.
+The command must match it byte for byte, in every ``*.labeled.log`` and in
+its summary.
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ def gen_case(rng: random.Random, root) -> None:
     # few certificates, so that ssl rows of equal severity often share one
     certs = [f"F{i}c{rng.randrange(1000)}" for i in range(rng.randint(1, 4))]
     n = lambda: rng.randint(0, 30)  # noqa: E731
-    kinds = rng.sample(["http", "dhcp", "files", "ssl", "x509", "software", "mixed", "conn"], rng.randint(2, 8))
+    kinds = rng.sample(
+        ["http", "dhcp", "files", "ssl", "x509", "software", "mixed", "varied", "conn"], rng.randint(2, 9)
+    )
     for kind in kinds:
         d = Dialect(rng, fmt())
         if kind == "http":
@@ -157,6 +161,9 @@ def gen_case(rng: random.Random, root) -> None:
                 ["1.0", _uid_value(rng, uids), rng.sample(certs, rng.randint(0, min(3, len(certs))))]
                 for _ in range(n())
             ]
+            for row in rows[:-1]:  # resumed sessions; the last one keeps the chain column
+                if rng.random() < 0.3:
+                    row[2] = UNSET
         elif kind == "x509":
             fields = ["ts", rng.choice(["id", "id", "fingerprint", "fingerprint", "serial"]), "subject"]
             rows = [["1.0", rng.choice(certs + ["Forphan", UNSET]), "CN=x"] for _ in range(n())]
@@ -165,6 +172,13 @@ def gen_case(rng: random.Random, root) -> None:
         elif kind == "mixed":  # uid and uids: an unset uid falls back to the set
             fields = ["ts", "uid", "uids"]
             rows = [["1.0", _uid_value(rng, uids), _clean_set(_uid_set(rng, uids))] for _ in range(n())]
+        elif kind == "varied":  # a JSON object without conn_uids falls back to uid, then uids
+            fields = ["ts", "conn_uids", "uid", "uids"]
+            rows = [
+                ["1.0", UNSET if rng.random() < 0.6 else _clean_set(_uid_set(rng, uids)),
+                 _uid_value(rng, uids), _clean_set(_uid_set(rng, uids))]
+                for _ in range(n())
+            ]
         else:  # an unlabeled flow log beside the others is the label source, skipped
             fields, rows = ["ts", "uid"], [["1.0", rng.choice(uids)] for _ in range(n())]
         if d.fmt == "json" and not rows:
@@ -202,30 +216,32 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
             tables[path] = _read(path)
 
     def route(path, table) -> str:
+        # decided once the whole log is read: a JSON log's fields are then every key
         stem, fields = path.name.split(".")[0], table.header.fields
-        # JSON routes see the keys of the first object only
-        if table.format == "json":
-            fields = list(table.records[0])
         if stem == "conn" or table.header.path == "conn":
             return "conn"
-        if "conn_uids" in fields:
-            return "files"
         if stem == "x509" or table.header.path == "x509":
             return "x509"
+        if "conn_uids" in fields:
+            return "files"
         return "uid" if "uid" in fields or "uids" in fields else "none"
+
+    def first(table, row, names):
+        # a JSON object is resolved on its own keys, a TSV row on the header's
+        keys = row if table.format == "json" else table.header.fields
+        return next((name for name in names if name in keys), None)
 
     routes = {p: route(p, t) for p, t in tables.items()}
     certs: dict[str, tuple[str, str]] = {}
     if "x509" in routes.values():
         for path, table in tables.items():
-            if routes[path] != "uid" or path.name.split(".")[0] != "ssl":
+            if routes[path] in ("conn", "x509") or path.name.split(".")[0] != "ssl":
                 continue
-            fields = table.records[0] if table.format == "json" else table.header.fields
-            chain = "cert_chain_fuids" if "cert_chain_fuids" in fields else "cert_chain_fps"
             for row in table.iter_rows():
                 uid = row_field(row, table.header, "uid")
                 pair = index.get(uid, EMPTY) if uid is not None else EMPTY
-                for fid in row_set_field(row, table.header, chain):
+                chain = first(table, row, ("cert_chain_fuids", "cert_chain_fps"))
+                for fid in row_set_field(row, table.header, chain) if chain else []:
                     certs[fid] = merge_labels([certs[fid], pair]) if fid in certs else pair
 
     outputs: dict[str, str] = {}
@@ -235,25 +251,20 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         if r == "conn":
             continue
         h = table.header
-        fields = table.records[0] if table.format == "json" else h.fields
-        id_field = next((f for f in ("id", "fingerprint") if f in fields), None)
         pairs = []
         for row in table.iter_rows():
-            if r == "uid":
-                uid = row_field(row, h, "uid")
-                if uid is not None:
-                    pairs.append(index.get(uid, EMPTY))
-                else:
-                    members = row_set_field(row, h, "uids")
-                    pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
-            elif r == "files":
+            if r == "x509":
+                id_field = first(table, row, ("id", "fingerprint"))
+                fid = row_field(row, h, id_field) if id_field else None
+                pairs.append(certs.get(fid, EMPTY) if fid is not None else EMPTY)
+            elif first(table, row, ("conn_uids",)):
                 members = row_set_field(row, h, "conn_uids")
                 pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
-            elif r == "x509" and id_field is not None:
-                fid = row_field(row, h, id_field)
-                pairs.append(certs.get(fid, EMPTY) if fid is not None else EMPTY)
+            elif (uid := row_field(row, h, "uid")) is not None:
+                pairs.append(index.get(uid, EMPTY))
             else:
-                pairs.append(EMPTY)
+                members = row_set_field(row, h, "uids")
+                pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
         if table.format == "json":
             lines = [
                 json.dumps({**obj, "label": a, "detailed_label": b}, separators=(",", ":"), ensure_ascii=False)
