@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
-from .metrics import MALICIOUS, UNKNOWN, MetricsReport, evaluate
+from .metrics import MALICIOUS, UNKNOWN, ConfusionCounts, evaluate, windows
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
@@ -90,18 +90,14 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _score_json(report: MetricsReport) -> dict:
-    metrics = {name: getattr(report, name) for name in ("fpr", "tpr", "accuracy", "f1")}
-    return {"counts": vars(report.counts), "metrics": metrics}
+def _score_json(c: ConfusionCounts) -> dict:
+    metrics = {name: getattr(c, name) for name in ("fpr", "tpr", "accuracy", "f1")}
+    return {"counts": vars(c), "metrics": metrics}
 
 
-def _print_score(report: MetricsReport) -> None:
-    c = report.counts
+def _print_score(c: ConfusionCounts) -> None:
     print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")
-    print(
-        f"  FPR {_pct(report.fpr)}  TPR {_pct(report.tpr)}  "
-        f"Accuracy {_pct(report.accuracy)}  F1 {_pct(report.f1)}"
-    )
+    print(f"  FPR {_pct(c.fpr)}  TPR {_pct(c.tpr)}  Accuracy {_pct(c.accuracy)}  F1 {_pct(c.f1)}")
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -124,13 +120,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "timelines": {
                     str(ip): [
                         {
-                            "window_start": w * ns.window,
-                            "truth": run.truth,
-                            "predicted": run.predicted,
-                            "status": run.status,
+                            "window_start": w.first_window * ns.window,
+                            "truth": w.truth,
+                            "predicted": w.predicted,
+                            "status": w.status,
                         }
-                        for run in runs
-                        for w in range(run.first_window, run.first_window + run.length)
+                        for w in windows(runs)
                     ]
                     for ip, runs in report.timelines.items()
                 },

@@ -21,6 +21,7 @@ import ipaddress
 import json
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +55,14 @@ class DetectionRecord:
     evidence: frozenset[str]
 
 
-@dataclass
+def _ratio(num: int, den: int) -> float | None:
+    return num / den if den else None
+
+
+@dataclass(frozen=True)
 class ConfusionCounts:
+    """TP/FP/TN/FN and their ratios; a None ratio had a zero denominator."""
+
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -64,47 +71,24 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def add(self, status: str, n: int = 1) -> None:
-        setattr(self, status.lower(), getattr(self, status.lower()) + n)
+    @property
+    def fpr(self) -> float | None:
+        return _ratio(self.fp, self.fp + self.tn)
 
+    @property
+    def tpr(self) -> float | None:
+        return _ratio(self.tp, self.tp + self.fn)
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Derived ratios; a None metric had a zero denominator."""
+    @property
+    def accuracy(self) -> float | None:
+        return _ratio(self.tp + self.tn, self.total())
 
-    counts: ConfusionCounts
-    fpr: float | None
-    tpr: float | None
-    accuracy: float | None
-    f1: float | None
-
-
-def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
-    def ratio(num: int, den: int) -> float | None:
-        return num / den if den else None
-
-    return MetricsReport(
-        counts=counts,
-        fpr=ratio(counts.fp, counts.fp + counts.tn),
-        tpr=ratio(counts.tp, counts.tp + counts.fn),
-        accuracy=ratio(counts.tp + counts.tn, counts.total()),
-        f1=ratio(2 * counts.tp, 2 * counts.tp + counts.fp + counts.fn),
-    )
+    @property
+    def f1(self) -> float | None:
+        return _ratio(2 * self.tp, 2 * self.tp + self.fp + self.fn)
 
 
 _STATUS = {(True, True): "TP", (True, False): "FN", (False, True): "FP", (False, False): "TN"}
-
-
-@dataclass(frozen=True)
-class WindowStatus:
-    window_start: float
-    truth: bool
-    predicted: bool
-    length = 1  # windows covered, as for a WindowRun
-
-    @property
-    def status(self) -> str:
-        return _STATUS[self.truth, self.predicted]
 
 
 class WindowRun(NamedTuple):
@@ -125,8 +109,8 @@ class EvalReport:
     """What :func:`score` finds: the flow-level and IP-level results of one evaluation."""
 
     labels: Counter[str]  # flows in scope, per label
-    flow: MetricsReport
-    ip: MetricsReport
+    flow: ConfusionCounts
+    ip: ConfusionCounts
     timelines: dict[IPAddress, list[WindowRun]]
     missing_evidence: list[str]  # evidence uids that name no flow, sorted
     predating: list[tuple[DetectionRecord, float]]  # with the start of its latest evidence
@@ -153,10 +137,10 @@ def score(
     ``threshold`` evidence uids are ignored), and stays positive afterwards
     only while the IP's most recent activity window holds malicious flows.
     """
-    if not window > 0:  # NaN too
-        raise UsageError("window must be a positive number of seconds")
-    if cutoff is not None and math.isnan(cutoff):
-        raise UsageError("cutoff must be a number")
+    if not 0 < window < math.inf:  # NaN too
+        raise UsageError("window must be a positive finite number of seconds")
+    if cutoff is not None and not math.isfinite(cutoff):
+        raise UsageError("cutoff must be a number" if math.isnan(cutoff) else "cutoff must be finite")
     evidence: set[str] = set().union(*(det.evidence for det in detections))
     labels: Counter[str] = Counter()  # in scope, per label
     detected: Counter[str] = Counter()  # in scope and in the evidence, per label
@@ -190,17 +174,16 @@ def score(
             predating.append((det, latest))
     negatives = labels.total() - labels[MALICIOUS] - labels[UNKNOWN]
     false_alarms = detected.total() - detected[MALICIOUS] - detected[UNKNOWN]
-    flow_counts = ConfusionCounts(
-        tp=detected[MALICIOUS],
-        fp=false_alarms,
-        tn=negatives - false_alarms,
-        fn=labels[MALICIOUS] - detected[MALICIOUS],
-    )
     timelines = _sweep(activity, malicious, alerts)
     return EvalReport(
         labels=labels,
-        flow=compute_metrics(flow_counts),
-        ip=compute_metrics(timeline_confusion(timelines)),
+        flow=ConfusionCounts(
+            tp=detected[MALICIOUS],
+            fp=false_alarms,
+            tn=negatives - false_alarms,
+            fn=labels[MALICIOUS] - detected[MALICIOUS],
+        ),
+        ip=timeline_confusion(timelines),
         timelines=timelines,
         missing_evidence=sorted(evidence - starts.keys()),
         predating=predating,
@@ -242,27 +225,30 @@ def _sweep(activity: dict, malicious: dict, alerts: dict) -> dict[IPAddress, lis
     return timelines
 
 
+def windows(runs: Iterable[WindowRun]) -> Iterator[WindowRun]:
+    """The runs' windows in order, each a run of length 1."""
+    for run in runs:
+        for w in range(run.first_window, run.first_window + run.length):
+            yield WindowRun(w, 1, run.truth, run.predicted)
+
+
 def ip_detection_timeline(
     flows: Iterable[LabeledFlow], detections: Sequence[DetectionRecord], window: float, threshold: int = 1
-) -> dict[IPAddress, list[WindowStatus]]:
-    """The runs of :func:`score`, expanded to one status per window."""
-    return {
-        ip: [
-            WindowStatus(w * window, run.truth, run.predicted)
-            for run in runs
-            for w in range(run.first_window, run.first_window + run.length)
-        ]
-        for ip, runs in score(flows, detections, window, threshold).timelines.items()
-    }
+) -> dict[IPAddress, list[WindowRun]]:
+    """The runs of :func:`score`, expanded to one run per window."""
+    runs = score(flows, detections, window, threshold).timelines
+    return {ip: list(windows(ip_runs)) for ip, ip_runs in runs.items()}
 
 
-def timeline_confusion(timelines: dict) -> ConfusionCounts:
-    """Counts over per-window statuses or runs; a run counts once per window."""
-    counts = ConfusionCounts()
-    for statuses in timelines.values():
-        for status in statuses:
-            counts.add(status.status, status.length)
-    return counts
+def timeline_confusion(timelines: dict[IPAddress, list[WindowRun]]) -> ConfusionCounts:
+    """Counts over runs; a run counts once per window."""
+    tally: Counter[tuple[bool, bool]] = Counter()
+    for runs in timelines.values():
+        for run in runs:
+            tally[run.truth, run.predicted] += run.length
+    return ConfusionCounts(
+        tp=tally[True, True], fp=tally[False, True], tn=tally[False, False], fn=tally[True, False]
+    )
 
 
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
@@ -280,19 +266,21 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
             if not isinstance(obj, dict):
                 raise LogFormatError(f"{source}: line {lineno}: expected an object")
             try:
-                ip = ipaddress.ip_address(obj["ip"])
-                time = float(obj["time"])
-                evidence = obj["evidence"]
-            except (KeyError, TypeError, ValueError) as exc:
+                ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
+                if type(ip) is not str:  # ip_address reads an int as an IPv4 address
+                    raise ValueError(f"ip {json.dumps(ip)} is not a string")
+                ip = ipaddress.ip_address(ip)
+            except (KeyError, ValueError) as exc:
                 raise LogFormatError(
                     f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
                 ) from None
+            # a bool is not a time, and an int too large for a float is not finite
+            if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
+                raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
             if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
                 raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
-            if not math.isfinite(time):
-                raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
             records.append(
-                DetectionRecord(ip=ip, time=time, evidence=frozenset(evidence))
+                DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence))
             )
     except UnicodeDecodeError as exc:
         raise utf8_error(source, lineno, exc) from None

@@ -769,6 +769,31 @@ def test_eval_evidence_that_is_not_a_list_exits_1(tmp_path, capsys, evidence):
     )
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ('"ip": 3232261127, "time": 1674550500.0',
+         "needs ip, time and evidence (ip 3232261127 is not a string)"),
+        ('"ip": true, "time": 1674550500.0', "needs ip, time and evidence (ip true is not a string)"),
+        ('"ip": "192.168.100.7", "time": true', "time must be a finite number"),
+        ('"ip": "192.168.100.7", "time": "1674550500.0"', "time must be a finite number"),
+        ('"ip": "192.168.100.7", "time": 1' + "0" * 400, "time must be a finite number"),
+    ],
+    ids=["int-ip", "bool-ip", "bool-time", "string-time", "int-time-beyond-float"],
+)
+def test_eval_detection_field_of_the_wrong_type_exits_1(tmp_path, capsys, fields, error):
+    det = tmp_path / "d.jsonl"
+    det.write_text(
+        '{"ip": "192.168.100.7", "time": 1674550500.0, "evidence": []}\n'
+        f'{{{fields}, "evidence": []}}\n'
+    )
+    rc = main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(det)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == f"error: {det}: line 2: {error}"
+
+
 def test_eval_bad_window_exits_2(capsys):
     rc = main(
         [
@@ -797,6 +822,32 @@ def test_eval_nan_cutoff_exits_2(capsys):
     assert rc == 2
     assert captured.out == ""
     assert _one_error_line(captured.err) == "error: cutoff must be a number"
+
+
+@pytest.mark.parametrize(
+    "option, error",
+    [
+        ("--window=inf", "window must be a positive finite number of seconds"),
+        ("--cutoff=inf", "cutoff must be finite"),
+        ("--cutoff=-inf", "cutoff must be finite"),
+    ],
+    ids=["window-inf", "cutoff-inf", "cutoff-minus-inf"],
+)
+def test_eval_non_finite_window_or_cutoff_exits_2(capsys, option, error):
+    # an infinite window or cutoff would reach the JSON report as Infinity or NaN
+    rc = main(
+        [
+            "eval",
+            str(DATA_DIR / "fig2" / "conn.labeled.log"),
+            str(DATA_DIR / "fig2" / "detections.jsonl"),
+            option,
+            "--json",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == f"error: {error}"
 
 
 @pytest.mark.parametrize("conn_fault", ["short-row", "no-label-column"])

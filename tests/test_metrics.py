@@ -16,7 +16,6 @@ from zeeklabel.metrics import (
     ConfusionCounts,
     DetectionRecord,
     LabeledFlow,
-    compute_metrics,
     evaluate,
     ip_detection_timeline,
     read_detections,
@@ -48,7 +47,7 @@ def _detect(evidence, time: float = 0.0) -> list[DetectionRecord]:
 
 
 def _flow_counts(flows, evidence, cutoff=None) -> ConfusionCounts:
-    return score(flows, _detect(evidence), window=100.0, cutoff=cutoff).flow.counts
+    return score(flows, _detect(evidence), window=100.0, cutoff=cutoff).flow
 
 
 def test_flow_confusion_fig2_counts():
@@ -120,17 +119,17 @@ def test_flow_confusion_cutoff_still_validates_evidence_against_all_flows():
     # Cc starts after the cutoff but is a legitimate uid, so no error
     report = score(flows, _detect(["Cc"]), window=100.0, cutoff=20.0)
     assert report.missing_evidence == []
-    counts = report.flow.counts
+    counts = report.flow
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 0, 1, 0)
 
 
 def test_compute_metrics_zero_denominators_are_none():
-    report = compute_metrics(ConfusionCounts())
-    assert report.fpr is None
-    assert report.tpr is None
-    assert report.accuracy is None
-    assert report.f1 is None
-    no_negatives = compute_metrics(ConfusionCounts(tp=3, fn=1))
+    c = ConfusionCounts()
+    assert c.fpr is None
+    assert c.tpr is None
+    assert c.accuracy is None
+    assert c.f1 is None
+    no_negatives = ConfusionCounts(tp=3, fn=1)
     assert no_negatives.fpr is None
     assert no_negatives.tpr == pytest.approx(0.75)
 
@@ -144,21 +143,20 @@ def test_compute_metrics_formulas_hold_for_random_counts():
             tn=rng.randint(0, 50),
             fn=rng.randint(0, 50),
         )
-        r = compute_metrics(c)
         if c.fp + c.tn:
-            assert r.fpr == pytest.approx(c.fp / (c.fp + c.tn))
+            assert c.fpr == pytest.approx(c.fp / (c.fp + c.tn))
         else:
-            assert r.fpr is None
+            assert c.fpr is None
         if c.tp + c.fn:
-            assert r.tpr == pytest.approx(c.tp / (c.tp + c.fn))
+            assert c.tpr == pytest.approx(c.tp / (c.tp + c.fn))
         else:
-            assert r.tpr is None
+            assert c.tpr is None
         if c.total():
-            assert r.accuracy == pytest.approx((c.tp + c.tn) / c.total())
+            assert c.accuracy == pytest.approx((c.tp + c.tn) / c.total())
         if 2 * c.tp + c.fp + c.fn:
-            assert r.f1 == pytest.approx(2 * c.tp / (2 * c.tp + c.fp + c.fn))
+            assert c.f1 == pytest.approx(2 * c.tp / (2 * c.tp + c.fp + c.fn))
         else:
-            assert r.f1 is None
+            assert c.f1 is None
 
 
 def test_flow_confusion_conserves_in_scope_flows():
@@ -202,7 +200,7 @@ def test_timeline_detector_scores_tp_tn_tp():
     flows, detections = _narrative()
     timelines = ip_detection_timeline(flows, detections, window=100.0)
     assert [s.status for s in timelines[ATTACKER]] == ["TP", "TN", "TP"]
-    assert [s.window_start for s in timelines[ATTACKER]] == [0.0, 100.0, 200.0]
+    assert [s.first_window * 100.0 for s in timelines[ATTACKER]] == [0.0, 100.0, 200.0]
 
 
 def test_timeline_alert_reverts_on_benign_activity_not_on_silence():
@@ -285,7 +283,7 @@ def test_timeline_span_covers_detections_outside_flow_range():
         DetectionRecord(ip=ATTACKER, time=450.0, evidence=frozenset({"Cm1"}))
     ]
     timelines = ip_detection_timeline(flows, detections, window=100.0)
-    assert [s.window_start for s in timelines[ATTACKER]] == [
+    assert [s.first_window * 100.0 for s in timelines[ATTACKER]] == [
         100.0,
         200.0,
         300.0,
@@ -365,7 +363,7 @@ def test_timeline_agrees_with_brute_enumeration():
         assert set(got) == set(want)
         for ip in want:
             assert [
-                (s.window_start, s.truth, s.predicted) for s in got[ip]
+                (s.first_window * 250.0, s.truth, s.predicted) for s in got[ip]
             ] == want[ip]
 
 
@@ -410,10 +408,10 @@ def test_timeline_sweep_agrees_with_brute_enumeration(case):
     flows, detections, window, threshold = case
     got = ip_detection_timeline(flows, detections, window, threshold)
     want = _brute_timeline(flows, detections, window, threshold)
-    assert {ip: [(s.window_start, s.truth, s.predicted) for s in got[ip]] for ip in got} == want
+    assert {ip: [(s.first_window * window, s.truth, s.predicted) for s in got[ip]] for ip in got} == want
     report = score(flows, detections, window, threshold)
     runs = report.timelines
-    assert report.ip.counts == timeline_confusion(runs) == timeline_confusion(got)
+    assert report.ip == timeline_confusion(runs) == timeline_confusion(got)
     # each quiet gap is one run, so an IP has at most two runs per event window
     for ip, ip_runs in runs.items():
         events = {math.floor(f.start / window) for f in flows if f.src_ip == ip} | {
@@ -488,11 +486,11 @@ def _brute_flow_scores(flows, detections, cutoff):
     """Label counts, flow confusion and predating detections, one question at a time."""
     evidence = {uid for d in detections for uid in d.evidence}
     in_scope = [f for f in flows if cutoff is None or f.start <= cutoff]
-    counts = ConfusionCounts()
+    tally = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
     for f in in_scope:
         if f.label != "Unknown":
             truth, hit = f.label == "Malicious", f.uid in evidence
-            counts.add(("TP" if hit else "FN") if truth else ("FP" if hit else "TN"))
+            tally[("tp" if hit else "fn") if truth else ("fp" if hit else "tn")] += 1
     last_start = {}
     for f in flows:  # a duplicate uid keeps its last row's start
         last_start[f.uid] = f.start
@@ -502,7 +500,7 @@ def _brute_flow_scores(flows, detections, cutoff):
         if seen and d.time < max(seen):
             predating.append((d, max(seen)))
     missing = sorted(evidence - set(last_start))
-    return Counter(f.label for f in in_scope), counts, predating, missing
+    return Counter(f.label for f in in_scope), ConfusionCounts(**tally), predating, missing
 
 
 def test_score_flow_level_agrees_with_brute_reference():
@@ -532,6 +530,6 @@ def test_score_flow_level_agrees_with_brute_reference():
             flows, detections, cutoff
         )
         assert report.labels == labels_want
-        assert report.flow.counts == counts_want
+        assert report.flow == counts_want
         assert report.predating == predating_want
         assert report.missing_evidence == missing_want
