@@ -13,13 +13,15 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
-from .metrics import MALICIOUS, UNKNOWN, ConfusionCounts, evaluate, windows
+from .metrics import MALICIOUS, UNKNOWN, ConfusionCounts, WindowRun, evaluate
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
@@ -100,12 +102,89 @@ def _print_score(c: ConfusionCounts) -> None:
     print(f"  FPR {_pct(c.fpr)}  TPR {_pct(c.tpr)}  Accuracy {_pct(c.accuracy)}  F1 {_pct(c.f1)}")
 
 
+# windows a report write holds at most: about 150 KB of --json or 25 KB of text,
+# so a report of any size takes no more memory than a small one
+JSON_CHUNK_WINDOWS = 1024
+TEXT_CHUNK_WINDOWS = 8192
+
+_STATUS = {(t, p): WindowRun(0, 1, t, p).status for t in (False, True) for p in (False, True)}
+_MARKS = {key: " " + status for key, status in _STATUS.items()}
+# a window object of json.dumps(payload, indent=2), split around its window_start
+_WINDOW_HEAD = '\n        {\n          "window_start": '
+_WINDOW_TAILS = {
+    (truth, predicted): f',\n          "truth": {json.dumps(truth)},\n          "predicted": '
+    f'{json.dumps(predicted)},\n          "status": "{status}"\n        }}'
+    for (truth, predicted), status in _STATUS.items()
+}
+
+
+def _write_text_timelines(write: Callable[[str], object], timelines: dict, limit: int) -> None:
+    """The text report's timeline lines, ``limit`` windows to a write."""
+    buf: list[str] = []
+    held = 0
+    for ip, runs in timelines.items():
+        buf.append(f"  {ip}:" if runs else f"  {ip}: ")
+        for _, length, truth, predicted in runs:
+            mark = _MARKS[truth, predicted]
+            while held + length >= limit:  # the run fills this write
+                take = limit - held
+                buf.append(mark * take)
+                write("".join(buf))
+                buf.clear()
+                length -= take
+                held = 0
+            buf.append(mark * length)
+            held += length
+        buf.append("\n")
+    write("".join(buf))
+
+
+def _json_floats(window: float, first: int, stop: int) -> Iterator[str]:
+    """``w * window`` for each w in [first, stop), as json spells a float."""
+    starts = map(window.__mul__, range(first, stop))
+    # the starts grow with w, so only the ends can overflow to infinity
+    if math.isfinite(first * window) and math.isfinite((stop - 1) * window):
+        return map(float.__repr__, starts)
+    return map(json.dumps, starts)
+
+
+def _write_json_timelines(write: Callable[[str], object], timelines: dict, window: float, limit: int) -> None:
+    """The members of the --json ``timelines`` object, ``limit`` windows to a write."""
+    buf: list[str] = []
+    held = 0
+    lead = "\n      "
+    for ip, runs in timelines.items():
+        buf.append(f"{lead}{json.dumps(str(ip))}: [")
+        head = _WINDOW_HEAD  # the comma goes between windows
+        for first, length, truth, predicted in runs:
+            tail = _WINDOW_TAILS[truth, predicted]
+            between = tail + "," + _WINDOW_HEAD
+            while held + length >= limit:  # the run fills this write
+                take = limit - held
+                buf += (head, between.join(_json_floats(window, first, first + take)), tail)
+                write("".join(buf))
+                buf.clear()
+                head = "," + _WINDOW_HEAD
+                first += take
+                length -= take
+                held = 0
+            if length:
+                buf += (head, between.join(_json_floats(window, first, first + length)), tail)
+                head = "," + _WINDOW_HEAD
+                held += length
+        buf.append("\n      ]" if runs else "]")
+        lead = ",\n      "
+    write("".join(buf))
+
+
 def cmd_eval(ns: argparse.Namespace) -> int:
     report = evaluate(ns.conn_labeled, ns.detections, ns.window, ns.threshold, ns.cutoff)
     labels = report.labels
     scored = labels.total()
+    write = sys.stdout.write
 
     if ns.json:
+        # json.dumps(payload, indent=2) with the timelines written window by window
         payload = {
             "parameters": {"window": ns.window, "threshold": ns.threshold, "cutoff": ns.cutoff},
             "flow": {
@@ -115,23 +194,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 "unlabeled_negative": labels[EMPTY_PAIR[0]],
                 **_score_json(report.flow),
             },
-            "ip": {
-                **_score_json(report.ip),
-                "timelines": {
-                    str(ip): [
-                        {
-                            "window_start": w.first_window * ns.window,
-                            "truth": w.truth,
-                            "predicted": w.predicted,
-                            "status": w.status,
-                        }
-                        for w in windows(runs)
-                    ]
-                    for ip, runs in report.timelines.items()
-                },
-            },
+            "ip": {**_score_json(report.ip), "timelines": {}},
         }
-        print(json.dumps(payload, indent=2))
+        head, _, end = json.dumps(payload, indent=2).rpartition("{}")
+        write(head + "{")
+        _write_json_timelines(write, report.timelines, ns.window, JSON_CHUNK_WINDOWS)
+        write(("\n    }" if report.timelines else "}") + end + "\n")
         return 0
 
     print("flow-level evaluation")
@@ -143,9 +211,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     print(
         f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})"
     )
-    for ip, runs in report.timelines.items():
-        marks = " ".join(" ".join([run.status] * run.length) for run in runs)
-        print(f"  {ip}: {marks}")
+    _write_text_timelines(write, report.timelines, TEXT_CHUNK_WINDOWS)
     _print_score(report.ip)
     return 0
 

@@ -4,8 +4,8 @@ Both on-disk shapes are supported: classic tab-separated logs with their
 ``#``-directive header block, and JSON-lines logs (one object per line).
 TSV is treated as the canonical form; headers and data cells are kept
 verbatim so a labeled file is byte-identical to its input apart from the
-two appended columns. JSON-lines rows are re-serialized from the original
-objects with the two label keys added.
+two label columns, appended or, in a relabeled log, rewritten. JSON-lines
+rows are re-serialized from the original objects with the two label keys set.
 
 Cells are read through readers resolved once per header (:func:`field_getter`,
 :func:`set_getter`), and so are rule columns: :class:`ConnSchema` builds one
@@ -288,13 +288,14 @@ def write_labeled(
     records: Iterable[list[str] | dict],
     pair_of: Callable[[list[str] | dict], tuple[str, str]],
 ) -> dict[tuple[str, str], int]:
-    """Write ``log`` with the label pair ``pair_of(record)`` appended to each record.
+    """Write ``log`` with the label pair ``pair_of(record)`` of each record.
 
     ``records`` are what :meth:`ZeekLogReader.records` yields for ``log``. A
-    TSV log's directive lines are copied verbatim, with the two label columns
-    appended to ``#fields`` and ``#types``. The trailer is written last, as a
-    reader fills it only once its records are read. Returns how many rows got
-    each pair.
+    TSV log's directive lines are copied verbatim, with the label columns it
+    lacks appended to ``#fields`` and ``#types``; a label column it already
+    has (a relabeled log) gets the new value in place. A JSON object's label
+    keys are overwritten too. The trailer is written last, as a reader fills
+    it only once its records are read. Returns how many rows got each pair.
     """
     header = log.header
     write = stream.write
@@ -302,11 +303,14 @@ def write_labeled(
     buf: list[str] = []
     if log.format == "tsv":
         sep = header.separator
+        # (cell, pair member) of each label column the log already has
+        present = [(i, LABEL_FIELDS.index(name)) for i, name in enumerate(header.fields) if name in LABEL_FIELDS]
+        added = [k for k, name in enumerate(LABEL_FIELDS) if name not in header.fields]
         for line in header.preamble:
             if line.startswith("#fields" + sep) or line == "#fields":
-                line = line + sep + sep.join(LABEL_FIELDS)
+                line = sep.join([line, *(LABEL_FIELDS[k] for k in added)])
             elif line.startswith("#types" + sep) or line == "#types":
-                line = line + sep + sep.join(["string"] * len(LABEL_FIELDS))
+                line = sep.join([line, *(["string"] * len(added))])
             write(line + "\n")
         join = sep.join
         tails: dict[tuple[str, str], str] = {}
@@ -314,9 +318,13 @@ def write_labeled(
             pair = pair_of(cells)
             tail = tails.get(pair)
             if tail is None:
-                tail = tails[pair] = f"{sep}{pair[0]}{sep}{pair[1]}\n"
+                tail = tails[pair] = "".join(sep + pair[k] for k in added) + "\n"
                 counts[pair] = 0
             counts[pair] += 1
+            if present:
+                cells = cells.copy()
+                for i, k in present:
+                    cells[i] = pair[k]
             buf.append(join(cells) + tail)
             if len(buf) == WRITE_CHUNK_ROWS:
                 write("".join(buf))

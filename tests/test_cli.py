@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import shutil
 
 import pytest
 
-from conftest import DATA_DIR, conn_log_text, conn_row, json_lines, zeek_tsv
+from conftest import CONN_FIELDS, CONN_TYPES, DATA_DIR, conn_log_text, conn_row, json_lines, zeek_tsv
 
 from zeeklabel.cli import main
+from zeeklabel.zeekio import read_log, row_field
 
 
 def _copy(name: str, dest) -> None:
@@ -182,6 +184,64 @@ def test_label_json_uid_key_after_the_first_object(tmp_path, capsys):
     assert "labeled: 2" in capsys.readouterr().out
     rows = [json.loads(line) for line in (tmp_path / "conn.labeled.log").read_text().splitlines()]
     assert [(row.get("uid"), row["label"]) for row in rows] == [(None, "Malicious"), ("C1", "Malicious")]
+
+
+def test_relabel_replaces_the_label_columns(proplogs_dir, capsys):
+    """A labeled log labeled again carries the new labels once, in TSV and in JSON lines."""
+    conn_tsv = proplogs_dir / "conn.log"
+    conn_json = proplogs_dir / "conn.json.log"
+    log = read_log(io.StringIO(conn_tsv.read_text()))
+    conn_json.write_text(
+        json_lines(*({k: v for k, v in zip(log.header.fields, cells) if v != "-"} for cells in log.records))
+    )
+    relabel = proplogs_dir / "relabel.conf"
+    relabel.write_text(
+        (proplogs_dir / "labeling.conf").read_text().replace(
+            "Malicious, From_malicious-To_benign-Command_and_control:", "Benign, From_benign-To_benign:"
+        )
+    )
+    detections = proplogs_dir / "detections.jsonl"
+    detections.write_text(json_lines({"ip": "10.0.0.1", "time": 1674560400.0, "evidence": ["CPRP01aaaa"]}))
+
+    labels = {}
+    for conn in (conn_tsv, conn_json):
+        labeled = conn.with_name(conn.name.replace(".log", ".labeled.log"))
+        relabeled = conn.with_name(conn.name.replace(".log", ".relabeled.log"))
+        assert main(["label", str(conn), "--config", str(proplogs_dir / "labeling.conf")]) == 0
+        capsys.readouterr()
+        assert main(["label", str(labeled), "--config", str(relabel), "--output", str(relabeled)]) == 0
+        out = capsys.readouterr().out
+        assert "Benign: 4" in out and "Malicious" not in out
+        assert main(["eval", str(relabeled), str(detections), "--json"]) == 0
+        flow = json.loads(capsys.readouterr().out)["flow"]
+        assert (flow["malicious"], flow["counts"]["tp"], flow["counts"]["fp"]) == (0, 0, 1)
+        table = read_log(io.StringIO(relabeled.read_text()))
+        assert [f for f in table.header.fields if f in ("label", "detailed_label")] == ["label", "detailed_label"]
+        labels[conn.name] = [
+            (row_field(r, table.header, "uid"), row_field(r, table.header, "label"),
+             row_field(r, table.header, "detailed_label"))
+            for r in table.records
+        ]
+    assert labels["conn.log"] == labels["conn.json.log"]
+    assert ("CPRP01aaaa", "Benign", "From_benign-To_benign") in labels["conn.log"]
+    # the TSV output differs from a first labeling only in its label cells
+    first = (proplogs_dir / "conn.labeled.log").read_text().splitlines()
+    again = (proplogs_dir / "conn.relabeled.log").read_text().splitlines()
+    assert [line.split("\t")[:-2] for line in first] == [line.split("\t")[:-2] for line in again]
+
+
+def test_relabel_fills_a_missing_label_column(tmp_path, capsys):
+    conn = tmp_path / "conn.log"
+    fields = CONN_FIELDS + ["label"]
+    conn.write_text(zeek_tsv("conn", fields, CONN_TYPES + ["string"], [conn_row(uid="C1") + ["Benign"]]))
+    config = tmp_path / "r.conf"
+    config.write_text("Malicious, (empty):\n    - Proto=tcp\n")
+    assert main(["label", str(conn), "--config", str(config)]) == 0
+    capsys.readouterr()
+    table = read_log(io.StringIO((tmp_path / "conn.labeled.log").read_text()))
+    assert table.header.fields == fields + ["detailed_label"]
+    assert table.header.types == CONN_TYPES + ["string", "string"]
+    assert table.records == [conn_row(uid="C1") + ["Malicious", "(empty)"]]
 
 
 def test_propagate_json_label_keys_after_the_first_object(tmp_path, capsys):
