@@ -8,12 +8,14 @@ belong above general ones in the config. Flows no rule matches get the
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from .errors import LogFormatError, UsageError
+from .ontology import LABEL_ITEMS
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ConnSchema, Flow, ZeekLogReader, ZeekLogTable
+from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable
 from .zeekio import field_getter, replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
@@ -24,18 +26,13 @@ EMPTY_PAIR = (EMPTY_LABEL, EMPTY_LABEL)
 LabelPair = tuple[str, str]
 
 
-def apply_rules(ruleset: RuleSet, flow: Flow) -> LabelPair:
-    """The label pair of the first rule that matches the flow, else (empty)."""
-    rule = ruleset.first_match(flow)
-    return EMPTY_PAIR if rule is None else rule.label_pair
-
-
 def _pair_function(
     ruleset: RuleSet, log: ZeekLogReader | ZeekLogTable
 ) -> Callable[[list[str] | dict], LabelPair]:
-    """The label pair of one record of ``log``, a conn.log."""
-    schema = ConnSchema(log.header, log.format)
-    return lambda record: apply_rules(ruleset, Flow(record, schema))
+    """The label pair of one record of ``log``, a conn.log: its first matching rule's, else (empty)."""
+    pairs = [rule.label_pair for rule in ruleset.rules] + [EMPTY_PAIR]
+    classify = ruleset.classifier(log.header, log.format)
+    return lambda record: pairs[classify(record)]
 
 
 def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
@@ -104,7 +101,25 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
     _warn_index(index)
+    # per distinct pair: the uids are counted only when a label is foreign
+    foreign = {label for label, _ in pairs if label not in LABEL_ITEMS and label != EMPTY_LABEL}
+    if foreign:
+        warn_foreign_labels(Counter(label for label, _ in index.values() if label in foreign), "uids")
     return index
+
+
+def warn_foreign_labels(counts: Mapping[str, int], unit: str) -> None:
+    """Warn once for each label in ``counts`` outside the ontology's label level.
+
+    Such a value (a misspelled or foreign verdict) is kept as written, never
+    case-folded, but nothing ranks or scores it as a verdict.
+    """
+    for label, count in counts.items():
+        if label not in LABEL_ITEMS and label != EMPTY_LABEL:
+            logger.warning(
+                "%d %s carry the label %r, which is none of %s or %s",
+                count, unit, label, ", ".join(LABEL_ITEMS), EMPTY_LABEL,
+            )
 
 
 def _warn_index(index: UidIndex) -> None:

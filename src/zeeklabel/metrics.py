@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
-from .labeler import EMPTY_LABEL
+from .labeler import EMPTY_LABEL, warn_foreign_labels
 from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, field_getter, utf8_error
 
 logger = logging.getLogger(__name__)
@@ -339,6 +339,7 @@ def evaluate(
         for _ in flows:  # a conn.log error is reported first
             pass
         raise
+    warn_foreign_labels(report.labels, "flows in scope")
     for det, latest in report.predating:
         logger.warning("detection of %s at %.6f predates evidence flow at %.6f", det.ip, det.time, latest)
     if report.missing_evidence:

@@ -32,8 +32,10 @@ EMPTY_DETAIL = "(empty)"
 
 _LEVEL_ALIASES = {"app-process": "process"}
 _CLOSED_LEVELS = frozenset({"label", "source", "destination"})
+# the label level is fixed: a config can add no verdict
+LABEL_ITEMS = ("Benign", "Malicious", "Unknown")
 _BUILTIN_ITEMS: dict[str, tuple[str, ...]] = {
-    "label": ("Benign", "Malicious", "Unknown"),
+    "label": LABEL_ITEMS,
     "source": ("From_malicious", "From_benign"),
     "destination": ("To_malicious", "To_benign"),
 }

@@ -19,7 +19,9 @@ import datetime
 import errno
 import ipaddress
 import json
+import logging
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,6 +29,8 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import LogFormatError, UsageError
+
+logger = logging.getLogger(__name__)
 
 UNSET_DEFAULT = "-"
 EMPTY_DEFAULT = "(empty)"
@@ -49,8 +53,14 @@ class ZeekHeader:
     preamble: list[str] = field(default_factory=list)
 
     def index_of(self, name: str) -> int | None:
+        """The position of column ``name``; of a repeated name, the last one.
+
+        Every column reader resolves its name here: an older zeeklabel
+        appended a relabeled log's new label columns after the stale ones,
+        and ``json.loads`` also keeps a repeated key's last value.
+        """
         try:
-            return self.fields.index(name)
+            return len(self.fields) - 1 - self.fields[::-1].index(name)
         except ValueError:
             return None
 
@@ -178,6 +188,12 @@ class ZeekLogReader:
                     h.path = parts[1]
                 elif name == "#fields":
                     h.fields = parts[1:]
+                    for column, count in Counter(h.fields).items():
+                        if count > 1:
+                            logger.warning(
+                                "%s: column %r appears %d times in #fields; reading the last",
+                                self.source, column, count,
+                            )
                 elif name == "#types":
                     h.types = parts[1:]
             line = self._next_line()

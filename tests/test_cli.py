@@ -244,6 +244,77 @@ def test_relabel_fills_a_missing_label_column(tmp_path, capsys):
     assert table.records == [conn_row(uid="C1") + ["Malicious", "(empty)"]]
 
 
+def _stale_and_new_labels(proplogs_dir):
+    """proplogs' labeled conn.log with a second label pair appended, all Benign.
+
+    An older zeeklabel wrote a relabeled log this way: the stale pair
+    first, the new pair last.
+    """
+    _label_proplogs(proplogs_dir)
+    lines = []
+    for line in (proplogs_dir / "conn.labeled.log").read_text().splitlines():
+        if line.startswith("#fields"):
+            line += "\tlabel\tdetailed_label"
+        elif line.startswith("#types"):
+            line += "\tstring\tstring"
+        elif not line.startswith("#"):
+            line += "\tBenign\tFrom_benign-To_benign"
+        lines.append(line + "\n")
+    (proplogs_dir / "conn.labeled.log").write_text("".join(lines))
+    return proplogs_dir / "conn.labeled.log"
+
+
+def _repeat_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "times in #fields" in r.getMessage()]
+
+
+def test_eval_reads_the_last_of_repeated_label_columns(proplogs_dir, capsys, caplog):
+    conn = _stale_and_new_labels(proplogs_dir)
+    detections = proplogs_dir / "detections.jsonl"
+    detections.write_text(json_lines({"ip": "10.0.0.1", "time": 1674560400.0, "evidence": ["CPRP01aaaa"]}))
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["eval", str(conn), str(detections)]) == 0
+    out = capsys.readouterr().out
+    assert "flows: 6 (malicious 0, unknown excluded 0, unlabeled 0)" in out
+    assert "TP 0  FP 1  FN 0  TN 5" in out
+    assert _repeat_warnings(caplog) == [
+        f"{conn}: column 'label' appears 2 times in #fields; reading the last",
+        f"{conn}: column 'detailed_label' appears 2 times in #fields; reading the last",
+    ]
+
+
+def test_propagate_reads_the_last_of_repeated_label_columns(proplogs_dir, capsys, caplog):
+    conn = _stale_and_new_labels(proplogs_dir)
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["propagate", str(conn), str(proplogs_dir)]) == 0
+    assert "http.log: 5 rows, 4 labeled, 1 (empty)" in capsys.readouterr().out
+    http = read_log(io.StringIO((proplogs_dir / "http.labeled.log").read_text()))
+    pairs = {(row_field(r, http.header, "uid"), row_field(r, http.header, "label")) for r in http.records}
+    assert ("CPRP04dddd", "Benign") in pairs and ("CPRP04dddd", "Malicious") not in pairs
+    assert len(_repeat_warnings(caplog)) == 2
+
+
+def test_eval_and_propagate_warn_on_labels_outside_the_ontology(proplogs_dir, capsys, caplog):
+    _label_proplogs(proplogs_dir)
+    conn = proplogs_dir / "conn.labeled.log"
+    conn.write_text(conn.read_text().replace("\tMalicious\t", "\tmalicious\t"))
+    detections = proplogs_dir / "detections.jsonl"
+    detections.write_text(json_lines({"ip": "10.0.0.1", "time": 1674560400.0, "evidence": ["CPRP01aaaa"]}))
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["eval", str(conn), str(detections)]) == 0
+        assert main(["propagate", str(conn), str(proplogs_dir)]) == 0
+    # read as written, never case-folded: no flow counts as malicious
+    assert "flows: 6 (malicious 0, unknown excluded 1, unlabeled 1)" in capsys.readouterr().out
+    foreign = [r.getMessage() for r in caplog.records if "none of Benign" in r.getMessage()]
+    assert foreign == [
+        "2 flows in scope carry the label 'malicious', which is none of Benign, Malicious, Unknown or (empty)",
+        "2 uids carry the label 'malicious', which is none of Benign, Malicious, Unknown or (empty)",
+    ]
+
+
 def test_propagate_json_label_keys_after_the_first_object(tmp_path, capsys):
     conn = tmp_path / "conn.labeled.log"
     conn.write_text(
