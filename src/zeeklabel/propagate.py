@@ -23,6 +23,7 @@ from typing import Callable
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .zeekio import ZeekLogReader, field_getter, first_getter, replace_all_on_success, set_getter, write_labeled
+from .zeekio import logger as zeekio_logger
 
 logger = logging.getLogger(__name__)
 
@@ -143,67 +144,82 @@ def propagate_dir(
     with open(conn_labeled, encoding="utf-8") as src:
         index = index_from_labeled_rows(ZeekLogReader(src, str(conn_labeled)))
 
-    conn_resolved = conn_labeled.resolve()
-    source = conn_labeled.name.replace(".labeled", "")
-    logs: dict[Path, bool] = {}  # every log to label -> whether it is an x509 log
-    for path in sorted(log_dir.iterdir()):
-        if not (
-            path.is_file()
-            and path.name.endswith(".log")
-            and ".labeled" not in path.name
-            and path.resolve() != conn_resolved
-        ):
-            continue
-        with open(path, encoding="utf-8") as fh:
-            header = ZeekLogReader(fh, str(path)).header
-        stem = path.name.split(".", 1)[0]
-        if stem == "conn" or header.path == "conn":
-            # a flow log is where labels come from, not a propagation target
-            if path.name == source:
-                logger.info("%s is the label source; skipping", path.name)
-            else:
-                logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
-        else:
-            logs[path] = stem == "x509" or header.path == "x509"
+    # a log's header is read by the directory scan and again when the log is
+    # labeled, an ssl log's also for the certificate map: a repeated column
+    # is reported once per log
+    seen: set[str] = set()
 
-    cert_map: dict[str, LabelPair] = {}
-    if any(logs.values()):
-        ssl_paths = [p for p, x509 in logs.items() if not x509 and p.name.split(".", 1)[0] == "ssl"]
-        if not ssl_paths:
-            logger.warning(
-                "x509 log present but no ssl.log found; certificates will be "
-                "labeled (empty)"
-            )
-        for ssl_path in ssl_paths:
-            with open(ssl_path, encoding="utf-8") as fh:
-                accumulate_cert_labels(ZeekLogReader(fh, str(ssl_path)), index, cert_map)
+    def first_time(record: logging.LogRecord) -> bool:
+        message = record.getMessage()
+        fresh = message not in seen
+        seen.add(message)
+        return fresh
 
-    report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    zeekio_logger.addFilter(first_time)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with replace_all_on_success() as open_output:
-            for path, x509 in logs.items():
-                out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-                with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
-                    reader = ZeekLogReader(src, str(path))
-                    pair_of = _pair_function(x509, reader, index, cert_map)
-                    counts = write_labeled(dst, reader, reader.records(), pair_of)
-                # the route a JSON log took is known only once all its keys are
-                fields = reader.header.fields
-                route = (
-                    "x509" if x509
-                    else "files" if "conn_uids" in fields
-                    else "uid" if "uid" in fields or "uids" in fields
-                    else "none"
+        conn_resolved = conn_labeled.resolve()
+        source = conn_labeled.name.replace(".labeled", "")
+        logs: dict[Path, bool] = {}  # every log to label -> whether it is an x509 log
+        for path in sorted(log_dir.iterdir()):
+            if not (
+                path.is_file()
+                and path.name.endswith(".log")
+                and ".labeled" not in path.name
+                and path.resolve() != conn_resolved
+            ):
+                continue
+            with open(path, encoding="utf-8") as fh:
+                header = ZeekLogReader(fh, str(path)).header
+            stem = path.name.split(".", 1)[0]
+            if stem == "conn" or header.path == "conn":
+                # a flow log is where labels come from, not a propagation target
+                if path.name == source:
+                    logger.info("%s is the label source; skipping", path.name)
+                else:
+                    logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
+            else:
+                logs[path] = stem == "x509" or header.path == "x509"
+
+        cert_map: dict[str, LabelPair] = {}
+        if any(logs.values()):
+            ssl_paths = [p for p, x509 in logs.items() if not x509 and p.name.split(".", 1)[0] == "ssl"]
+            if not ssl_paths:
+                logger.warning(
+                    "x509 log present but no ssl.log found; certificates will be "
+                    "labeled (empty)"
                 )
-                if route == "none":
-                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
-                rows = sum(counts.values())
-                report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
-    except BaseException:
-        for d in made:  # deepest first; a directory that existed before stays
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    return report
+            for ssl_path in ssl_paths:
+                with open(ssl_path, encoding="utf-8") as fh:
+                    accumulate_cert_labels(ZeekLogReader(fh, str(ssl_path)), index, cert_map)
+
+        report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with replace_all_on_success() as open_output:
+                for path, x509 in logs.items():
+                    out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
+                    with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
+                        reader = ZeekLogReader(src, str(path))
+                        pair_of = _pair_function(x509, reader, index, cert_map)
+                        counts = write_labeled(dst, reader, reader.records(), pair_of)
+                    # the route a JSON log took is known only once all its keys are
+                    fields = reader.header.fields
+                    route = (
+                        "x509" if x509
+                        else "files" if "conn_uids" in fields
+                        else "uid" if "uid" in fields or "uids" in fields
+                        else "none"
+                    )
+                    if route == "none":
+                        logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+                    rows = sum(counts.values())
+                    report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+        except BaseException:
+            for d in made:  # deepest first; a directory that existed before stays
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+            raise
+        return report
+    finally:
+        zeekio_logger.removeFilter(first_time)

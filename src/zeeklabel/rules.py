@@ -4,8 +4,9 @@ A rule is a header line ``Label, detailed-label:`` followed by one or more
 condition lines starting with ``-``. Conditions on one line are ANDed
 (``and`` or ``&``); the lines of a rule are ORed. Columns are the classic
 netflow dozen (Date, start, Duration, Proto, srcIP, srcPort, dstIP, dstPort,
-State, Tos, Packets, Bytes), read from conn.log records as
-:class:`zeeklabel.zeekio.ConnSchema` reads them.
+State, Tos, Packets, Bytes). :data:`COLUMNS` defines each column's reading:
+its value kind, the conn.log fields it reads and the converter of their
+text. :class:`ConnSchema` reads a record by it, and so does the classifier.
 
 Values are typed at parse time: ports/counters as numbers, IPs as addresses
 (exact addresses only, no CIDR), Date as a calendar date, start as epoch
@@ -23,7 +24,7 @@ reads those four key cells straight from the record, and tests a record only
 against the lines filed under its own values and the lines with no such
 condition, each line a generated test that converts just the cells it
 needs; the lowest matching rule number wins. :func:`match_rule` over a
-:class:`zeeklabel.zeekio.Flow` is the plain reading of the same semantics.
+:class:`Flow` is the plain reading of the same semantics.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import CodeType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .config import SECTION_RULES, split_sections
 from .errors import ConfigError
@@ -47,23 +48,112 @@ from .ontology import (
     render_detailed_label,
     validate_assignment,
 )
-from .zeekio import Flow, ZeekHeader, _address, _to_float, _to_int, _utc_date, field_getter
+from .zeekio import ZeekHeader, _to_float, field_getter
 
-# column -> value kind; ordering operators apply to the non-string kinds
-COLUMNS: dict[str, str] = {
-    "Date": "date",
-    "start": "epoch",
-    "Duration": "number",
-    "Proto": "string",
-    "srcIP": "ip",
-    "srcPort": "number",
-    "dstIP": "ip",
-    "dstPort": "number",
-    "State": "string",
-    "Tos": "number",
-    "Packets": "number",
-    "Bytes": "number",
+
+def _to_int(text: str) -> int | None:
+    # int() first keeps counters past 2**53 exact; int(float()) takes "80.0" and "1e3"
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return int(float(text))
+        except (ValueError, OverflowError):
+            return None
+
+
+def _address(text: str) -> str | None:
+    # IPv4 text is kept as written: ipaddress accepts only the canonical
+    # dotted quad, so no other spelling can equal a rule's address anyway
+    if ":" not in text:
+        return text
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
+
+
+def _utc_date(text: str) -> datetime.date | None:
+    try:
+        return datetime.datetime.fromtimestamp(float(text), tz=datetime.timezone.utc).date()
+    except (OverflowError, OSError, ValueError):
+        return None
+
+
+class Column(NamedTuple):
+    """How a rule column reads a conn.log record."""
+
+    kind: str  # ordering operators apply to the kinds other than string and ip
+    fields: tuple[str, ...]  # two fields are the halves of a sum, an unset half counting as 0
+    convert: Callable[[str], object]  # a set field's text to the value, None if it does not parse
+
+
+COLUMNS: dict[str, Column] = {
+    "Date": Column("date", ("ts",), _utc_date),
+    "start": Column("epoch", ("ts",), _to_float),
+    "Duration": Column("number", ("duration",), _to_float),
+    "Proto": Column("string", ("proto",), str.lower),
+    "srcIP": Column("ip", ("id.orig_h",), _address),
+    "srcPort": Column("number", ("id.orig_p",), _to_int),
+    "dstIP": Column("ip", ("id.resp_h",), _address),
+    "dstPort": Column("number", ("id.resp_p",), _to_int),
+    "State": Column("string", ("conn_state",), str.lower),
+    "Tos": Column("number", ("tos",), _to_int),
+    "Packets": Column("number", ("orig_pkts", "resp_pkts"), _to_int),
+    "Bytes": Column("number", ("orig_bytes", "resp_bytes"), _to_int),
 }
+
+
+class Flow(dict):
+    """One conn.log record as a memo of its rule-column values.
+
+    ``value(column)`` (or ``flow[column]``) reads a rule column's typed value
+    through its schema's per-header reader on first use and keeps it, so each
+    column is converted at most once per row however many conditions test it.
+    None means unset: the cell is unset or absent or does not parse as its
+    type. Packets/Bytes count unset halves as 0, so a partially logged flow
+    still has a volume. Date is the UTC date of ``start``. Proto and State are
+    lowercased, IPs are address text in canonical form.
+    """
+
+    __slots__ = ("_record", "_schema")
+
+    def __init__(self, record: list[str] | dict, schema: ConnSchema) -> None:
+        self._record = record
+        self._schema = schema
+
+    def __missing__(self, column: str):
+        value = self[column] = self._schema.readers[column](self._record)
+        return value
+
+    value = dict.__getitem__
+
+
+class ConnSchema:
+    """The rule columns of one conn.log layout, each resolved once to a reader.
+
+    ``readers[column]`` maps a record of ``header`` and ``fmt`` to the column's
+    typed value: its fields' text from :func:`zeeklabel.zeekio.field_getter`,
+    converted as ``COLUMNS`` says. So a JSON value reads as the text Zeek's
+    TSV writer prints for it.
+    """
+
+    def __init__(self, header: ZeekHeader, fmt: str) -> None:
+        def read(name: str, convert: Callable) -> Callable:
+            get = field_getter(header, fmt, name)
+            return lambda record: None if (text := get(record)) is None else convert(text)
+
+        def total(orig: Callable, resp: Callable) -> Callable:
+            return lambda record: (orig(record) or 0) + (resp(record) or 0)
+
+        self.readers: dict[str, Callable[[list[str] | dict], object]] = {}
+        for column, (_, fields, convert) in COLUMNS.items():
+            halves = [read(name, convert) for name in fields]
+            self.readers[column] = halves[0] if len(halves) == 1 else total(*halves)
+
+    def view(self, record: list[str] | dict) -> Flow:
+        return Flow(record, self)
+
 
 _ORDERINGS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 # columns whose "=" conditions index a RuleSet, the most selective first
@@ -81,10 +171,11 @@ class Condition:
 
     @cached_property
     def key(self) -> object:
-        """The value typed as :class:`zeeklabel.zeekio.Flow` reads the column."""
-        if COLUMNS[self.column] == "string":
+        """The value typed as :class:`Flow` reads the column."""
+        kind = COLUMNS[self.column].kind
+        if kind == "string":
             return self.value.lower()  # type: ignore[attr-defined]
-        if COLUMNS[self.column] == "ip":
+        if kind == "ip":
             return str(self.value)
         return self.value
 
@@ -132,28 +223,11 @@ class RuleSet:
 
         Built once per conn.log header: the records are what
         :meth:`zeeklabel.zeekio.ZeekLogReader.records` yields for ``header``
-        and ``fmt``, and each is read as :class:`zeeklabel.zeekio.ConnSchema`
-        reads it.
+        and ``fmt``, and each is read as :class:`ConnSchema` reads it.
         """
         return _Compiler(header, fmt).classifier(self.rules)
 
 
-# rule column -> (its conn.log fields, converter of a set cell's text), as
-# zeekio.ConnSchema reads it; Packets and Bytes add two counters, unset as 0
-_SOURCES: dict[str, tuple[tuple[str, ...], Callable[[str], object]]] = {
-    "Date": (("ts",), lambda text: _utc_date(_to_float(text))),
-    "start": (("ts",), _to_float),
-    "Duration": (("duration",), _to_float),
-    "Proto": (("proto",), str.lower),
-    "srcIP": (("id.orig_h",), _address),
-    "srcPort": (("id.orig_p",), _to_int),
-    "dstIP": (("id.resp_h",), _address),
-    "dstPort": (("id.resp_p",), _to_int),
-    "State": (("conn_state",), str.lower),
-    "Tos": (("tos",), _to_int),
-    "Packets": (("orig_pkts", "resp_pkts"), _to_int),
-    "Bytes": (("orig_bytes", "resp_bytes"), _to_int),
-}
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 _SCAN = """\
     if e:
@@ -180,15 +254,15 @@ class _Compiler:
         self.unset = "t is None" if self.json else "t in null"
         self.null = frozenset((header.unset_field, header.empty_field, ""))
         self.ns: dict[str, object] = {"null": self.null}
-        self.ns.update((f"to_{column}", conv) for column, (_, conv) in _SOURCES.items())
-        for names, _ in _SOURCES.values():
-            for name in names:
+        self.ns.update((f"to_{name}", column.convert) for name, column in COLUMNS.items())
+        for column in COLUMNS.values():
+            for name in column.fields:
                 where = field_getter(header, fmt, name) if self.json else header.index_of(name)
                 if where is not None:  # a TSV header may lack the field
                     self.ns[_ident(name)] = where
 
     def present(self, column: str) -> bool:
-        return _ident(_SOURCES[column][0][0]) in self.ns
+        return _ident(COLUMNS[column].fields[0]) in self.ns
 
     def fetch(self, field: str) -> str:
         """A statement that sets ``t`` to the field's text, which ``self.unset`` tests."""
@@ -196,7 +270,7 @@ class _Compiler:
 
     def convert(self, column: str) -> str:
         """The column's value of the set text ``t``; IPv4 text is kept as written."""
-        if COLUMNS[column] == "ip":
+        if COLUMNS[column].kind == "ip":
             return f't if ":" not in t else to_{column}(t)'
         return f"to_{column}(t)"
 
@@ -217,7 +291,7 @@ class _Compiler:
                 compare.append(f"v {_PY_OPS[c.op]} w{len(values)}")
                 values.append(c.key)
             compare = " and ".join(compare)
-            fields, _ = _SOURCES[column]
+            fields = COLUMNS[column].fields
             if len(fields) == 2:  # a volume: the sum of its set halves
                 body.append("v = 0")
                 for field in fields:
@@ -266,7 +340,7 @@ class _Compiler:
             if not found:
                 continue
             table = self.ns[f"k_{column}"] = {key: tuple(entries) for key, entries in found.items()}
-            fields, to = _SOURCES[column]
+            _, fields, to = COLUMNS[column]
             key = self.convert(column)
             # a TSV cell needs no unset test when no null text converts to a key
             if self.json or any(to(text) in table for text in self.null):
@@ -291,7 +365,7 @@ def _ident(field: str) -> str:
 
 
 def _parse_value(column: str, op: str, text: str, lineno: int) -> object:
-    kind = COLUMNS[column]
+    kind = COLUMNS[column].kind
     if kind == "string":
         if op != "=":
             raise ConfigError(

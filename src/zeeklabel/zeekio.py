@@ -8,16 +8,12 @@ two label columns, appended or, in a relabeled log, rewritten. JSON-lines
 rows are re-serialized from the original objects with the two label keys set.
 
 Cells are read through readers resolved once per header (:func:`field_getter`,
-:func:`set_getter`), and so are rule columns: :class:`ConnSchema` builds one
-per column (srcIP, Bytes, Date, ...) from the field's reader and a converter,
-and a :class:`Flow` memoizes one record's typed values, with unset as None.
+:func:`set_getter`).
 """
 
 from __future__ import annotations
 
-import datetime
 import errno
-import ipaddress
 import json
 import logging
 import os
@@ -35,8 +31,6 @@ logger = logging.getLogger(__name__)
 UNSET_DEFAULT = "-"
 EMPTY_DEFAULT = "(empty)"
 LABEL_FIELDS = ("label", "detailed_label")
-
-_UTC = datetime.timezone.utc
 
 
 @dataclass
@@ -519,96 +513,3 @@ def _to_float(text: str | None) -> float | None:
         return float(text)
     except (TypeError, ValueError):
         return None
-
-
-def _to_int(text: str) -> int | None:
-    # int() first keeps counters past 2**53 exact; int(float()) takes "80.0" and "1e3"
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return int(float(text))
-        except (ValueError, OverflowError):
-            return None
-
-
-def _address(text: str) -> str | None:
-    # IPv4 text is kept as written: ipaddress accepts only the canonical
-    # dotted quad, so no other spelling can equal a rule's address anyway
-    if ":" not in text:
-        return text
-    try:
-        return str(ipaddress.ip_address(text))
-    except ValueError:
-        return None
-
-
-def _utc_date(ts: float | None) -> datetime.date | None:
-    if ts is None:
-        return None
-    try:
-        return datetime.datetime.fromtimestamp(ts, tz=_UTC).date()
-    except (OverflowError, OSError, ValueError):
-        return None
-
-
-class Flow(dict):
-    """One conn.log record as a memo of its rule-column values.
-
-    ``value(column)`` (or ``flow[column]``) reads a rule column's typed value
-    through its schema's per-header reader on first use and keeps it, so each
-    column is converted at most once per row however many conditions test it.
-    None means unset: the cell is unset or absent or does not parse as its
-    type. Packets/Bytes count unset halves as 0, so a partially logged flow
-    still has a volume. Date is the UTC date of ``start``. Proto and State are
-    lowercased, IPs are address text in canonical form.
-    """
-
-    __slots__ = ("_record", "_schema")
-
-    def __init__(self, record: list[str] | dict, schema: "ConnSchema") -> None:
-        self._record = record
-        self._schema = schema
-
-    def __missing__(self, column: str):
-        value = self[column] = self._schema.readers[column](self._record)
-        return value
-
-    value = dict.__getitem__
-
-
-class ConnSchema:
-    """The rule columns of one conn.log layout, each resolved once to a reader.
-
-    ``readers[column]`` maps a record of ``header`` and ``fmt`` to the column's
-    typed value: the field's text from :func:`field_getter`, converted. So a
-    JSON value reads as the text Zeek's TSV writer prints for it.
-    """
-
-    def __init__(self, header: ZeekHeader, fmt: str) -> None:
-        def read(name: str, convert: Callable) -> Callable:
-            get = field_getter(header, fmt, name)
-            return lambda record: None if (text := get(record)) is None else convert(text)
-
-        def total(orig: str, resp: str) -> Callable:
-            orig_of, resp_of = read(orig, _to_int), read(resp, _to_int)
-            return lambda record: (orig_of(record) or 0) + (resp_of(record) or 0)
-
-        start = read("ts", _to_float)
-        self.readers: dict[str, Callable[[list[str] | dict], object]] = {
-            "Date": lambda record: _utc_date(start(record)),
-            "start": start,
-            "Duration": read("duration", _to_float),
-            "Proto": read("proto", str.lower),
-            "srcIP": read("id.orig_h", _address),
-            "srcPort": read("id.orig_p", _to_int),
-            "dstIP": read("id.resp_h", _address),
-            "dstPort": read("id.resp_p", _to_int),
-            "State": read("conn_state", str.lower),
-            "Tos": read("tos", _to_int),
-            "Packets": total("orig_pkts", "resp_pkts"),
-            "Bytes": total("orig_bytes", "resp_bytes"),
-        }
-
-    def view(self, record: list[str] | dict) -> Flow:
-        return Flow(record, self)

@@ -34,8 +34,8 @@ from zeeklabel.ontology import (
     parse_detailed_label,
     render_detailed_label,
 )
-from zeeklabel.rules import load_config, parse_ruleset, render_ruleset
-from zeeklabel.zeekio import ConnSchema, read_log, row_field, row_set_field, write_log
+from zeeklabel.rules import ConnSchema, load_config, parse_ruleset, render_ruleset
+from zeeklabel.zeekio import read_log, row_field, row_set_field, write_log
 
 FIG2 = DATA_DIR / "fig2"
 TIMELINE = DATA_DIR / "timeline"

@@ -296,6 +296,34 @@ def test_propagate_reads_the_last_of_repeated_label_columns(proplogs_dir, capsys
     assert len(_repeat_warnings(caplog)) == 2
 
 
+def test_propagate_warns_once_per_log_of_a_repeated_column(proplogs_dir, capsys, caplog):
+    """A log's header is read by the directory scan and again to label the log,
+    and an ssl.log a third time for the certificates of an x509.log; yet each
+    log's repeated column is reported once."""
+    _label_proplogs(proplogs_dir)
+    assert (proplogs_dir / "x509.log").exists()
+    for name in ("http.log", "ssl.log"):
+        lines = []
+        for line in (proplogs_dir / name).read_text().splitlines():
+            if line.startswith("#fields"):
+                line += "\tuid"
+            elif line.startswith("#types"):
+                line += "\tstring"
+            elif not line.startswith("#"):
+                line += "\t" + line.split("\t")[1]
+            lines.append(line + "\n")
+        (proplogs_dir / name).write_text("".join(lines))
+    with caplog.at_level("WARNING"):
+        assert main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "ssl.log: 4 rows, 3 labeled, 1 (empty)" in out
+    assert "x509.log: 5 rows, 3 labeled, 2 (empty) (via ssl.log)" in out
+    assert _repeat_warnings(caplog) == [
+        f"{proplogs_dir / name}: column 'uid' appears 2 times in #fields; reading the last"
+        for name in ("http.log", "ssl.log")
+    ]
+
+
 def test_eval_and_propagate_warn_on_labels_outside_the_ontology(proplogs_dir, capsys, caplog):
     _label_proplogs(proplogs_dir)
     conn = proplogs_dir / "conn.labeled.log"

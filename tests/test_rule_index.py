@@ -34,8 +34,8 @@ from randgen import (
 )
 
 from zeeklabel.labeler import label_conn
-from zeeklabel.rules import COLUMNS, load_config, match_rule
-from zeeklabel.zeekio import ConnSchema, read_log
+from zeeklabel.rules import COLUMNS, ConnSchema, load_config, match_rule
+from zeeklabel.zeekio import read_log
 
 _IP_FIELDS = ("id.orig_h", "id.resp_h")
 # flow key -> its conn.log field, for the cells a flow may leave unset

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import conn_log_text, conn_row, table_from_text
+from conftest import conn_log_text, conn_row, json_lines, table_from_text, zeek_tsv
 from randgen import gen_case, make_flow, flow_to_cells, oracle_first_match
 
 from zeeklabel.errors import ConfigError
@@ -14,12 +14,13 @@ from zeeklabel.labeler import label_conn
 from zeeklabel.ontology import load_ontology
 from zeeklabel.rules import (
     COLUMNS,
+    ConnSchema,
     load_config,
     match_rule,
     parse_ruleset,
     render_ruleset,
 )
-from zeeklabel.zeekio import ConnSchema
+from zeeklabel.zeekio import row_field
 
 DOS_CONFIG = """\
 [ontology]
@@ -243,6 +244,35 @@ def test_evaluate_tos_missing_column_never_matches():
     flow = _view()
     assert not _holds("Tos=0", flow)
     assert not _holds("Tos>=0", flow)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_tos_reads_a_set_value_and_unset_as_none(fmt):
+    """The reference reading and the classifier agree with literal Tos values."""
+    if fmt == "tsv":
+        text = zeek_tsv("conn", ["ts", "uid", "tos"], ["time", "string", "count"],
+                        [["1.0", "C16", "16"], ["2.0", "Cdash", "-"]])
+        want = {"C16": 16, "Cdash": None}
+    else:
+        text = json_lines(
+            {"ts": 1.0, "uid": "C16", "tos": 16},
+            {"ts": 2.0, "uid": "Cdash", "tos": "-"},
+            {"ts": 3.0, "uid": "Cnull", "tos": None},
+            {"ts": 4.0, "uid": "Cabsent"},
+        )
+        want = {"C16": 16, "Cdash": None, "Cnull": None, "Cabsent": None}
+    table = table_from_text(text)
+    schema = ConnSchema(table.header, table.format)
+    _, ruleset = load_config("Malicious, (empty):\n    - Tos=16\n")
+    classify = ruleset.classifier(table.header, table.format)
+    got = {}
+    for record in table.records:
+        flow = schema.view(record)
+        uid = row_field(record, table.header, "uid")
+        got[uid] = flow.value("Tos")
+        assert match_rule(ruleset.rules[0], flow) is (uid == "C16")
+        assert classify(record) == (0 if uid == "C16" else 1)
+    assert got == want
 
 
 def test_evaluate_date_from_epoch_utc():

@@ -8,8 +8,8 @@ import pytest
 from conftest import CONN_FIELDS, conn_log_text, conn_row, table_from_text, zeek_tsv
 
 from zeeklabel.errors import LogFormatError, UsageError
+from zeeklabel.rules import ConnSchema
 from zeeklabel.zeekio import (
-    ConnSchema,
     ZeekLogReader,
     field_getter,
     read_log,
