@@ -7,9 +7,12 @@ ssl.log (certificate id -> ssl cert chain -> ssl uid). When one row has
 several parent flows the labels merge by severity: Malicious beats Unknown
 beats Benign beats ``(empty)``, ties keeping the first candidate seen.
 
-:func:`propagate_dir` runs the whole pipeline over a log directory. An
-x509 log is known by its name or ``#path``; any other log's record finds its
-flows through the columns (TSV) or keys (JSON lines) it has.
+:func:`propagate_dir` runs the whole pipeline over a log directory and
+reads each log once. The ssl logs go first: :func:`accumulate_cert_labels`
+folds their records into the certificate map as they are written, so the map
+is complete before any x509 log is read. An x509 log is known by its name or
+``#path``; any other log's record finds its flows through the columns (TSV)
+or keys (JSON lines) it has.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ import contextlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .zeekio import ZeekLogReader, field_getter, first_getter, replace_all_on_success, set_getter, write_labeled
-from .zeekio import logger as zeekio_logger
 
 logger = logging.getLogger(__name__)
 
@@ -56,24 +58,20 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
 
 def accumulate_cert_labels(
     reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]
-) -> None:
-    """Fold ssl rows into a certificate-id -> merged-labels mapping."""
+) -> Iterator[list[str] | dict]:
+    """Yield ssl records, folding each one's chain into a certificate-id -> merged-labels mapping."""
     header = reader.header
     uid_of = field_getter(header, reader.format, "uid")
     chain_of = first_getter(header, reader.format, SSL_CHAIN_FIELDS, set_getter)
     for record in reader.records():
         uid = uid_of(record)
         pair = (index.get(uid) if uid is not None else None) or EMPTY_PAIR
+        rank = _rank(pair)
         for fid in chain_of(record) or ():
             current = mapping.get(fid)
-            if current is None or _rank(pair) > _rank(current):
+            if current is None or rank > _rank(current):
                 mapping[fid] = pair
-    # after the stream: bad rows are reported first, and JSON keys are complete
-    if not any(name in header.fields for name in SSL_CHAIN_FIELDS):
-        raise LogFormatError(
-            f"{reader.source}: ssl log has no certificate chain field "
-            f"({' or '.join(SSL_CHAIN_FIELDS)})"
-        )
+        yield record
 
 
 def _pair_function(
@@ -133,93 +131,83 @@ def propagate_dir(
 ) -> PropagateReport:
     """Label every other ``*.log`` in ``log_dir`` from a labeled conn.log.
 
-    Each output is ``<stem>.labeled.log`` in ``out_dir`` (created if
-    missing), written in name order to a temp file. The outputs are moved
-    into place only after the last one is complete, so a run that fails
-    leaves none of them, and no directory it created. Every log's header is
-    read, and the ssl certificate map built, before ``out_dir`` is created
-    and the first output is written.
+    Each log is read once: the ssl logs first, whose records fill the
+    certificate map as they are written, then the rest in name order, so an
+    x509 log always finds that map complete. Each output is
+    ``<stem>.labeled.log`` in ``out_dir``, created (with its parents) before
+    the first log is read, and is written to a temp file. The outputs are
+    moved into place only after the last one is complete, so a run that
+    fails leaves none of them, and no directory it created. The report lists
+    the logs in name order.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     with open(conn_labeled, encoding="utf-8") as src:
         index = index_from_labeled_rows(ZeekLogReader(src, str(conn_labeled)))
-
-    # a log's header is read by the directory scan and again when the log is
-    # labeled, an ssl log's also for the certificate map: a repeated column
-    # is reported once per log
-    seen: set[str] = set()
-
-    def first_time(record: logging.LogRecord) -> bool:
-        message = record.getMessage()
-        fresh = message not in seen
-        seen.add(message)
-        return fresh
-
-    zeekio_logger.addFilter(first_time)
+    conn_resolved = conn_labeled.resolve()
+    source = conn_labeled.name.replace(".labeled", "")
+    stems = {
+        path: path.name.split(".", 1)[0] for path in log_dir.iterdir()
+        if path.is_file() and path.name.endswith(".log") and ".labeled" not in path.name
+        and path.resolve() != conn_resolved
+    }
+    ssl_left = sum(stem == "ssl" for stem in stems.values())
+    ssl_readers: list[ZeekLogReader] = []
+    cert_map: dict[str, LabelPair] = {}
+    report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
-        conn_resolved = conn_labeled.resolve()
-        source = conn_labeled.name.replace(".labeled", "")
-        logs: dict[Path, bool] = {}  # every log to label -> whether it is an x509 log
-        for path in sorted(log_dir.iterdir()):
-            if not (
-                path.is_file()
-                and path.name.endswith(".log")
-                and ".labeled" not in path.name
-                and path.resolve() != conn_resolved
-            ):
-                continue
-            with open(path, encoding="utf-8") as fh:
-                header = ZeekLogReader(fh, str(path)).header
-            stem = path.name.split(".", 1)[0]
-            if stem == "conn" or header.path == "conn":
-                # a flow log is where labels come from, not a propagation target
-                if path.name == source:
-                    logger.info("%s is the label source; skipping", path.name)
-                else:
-                    logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
-            else:
-                logs[path] = stem == "x509" or header.path == "x509"
-
-        cert_map: dict[str, LabelPair] = {}
-        if any(logs.values()):
-            ssl_paths = [p for p, x509 in logs.items() if not x509 and p.name.split(".", 1)[0] == "ssl"]
-            if not ssl_paths:
-                logger.warning(
-                    "x509 log present but no ssl.log found; certificates will be "
-                    "labeled (empty)"
-                )
-            for ssl_path in ssl_paths:
-                with open(ssl_path, encoding="utf-8") as fh:
-                    accumulate_cert_labels(ZeekLogReader(fh, str(ssl_path)), index, cert_map)
-
-        report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with replace_all_on_success() as open_output:
-                for path, x509 in logs.items():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with replace_all_on_success() as open_output:
+            for path in sorted(stems, key=lambda path: (stems[path] != "ssl", path.name)):
+                stem = stems[path]
+                ssl_left -= stem == "ssl"
+                with open(path, encoding="utf-8") as src:
+                    reader = ZeekLogReader(src, str(path))
+                    if stem == "conn" or reader.header.path == "conn":
+                        # a flow log is where labels come from, not a propagation target
+                        if path.name == source:
+                            logger.info("%s is the label source; skipping", path.name)
+                        else:
+                            logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
+                        continue
+                    x509 = stem == "x509" or reader.header.path == "x509"
+                    if x509 and ssl_left:  # its certificate map would be partial
+                        raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
+                    if x509 and not ssl_readers and not any(log.route == "x509" for log in report.logs):
+                        logger.warning("x509 log present but no ssl.log found; certificates will be labeled (empty)")
+                    if not x509 and stem == "ssl":
+                        ssl_readers.append(reader)
+                        records = accumulate_cert_labels(reader, index, cert_map)
+                    else:
+                        records = reader.records()
                     out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-                    with open(path, encoding="utf-8") as src, open_output(out_path) as dst:
-                        reader = ZeekLogReader(src, str(path))
-                        pair_of = _pair_function(x509, reader, index, cert_map)
-                        counts = write_labeled(dst, reader, reader.records(), pair_of)
-                    # the route a JSON log took is known only once all its keys are
-                    fields = reader.header.fields
-                    route = (
-                        "x509" if x509
-                        else "files" if "conn_uids" in fields
-                        else "uid" if "uid" in fields or "uids" in fields
-                        else "none"
-                    )
-                    if route == "none":
-                        logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
-                    rows = sum(counts.values())
-                    report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
-        except BaseException:
-            for d in made:  # deepest first; a directory that existed before stays
-                with contextlib.suppress(OSError):
-                    d.rmdir()
-            raise
-        return report
-    finally:
-        zeekio_logger.removeFilter(first_time)
+                    pair_of = _pair_function(x509, reader, index, cert_map)
+                    with open_output(out_path) as dst:
+                        counts = write_labeled(dst, reader, records, pair_of)
+                # the route a JSON log took is known only once all its keys are
+                fields = reader.header.fields
+                route = (
+                    "x509" if x509
+                    else "files" if "conn_uids" in fields
+                    else "uid" if "uid" in fields or "uids" in fields
+                    else "none"
+                )
+                if route == "none":
+                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+                rows = sum(counts.values())
+                report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+            # after the last log: a bad row of any log is reported first, and JSON keys are complete
+            if any(log.route == "x509" for log in report.logs):
+                for reader in ssl_readers:
+                    if not any(name in reader.header.fields for name in SSL_CHAIN_FIELDS):
+                        raise LogFormatError(
+                            f"{reader.source}: ssl log has no certificate chain field "
+                            f"({' or '.join(SSL_CHAIN_FIELDS)})"
+                        )
+    except BaseException:
+        for d in made:  # deepest first; a directory that existed before stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    report.logs.sort(key=lambda log: log.name)
+    return report

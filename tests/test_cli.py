@@ -297,9 +297,8 @@ def test_propagate_reads_the_last_of_repeated_label_columns(proplogs_dir, capsys
 
 
 def test_propagate_warns_once_per_log_of_a_repeated_column(proplogs_dir, capsys, caplog):
-    """A log's header is read by the directory scan and again to label the log,
-    and an ssl.log a third time for the certificates of an x509.log; yet each
-    log's repeated column is reported once."""
+    """Each log is read once, the ssl logs first, so each log's repeated
+    column is reported once, in the order the logs are read."""
     _label_proplogs(proplogs_dir)
     assert (proplogs_dir / "x509.log").exists()
     for name in ("http.log", "ssl.log"):
@@ -320,7 +319,7 @@ def test_propagate_warns_once_per_log_of_a_repeated_column(proplogs_dir, capsys,
     assert "x509.log: 5 rows, 3 labeled, 2 (empty) (via ssl.log)" in out
     assert _repeat_warnings(caplog) == [
         f"{proplogs_dir / name}: column 'uid' appears 2 times in #fields; reading the last"
-        for name in ("http.log", "ssl.log")
+        for name in ("ssl.log", "http.log")
     ]
 
 
@@ -606,6 +605,71 @@ def test_propagate_output_directory(proplogs_dir, tmp_path, capsys):
     capsys.readouterr()
     assert (out_dir / "ssl.labeled.log").exists()
     assert not (proplogs_dir / "ssl.labeled.log").exists()
+
+
+def test_propagate_knows_an_x509_log_by_its_path_alone(proplogs_dir, capsys):
+    _label_proplogs(proplogs_dir)
+    conn = str(proplogs_dir / "conn.labeled.log")
+    capsys.readouterr()
+    assert main(["propagate", conn, str(proplogs_dir)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("x509.log:"))
+    labeled = (proplogs_dir / "x509.labeled.log").read_bytes()
+    (proplogs_dir / "x509.labeled.log").unlink()
+    # certs.log sorts before ssl.log, yet finds the certificate map complete
+    (proplogs_dir / "x509.log").rename(proplogs_dir / "certs.log")
+    assert main(["propagate", conn, str(proplogs_dir)]) == 0
+    out = capsys.readouterr().out
+    assert line.replace("x509.", "certs.") in out.splitlines()
+    assert (proplogs_dir / "certs.labeled.log").read_bytes() == labeled
+
+
+def test_propagate_x509_log_named_like_an_ssl_log(proplogs_dir, capsys):
+    _label_proplogs(proplogs_dir)
+    conn = str(proplogs_dir / "conn.labeled.log")
+    capsys.readouterr()
+    assert main(["propagate", conn, str(proplogs_dir)]) == 0
+    labeled = (proplogs_dir / "x509.labeled.log").read_bytes()
+    # after every other ssl log: labeled from the complete certificate map
+    (proplogs_dir / "x509.log").rename(proplogs_dir / "ssl.x509.log")
+    assert main(["propagate", conn, str(proplogs_dir)]) == 0
+    assert "ssl.x509.log: 5 rows, 3 labeled, 2 (empty) (via ssl.log)" in capsys.readouterr().out
+    assert (proplogs_dir / "ssl.x509.labeled.log").read_bytes() == labeled
+    # before another ssl log: the map would be partial, so the run is refused
+    (proplogs_dir / "ssl.x509.log").rename(proplogs_dir / "ssl.a.log")
+    before = {p.name for p in proplogs_dir.iterdir()}
+    assert main(["propagate", conn, str(proplogs_dir)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {proplogs_dir / 'ssl.a.log'}: x509 log sorts before an ssl log; rename it (e.g. x509.log)"
+    )
+    assert {p.name for p in proplogs_dir.iterdir()} == before
+
+
+def test_propagate_reports_a_bad_row_before_a_missing_chain_field(proplogs_dir, capsys):
+    """The chain check runs after the last log, so a bad row anywhere wins."""
+    _label_proplogs(proplogs_dir)
+    http = proplogs_dir / "http.log"
+    (proplogs_dir / "ssl.log").write_text(http.read_text().replace("#path\thttp", "#path\tssl"))
+    conn = str(proplogs_dir / "conn.labeled.log")
+    capsys.readouterr()
+    assert main(["propagate", conn, str(proplogs_dir)]) == 1
+    assert "ssl.log: ssl log has no certificate chain field" in _one_error_line(capsys.readouterr().err)
+    http.write_text(http.read_text().replace("#close", "short\trow\n#close"))
+    assert main(["propagate", conn, str(proplogs_dir)]) == 1
+    assert "http.log: row 6: expected" in _one_error_line(capsys.readouterr().err)
+
+
+def test_propagate_reports_errors_in_the_order_logs_are_read(proplogs_dir, capsys):
+    """No header is read ahead: a bad row of dns.log wins over a bad header of http.log."""
+    _label_proplogs(proplogs_dir)
+    dns, http = proplogs_dir / "dns.log", proplogs_dir / "http.log"
+    http.write_text(http.read_text().replace("#types\t", "#types\tstring\t"))
+    conn = str(proplogs_dir / "conn.labeled.log")
+    capsys.readouterr()
+    assert main(["propagate", conn, str(proplogs_dir)]) == 1
+    assert "http.log: #fields and #types disagree" in _one_error_line(capsys.readouterr().err)
+    dns.write_text(dns.read_text().replace("#close", "short\trow\n#close"))
+    assert main(["propagate", conn, str(proplogs_dir)]) == 1
+    assert "dns.log: row 4: expected" in _one_error_line(capsys.readouterr().err)
 
 
 def test_propagate_requires_labeled_conn(proplogs_dir, capsys):

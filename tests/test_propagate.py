@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import DATA_DIR, zeek_tsv
 
 from zeeklabel.errors import LogFormatError
 from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
+import zeeklabel.propagate
 from zeeklabel.propagate import accumulate_cert_labels, merge_labels, propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, read_log, write_log
@@ -141,7 +144,8 @@ def _cert_map(conn_labeled, ssl_text: str) -> dict:
     with open(conn_labeled, encoding="utf-8") as fh:
         index = index_from_labeled_rows(ZeekLogReader(fh, "conn.labeled.log"))
     mapping: dict = {}
-    accumulate_cert_labels(ZeekLogReader(io.StringIO(ssl_text), "ssl.log"), index, mapping)
+    for _ in accumulate_cert_labels(ZeekLogReader(io.StringIO(ssl_text), "ssl.log"), index, mapping):
+        pass
     return mapping
 
 
@@ -184,9 +188,7 @@ def test_modern_field_spellings_accepted(conn_labeled, tmp_path):
 
 def test_ssl_without_chain_field_rejected(conn_labeled, tmp_path):
     http = (DATA_DIR / "proplogs" / "http.log").read_text()
-    with pytest.raises(LogFormatError, match="no certificate chain field"):
-        _cert_map(conn_labeled, http)
-    # propagate_dir builds the certificate map before writing any output
+    # checked after the last log is read, before any output is moved into place
     x509 = (DATA_DIR / "proplogs" / "x509.log").read_text()
     with pytest.raises(LogFormatError, match="ssl.log: ssl log has no certificate chain field"):
         _propagate(conn_labeled, tmp_path, {"ssl.log": http, "x509.log": x509})
@@ -199,3 +201,28 @@ def test_x509_without_id_field_passes_through_empty(conn_labeled, tmp_path):
     report, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl, "x509.log": x509})
     assert [log.route for log in report.logs] == ["uid", "x509"]
     assert labels["x509"] == [EMPTY_PAIR]
+
+
+def test_each_log_is_read_once(conn_labeled, tmp_path, monkeypatch):
+    shutil.copytree(DATA_DIR / "proplogs", tmp_path, dirs_exist_ok=True)
+    shutil.copy(conn_labeled, tmp_path / "conn.labeled.log")
+    readers: Counter[str] = Counter()
+
+    class CountingReader(ZeekLogReader):
+        def __init__(self, stream, source="<log>"):
+            readers[Path(source).name] += 1
+            super().__init__(stream, source)
+
+    monkeypatch.setattr(zeeklabel.propagate, "ZeekLogReader", CountingReader)
+    report = propagate_dir(tmp_path / "conn.labeled.log", tmp_path, tmp_path)
+    assert [log.name for log in report.logs] == ["dns.log", "files.log", "http.log", "ssl.log", "x509.log"]
+    # the unlabeled conn.log is the label source, skipped once its header is read
+    assert readers.pop("conn.log", 0) <= 1
+    assert readers == {name: 1 for name in ("conn.labeled.log", *(log.name for log in report.logs))}
+
+
+def test_ssl_without_chain_field_and_no_x509_is_labeled_by_uid(conn_labeled, tmp_path):
+    ssl = (DATA_DIR / "proplogs" / "http.log").read_text().replace("#path\thttp", "#path\tssl")
+    report, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl})
+    assert [(log.route, log.rows, log.labeled) for log in report.logs] == [("uid", 5, 4)]
+    assert labels["ssl"] == [MAL, MAL, MAL, BEN, EMPTY_PAIR]
