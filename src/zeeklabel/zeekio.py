@@ -4,8 +4,10 @@ Both on-disk shapes are supported: classic tab-separated logs with their
 ``#``-directive header block, and JSON-lines logs (one object per line).
 TSV is treated as the canonical form; headers and data cells are kept
 verbatim so a labeled file is byte-identical to its input apart from the
-two label columns, appended or, in a relabeled log, rewritten. JSON-lines
-rows are re-serialized from the original objects with the two label keys set.
+two label columns, appended or, in a relabeled log, rewritten. A JSON-lines
+object is written as its own text with the two label keys spliced in before
+its closing brace; only an object that already has a label key is encoded
+anew, compactly, with those keys overwritten in place.
 
 Cells are read through readers resolved once per header (:func:`field_getter`,
 :func:`set_getter`).
@@ -59,14 +61,25 @@ class ZeekHeader:
             return None
 
 
+_decode_json = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+class JsonRecord(dict):
+    """A JSON-lines object, with the exact ``text`` of it on line ``lineno``."""
+
+    __slots__ = ("text", "lineno")
+
+
 @dataclass
 class ZeekLogTable:
     """A whole log held in memory, as the records :meth:`ZeekLogReader.records` yields."""
 
     header: ZeekHeader
-    records: list[list[str] | dict]
+    records: list[list[str] | JsonRecord]
     trailer: list[str]
     format: str  # "tsv" | "json"
+    source: str = "<log>"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -200,19 +213,26 @@ class ZeekLogReader:
             )
         self._pending = line
 
-    def _parse_json(self, line: str, lineno: int) -> dict:
+    def _parse_json(self, line: str, lineno: int) -> JsonRecord:
+        # what json.loads accepts, and where in the line the value's text is
+        start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
         try:
-            obj = json.loads(line)
+            obj, end = _decode_json(line, start)
+            if line[end:].strip(_JSON_SPACE):
+                raise ValueError
         except ValueError:
             raise LogFormatError(f"{self.source}: line {lineno}: invalid JSON") from None
         if not isinstance(obj, dict):
             raise LogFormatError(
                 f"{self.source}: line {lineno}: expected a JSON object"
             )
-        return obj
+        record = JsonRecord(obj)
+        record.text = line[start:end]
+        record.lineno = lineno
+        return record
 
     def records(self) -> Iterator[list[str] | dict]:
-        """The data rows: a list of cells per TSV line, the object per JSON line.
+        """The data rows: a list of cells per TSV line, a :class:`JsonRecord` per JSON line.
 
         A TSV line splits back to its exact text with ``header.separator``.
         """
@@ -277,19 +297,37 @@ def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
     """Read a whole log into a table of the records the streaming reader yields.
 
     A TSV record is the list of a line's verbatim cells, a JSON-lines record
-    the line's object as parsed. For JSON lines the header's fields are the
-    union of keys in first-appearance order; a key an object lacks reads as
-    unset through :func:`row_field`.
+    the line's object as parsed, with its text. For JSON lines the header's
+    fields are the union of keys in first-appearance order; a key an object
+    lacks reads as unset through :func:`row_field`.
     """
     reader = ZeekLogReader(stream, source)
     records = list(reader.records())
-    return ZeekLogTable(reader.header, records, reader.trailer, reader.format)
+    return ZeekLogTable(reader.header, records, reader.trailer, reader.format, source)
 
 
 # rows a writer joins into one write; bounds its buffer however long the log
 WRITE_CHUNK_ROWS = 256
 
-_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode
+
+
+def _relabeled_json(obj: JsonRecord, pair: tuple[str, str], source: str) -> str:
+    """``obj`` encoded anew with its label keys set to ``pair``, as strict UTF-8 JSON."""
+    label_key, detail_key = LABEL_FIELDS
+    try:
+        text = _encode_json({**obj, label_key: pair[0], detail_key: pair[1]})
+        if not text.isascii():
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        problem = "an unpaired surrogate escape"
+    except ValueError:
+        problem = "a number out of JSON's range"
+    else:
+        return text
+    raise LogFormatError(
+        f"{source}: line {obj.lineno}: cannot relabel an object holding {problem}"
+    )
 
 
 def write_labeled(
@@ -303,9 +341,12 @@ def write_labeled(
     ``records`` are what :meth:`ZeekLogReader.records` yields for ``log``. A
     TSV log's directive lines are copied verbatim, with the label columns it
     lacks appended to ``#fields`` and ``#types``; a label column it already
-    has (a relabeled log) gets the new value in place. A JSON object's label
-    keys are overwritten too. The trailer is written last, as a reader fills
-    it only once its records are read. Returns how many rows got each pair.
+    has (a relabeled log) gets the new value in place. A JSON object is its
+    own text with the label keys put before its closing brace; one that has a
+    label key already is encoded anew, compactly, with its label keys
+    overwritten, and a :class:`LogFormatError` if it holds a value JSON or
+    UTF-8 cannot carry. The trailer is written last, as a reader fills it only
+    once its records are read. Returns how many rows got each pair.
     """
     header = log.header
     write = stream.write
@@ -341,10 +382,19 @@ def write_labeled(
                 buf.clear()
     else:
         label_key, detail_key = LABEL_FIELDS
+        # ',"label":…,"detailed_label":…}\n', what takes an object's closing brace
+        tails: dict[tuple[str, str], str] = {}
         for obj in records:
             pair = pair_of(obj)
-            counts[pair] = counts.get(pair, 0) + 1
-            buf.append(_encode_json({**obj, label_key: pair[0], detail_key: pair[1]}) + "\n")
+            tail = tails.get(pair)
+            if tail is None:
+                tail = tails[pair] = "," + _encode_json(dict(zip(LABEL_FIELDS, pair)))[1:] + "\n"
+                counts[pair] = 0
+            counts[pair] += 1
+            if label_key in obj or detail_key in obj:
+                buf.append(_relabeled_json(obj, pair, log.source) + "\n")
+            else:
+                buf.append(obj.text[:-1] + (tail if obj else tail[1:]))
             if len(buf) == WRITE_CHUNK_ROWS:
                 write("".join(buf))
                 buf.clear()

@@ -392,6 +392,73 @@ def test_propagate_json_ssl_chain_key_after_the_first_object(proplogs_dir, capsy
     assert "FPRPa1sslA\t3\tCN=evil.example\tMalicious\t" in x509
 
 
+# objects without label keys, in forms a re-encoding would not keep: spaced,
+# escaped, a number beyond a float's range, a float's trailing zero, an unpaired
+# surrogate escape, space around an object and inside an empty one
+_VERBATIM_LINES = [
+    '{"ts":1.0,"uid":"CPRP01aaaa","proto":"tcp","query":"\\ud800"}',
+    '{"ts": 1.50, "uid": "CPRP01aaaa", "proto": "tcp", "n": 1e400, "query": "caf\\u00e9 a\\/b"}',
+    "{ }",
+    ' {"uid":"CPRP01aaaa","proto":"tcp","query":"é" }\t',
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def _json_log_run(proplogs_dir, command: str, lines: list[str]):
+    """(the JSON log, its labeled copy, exit code) of ``command`` on ``lines``."""
+    if command == "label":
+        log = proplogs_dir / "conn.log"
+        log.write_text("".join(line + "\n" for line in lines))
+        config = proplogs_dir / "tcp.conf"
+        config.write_text("Malicious, (empty):\n    - Proto=tcp\n")
+        argv = ["label", str(log), "--config", str(config)]
+    else:
+        _label_proplogs(proplogs_dir)
+        log = proplogs_dir / "dns.log"
+        log.write_text("".join(line + "\n" for line in lines))
+        argv = ["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)]
+    return log, log.with_name(log.name.replace(".log", ".labeled.log")), main(argv)
+
+
+@pytest.mark.parametrize("command", ["label", "propagate"])
+def test_json_object_without_label_keys_keeps_its_text(proplogs_dir, capsys, command):
+    _, labeled, rc = _json_log_run(proplogs_dir, command, _VERBATIM_LINES)
+    assert rc == 0, capsys.readouterr().err
+    out = labeled.read_text(encoding="utf-8").splitlines()
+    assert len(out) == len(_VERBATIM_LINES)
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in out]
+    assert [row["label"] for row in rows] == ["Malicious", "Malicious", "(empty)", "Malicious"]
+    for line, got, row in zip(_VERBATIM_LINES, out, rows):
+        text = line.strip()
+        keys = json.dumps({"label": row["label"], "detailed_label": row["detailed_label"]}, separators=(",", ":"))
+        assert got == text[:-1] + ("," if text != "{ }" else "") + keys[1:]
+
+
+@pytest.mark.parametrize("value,problem", [
+    ('"\\ud800"', "an unpaired surrogate escape"),
+    ("1e400", "a number out of JSON's range"),
+], ids=["surrogate", "1e400"])
+@pytest.mark.parametrize("command", ["label", "propagate"])
+def test_json_relabel_of_an_unencodable_object_is_a_one_line_error(proplogs_dir, capsys, command, value, problem):
+    """An object with a label key is encoded anew, and must be JSON in UTF-8 again."""
+    lines = [
+        '{"ts":1.0,"uid":"CPRP01aaaa","proto":"tcp","label":"Benign"}',
+        '{"ts":2.0,"uid":"CPRP01aaaa","proto":"tcp","label":"Benign","query":%s}' % value,
+    ]
+    log, _, rc = _json_log_run(proplogs_dir, command, lines)
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {log}: line 2: cannot relabel an object holding {problem}"
+    )
+    # propagate's input, labeled before the run, is all there is
+    labeled = {p.name for p in proplogs_dir.glob("*.labeled.log")}
+    assert labeled == ({"conn.labeled.log"} if command == "propagate" else set())
+    assert not list(proplogs_dir.glob(".*.tmp"))
+
+
 def test_label_output_that_is_a_directory_is_refused(portscan_dir, capsys):
     out_dir = portscan_dir / "out.log"
     out_dir.mkdir()

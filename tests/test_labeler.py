@@ -8,7 +8,7 @@ import pytest
 from conftest import conn_log_text, conn_row, table_from_text, zeek_tsv
 
 from zeeklabel.errors import LogFormatError, UsageError
-from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
+from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn, label_file
 from zeeklabel.propagate import propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, write_log
@@ -43,6 +43,28 @@ def test_label_conn_empty_ruleset_labels_nothing():
     _, ruleset = load_config("")
     table = table_from_text(conn_log_text([conn_row(), conn_row(uid="C2")]))
     assert label_conn(table, ruleset) == [EMPTY_PAIR, EMPTY_PAIR]
+
+
+def test_write_log_of_json_lines_writes_what_label_file_writes(tmp_path):
+    """The in-memory table and the stream give each JSON object the same bytes."""
+    text = "".join(line + "\n" for line in [
+        '{"ts": 1.50, "uid": "C1", "proto": "tcp", "n": 1e400}',
+        '{"ts":2.0,"uid":"C2","proto":"udp","query":"caf\\u00e9 \\/ \\ud800"}',
+        "",
+        " { } ",
+        '{"ts":3.0,"label":"Benign","uid":"C3","proto":"tcp","query":"é"}',
+    ])
+    conn = tmp_path / "conn.log"
+    conn.write_text(text, encoding="utf-8")
+    _, ruleset = load_config(TCP_OR_UDP)
+    label_file(conn, ruleset, tmp_path / "conn.labeled.log")
+    table = table_from_text(text)
+    out = io.StringIO()
+    write_log(table, label_conn(table, ruleset), out)
+    assert out.getvalue() == (tmp_path / "conn.labeled.log").read_text(encoding="utf-8")
+    assert out.getvalue().splitlines()[-1] == (
+        '{"ts":3.0,"label":"Malicious","uid":"C3","proto":"tcp","query":"é","detailed_label":"(empty)"}'
+    )
 
 
 def _labeled_text(rows, pairs) -> str:

@@ -4,11 +4,15 @@ Every case is a seeded log directory: a labeled conn.log and a random
 subset of uid, uids-set, files, ssl, x509 and uid-less logs, each in TSV (with
 random separator, set separator, unset and empty markers, with or without a
 ``#close`` trailer) or in JSON lines, whose objects omit some unset keys and
-so vary their key sets, the first object included. The reference below
-re-derives every output from the whole-table reader and the row helpers
-only: ``read_log``, ``row_field``, ``row_set_field`` and ``merge_labels``.
-The command must match it byte for byte, in every ``*.labeled.log`` and in
-its summary.
+so vary their key sets, the first object included. A JSON log is rendered
+compactly as Zeek writes it, in ``json.dumps``'s spaced default, or with
+``\\u00e9`` and ``\\/`` escapes; some carry stale label keys or empty objects.
+The reference below re-derives every output from the whole-table reader and
+the row helpers only: ``read_log``, ``row_field``, ``row_set_field`` and
+``merge_labels``. A JSON object's output is the text of its input line with
+the label keys before the closing brace, or, for an object that has a label
+key already, its compact encoding with the keys overwritten. The command
+must match it byte for byte, in every ``*.labeled.log`` and in its summary.
 """
 
 from __future__ import annotations
@@ -52,21 +56,29 @@ class Dialect:
         self.empty = rng.choice(["(empty)", "(empty)", "(none)"])
         self.close = rng.random() < 0.7
         self.stray = rng.random() < 0.2  # a line after #close, kept verbatim
+        self.style = rng.choice(["compact", "spaced", "escaped"])  # of a JSON object's text
+        self.stale = rng.random() < 0.2  # JSON objects with label keys of their own
 
     def render(self, path: str, fields: list[str], rows: list[list], rng: random.Random) -> str:
         if self.fmt == "json":
             lines = []
             for row in rows:
                 obj = {}
+                if self.stale and rng.random() < 0.5:
+                    obj["label"] = "Benign"
                 for name, value in zip(fields, row):
                     if value is UNSET:
                         if rng.random() < 0.5:
                             obj[name] = None
                         continue
                     obj[name] = value
-                lines.append(json.dumps(obj))
+                if self.stale and rng.random() < 0.5:
+                    obj["detailed_label"] = "From_benign"
+                lines.append(self.text(obj))
                 if rng.random() < 0.05:
                     lines.append("")  # blank lines are skipped
+                if rng.random() < 0.03:
+                    lines.append("{}")
             return "\n".join(lines) + "\n"
         sep = self.sep
         lines = [
@@ -86,6 +98,14 @@ class Dialect:
             if self.stray:
                 lines.append("stray trailing line")
         return "\n".join(lines) + "\n"
+
+    def text(self, obj: dict) -> str:
+        if self.style == "compact":
+            return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+        if self.style == "spaced":
+            return json.dumps(obj)
+        # "/" occurs only inside strings, where "\/" is its escape
+        return json.dumps(obj, separators=(",", ":")).replace("/", "\\/")
 
     def cell(self, value) -> str:
         if value is UNSET:
@@ -147,7 +167,7 @@ def gen_case(rng: random.Random, root) -> None:
     for kind in kinds:
         d = Dialect(rng, fmt())
         if kind == "http":
-            fields, rows = ["ts", "uid", "host"], [["1.0", _uid_value(rng, uids), "h"] for _ in range(n())]
+            fields, rows = ["ts", "uid", "host"], [["1.0", _uid_value(rng, uids), rng.choice(["h", "hé/x"])] for _ in range(n())]
         elif kind == "dhcp":
             fields = ["ts", "uids", "mac"]
             rows = [["1.0", _clean_set(_uid_set(rng, uids)), "m"] for _ in range(n())]
@@ -266,10 +286,15 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
                 members = row_set_field(row, h, "uids")
                 pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
         if table.format == "json":
-            lines = [
-                json.dumps({**obj, "label": a, "detailed_label": b}, separators=(",", ":"), ensure_ascii=False)
-                for obj, (a, b) in zip(table.records, pairs)
-            ]
+            texts = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+            lines = []
+            for obj, text, (a, b) in zip(table.records, texts, pairs):
+                if "label" in obj or "detailed_label" in obj:
+                    obj = {**obj, "label": a, "detailed_label": b}
+                    lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+                else:
+                    keys = json.dumps({"label": a, "detailed_label": b}, separators=(",", ":"))[1:]
+                    lines.append(text[:-1] + ("," if obj else "") + keys)
         else:
             sep = h.separator
             lines = []

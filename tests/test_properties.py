@@ -5,7 +5,8 @@ The readers and the config parser either return or raise a
 directories, whose objects vary their key sets, exit 0, 1 or 2 through
 ``main`` without raising and leave no temp file behind. Times stay within a
 few hours, because ``eval`` reports every window between an IP's first and
-last event.
+last event. A labeled JSON-lines object parses to the input object with its
+label keys set, and on Zeek's compact rendering is the compact encoding of it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from zeeklabel.cli import main
 from zeeklabel.errors import ZeekLabelError
 from zeeklabel.metrics import read_detections
 from zeeklabel.rules import load_config
-from zeeklabel.zeekio import read_log
+from zeeklabel.zeekio import ZeekLogReader, read_log, write_labeled
 
 _DIRECTIVES = [
     "#separator \\x09", "#separator \\x7c", "#separator \\x", "#separator ", "#set_separator\t;",
@@ -112,3 +113,45 @@ def test_json_directories_end_in_an_exit_code(logs, detections):
         _run(["propagate", source, str(d), "--output", str(d / "out")])
         _run(["eval", source, str(d / "detections.jsonl"), "--window", "3600"])
         assert not list(d.rglob(".*.tmp"))
+
+
+_LABEL_KEYS = st.sampled_from(["label", "detailed_label"])
+_FINITE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_RENDERINGS = {
+    "compact": lambda obj: json.dumps(obj, separators=(",", ":"), ensure_ascii=False),
+    "spaced": json.dumps,
+    # "/" occurs only inside strings, where "\\/" is its escape
+    "escaped": lambda obj: json.dumps(obj, separators=(",", ":")).replace("/", "\\/"),
+    "padded": lambda obj: " " + json.dumps(obj, separators=(" , ", " : ")) + " \t",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.text(max_size=4) | _LABEL_KEYS, _FINITE_VALUES, max_size=5),
+            st.tuples(st.text(max_size=4), st.text(max_size=4)),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from(sorted(_RENDERINGS)),
+)
+def test_labeled_json_object_is_its_object_with_the_label_keys(rows, rendering):
+    text = "".join(_RENDERINGS[rendering](obj) + "\n" for obj, _ in rows)
+    reader = ZeekLogReader(io.StringIO(text))
+    pairs = iter(pair for _, pair in rows)
+    out = io.StringIO()
+    write_labeled(out, reader, reader.records(), lambda _: next(pairs))
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == "" and len(lines) == len(rows)
+    for line, (obj, (label, detail)) in zip(lines, rows):
+        want = {**obj, "label": label, "detailed_label": detail}
+        assert list(json.loads(line).items()) == list(want.items())
+        if rendering == "compact":
+            assert line == json.dumps(want, separators=(",", ":"), ensure_ascii=False)
