@@ -98,6 +98,15 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
             "labeled conn.log has no label/detailed_label columns; run "
             "'label' before 'propagate'"
         )
+    for pair in pairs:  # a JSON escape can spell a lone surrogate, which no output can hold
+        for text in pair:
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise LogFormatError(
+                        f"{reader.source}: label {text!r} holds an unpaired surrogate escape"
+                    ) from None
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
     _warn_index(index)

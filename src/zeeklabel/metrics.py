@@ -8,9 +8,12 @@ the epoch and each (source IP, window) pair becomes one decision, which is
 how "was the attacker flagged while attacking" is scored.
 
 :func:`score` takes the detections and one pass over the flows, which it
-does not keep. One sweep over each IP's event windows gives its decisions as
-runs of equal windows, so scoring costs O(flows + detections) however many
-quiet windows the span holds. :func:`evaluate` streams a conn.log into it.
+does not keep. It keeps one state per source key a flow carries: the source
+text :func:`evaluate` reads from a conn.log, or an address. Each key becomes
+an address once, after the pass, and keys that spell one address differently
+merge. One sweep over each IP's event windows then gives its decisions as
+maximal runs: no two adjacent runs of an IP share a status. Scoring costs
+O(flows + detections) however many quiet windows the span holds.
 
 Undefined ratios stay undefined (None), they are never reported as 0.
 """
@@ -21,8 +24,9 @@ import ipaddress
 import json
 import logging
 import math
+import operator
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -44,7 +48,7 @@ class LabeledFlow(NamedTuple):
 
     uid: str
     start: float
-    src_ip: IPAddress
+    src_ip: IPAddress  # or the source's text, as :func:`evaluate` reads it
     label: str
 
 
@@ -125,6 +129,10 @@ def score(
 ) -> EvalReport:
     """Score detections against ``(uid, start, src_ip, label)`` flows in one pass.
 
+    A flow's ``src_ip`` is an address or the text of one; a text is parsed
+    once per distinct text, after the pass, and spellings of one address
+    are one IP.
+
     Flow level: a flow is in scope when it starts at or before ``cutoff``, if
     given. Unknown flows are excluded; any other non-Malicious label, also
     ``(empty)``, is a negative. Evidence uids are looked up in every flow.
@@ -145,19 +153,22 @@ def score(
     labels: Counter[str] = Counter()  # in scope, per label
     detected: Counter[str] = Counter()  # in scope and in the evidence, per label
     starts: dict[str, float] = {}  # of the evidence uids; a repeated uid keeps its last
-    activity: dict[IPAddress, set[int]] = {}
-    malicious: dict[IPAddress, set[int]] = {}
-    alerts: dict[IPAddress, set[int]] = {}
+    # per source key, as the flows carry it: a str hashes once, an address on every lookup
+    activity: defaultdict[object, set[int]] = defaultdict(set)
+    malicious: defaultdict[object, set[int]] = defaultdict(set)
+    alerts: defaultdict[IPAddress, set[int]] = defaultdict(set)
+    floor = math.floor
+    limit = math.inf if cutoff is None else cutoff
     try:
         for det in detections:
             if len(det.evidence) >= threshold:
-                alerts.setdefault(det.ip, set()).add(math.floor(det.time / window))
-        for uid, start, ip, label in flows:
-            w = math.floor(start / window)
-            activity.setdefault(ip, set()).add(w)
+                alerts[det.ip].add(floor(det.time / window))
+        for uid, start, key, label in flows:
+            w = floor(start / window)
+            activity[key].add(w)
             if label == MALICIOUS:
-                malicious.setdefault(ip, set()).add(w)
-            in_scope = cutoff is None or start <= cutoff
+                malicious[key].add(w)
+            in_scope = start <= limit
             if in_scope:
                 labels[label] += 1
             if uid in evidence:
@@ -174,7 +185,7 @@ def score(
             predating.append((det, latest))
     negatives = labels.total() - labels[MALICIOUS] - labels[UNKNOWN]
     false_alarms = detected.total() - detected[MALICIOUS] - detected[UNKNOWN]
-    timelines = _sweep(activity, malicious, alerts)
+    timelines = _sweep(*_by_address(activity, malicious), alerts)
     return EvalReport(
         labels=labels,
         flow=ConfusionCounts(
@@ -190,11 +201,32 @@ def score(
     )
 
 
+def _by_address(*per_key: dict[object, set[int]]) -> list[dict[IPAddress, set[int]]]:
+    """The maps ``per_key``, each key turned into its address; keys of one address merge.
+
+    A str key is parsed once, any other key is an address already. The first
+    map holds every key of the others.
+    """
+    address = {key: ipaddress.ip_address(key) if isinstance(key, str) else key for key in per_key[0]}
+    merged = []
+    for windows in per_key:
+        out: dict[IPAddress, set[int]] = {}
+        for key, ws in windows.items():
+            ip = address[key]
+            if ip in out:
+                out[ip] |= ws
+            else:
+                out[ip] = ws
+        merged.append(out)
+    return merged
+
+
 def _sweep(activity: dict, malicious: dict, alerts: dict) -> dict[IPAddress, list[WindowRun]]:
-    """Each IP's runs, from its activity, malicious and alert windows.
+    """Each IP's maximal runs, from its activity, malicious and alert windows.
 
     Only a window with activity or a detection changes the state, so the
-    sweep visits those windows and covers each quiet gap with one run.
+    sweep visits those windows, treats each quiet gap as one stretch, and
+    starts a run only where the status changes.
     """
     events = [*activity.values(), *alerts.values()]
     if not events:
@@ -207,21 +239,34 @@ def _sweep(activity: dict, malicious: dict, alerts: dict) -> dict[IPAddress, lis
         acts = activity.get(ip, set())
         mals = malicious.get(ip, set())
         dets = alerts.get(ip, set())
-        runs: list[WindowRun] = []
+        firsts: list[int] = []  # where each run starts, then hi + 1
+        statuses: list[tuple[bool, bool]] = []
+        status = None
         seen_detection = last_malicious = latched = False
         gap_start = lo
         for w in sorted(acts | dets):
-            if w > gap_start:
-                runs.append(WindowRun(gap_start, w - gap_start, False, latched))
+            if w > gap_start and status != (False, latched):
+                status = (False, latched)
+                firsts.append(gap_start)
+                statuses.append(status)
             if w in acts:
                 last_malicious = w in mals
             seen_detection = seen_detection or w in dets
             latched = seen_detection and last_malicious
-            runs.append(WindowRun(w, 1, w in mals, w in dets or latched))
+            here = (w in mals, w in dets or latched)
+            if here != status:
+                status = here
+                firsts.append(w)
+                statuses.append(here)
             gap_start = w + 1
-        if hi >= gap_start:
-            runs.append(WindowRun(gap_start, hi + 1 - gap_start, False, latched))
-        timelines[ip] = runs
+        if hi >= gap_start and status != (False, latched):
+            firsts.append(gap_start)
+            statuses.append((False, latched))
+        firsts.append(hi + 1)
+        timelines[ip] = [
+            WindowRun(first, end - first, truth, predicted)
+            for first, end, (truth, predicted) in zip(firsts, firsts[1:], statuses)
+        ]
     return timelines
 
 
@@ -263,6 +308,8 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
                 obj = json.loads(line)
             except ValueError:
                 raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
+            except RecursionError:
+                raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise LogFormatError(f"{source}: line {lineno}: expected an object")
             try:
@@ -287,31 +334,48 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
     return records
 
 
-def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, IPAddress, str]]:
-    """``(uid, start, src_ip, label)`` of each row with a uid, finite ts and source IP."""
+def _is_address(text: str) -> bool:
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, str, str]]:
+    """``(uid, start, src_text, label)`` of each row with a uid, finite ts and source IP.
+
+    The four cells are resolved once per header, and each distinct source
+    text is parsed once, only to tell whether its rows are skipped.
+    """
     skipped = 0
-    addresses: dict[str | None, IPAddress | None] = {}
     with open(conn_path, encoding="utf-8") as fh:
         reader = ZeekLogReader(fh, str(conn_path))
         header = reader.header
-        uid_of, ts_of, src_of, label_of = (
-            field_getter(header, reader.format, name)
-            for name in ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
-        )
+        names = ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
+        indexes = [header.index_of(name) for name in names]
+        if reader.format == "tsv" and None not in indexes:
+            cells = operator.itemgetter(*indexes)
+        else:
+            uid_of, ts_of, src_of, label_of = (field_getter(header, reader.format, name) for name in names)
+
+            def cells(record):
+                return uid_of(record), ts_of(record), src_of(record), label_of(record)
+
+        # what reads as unset: a null cell of a TSV row, None from a getter
+        null = frozenset((None, header.unset_field, header.empty_field, ""))
+        sources = dict.fromkeys(null, False)  # source text -> whether it is an address
+        isfinite = math.isfinite
         for record in reader.records():
-            uid = uid_of(record)
-            ts = _to_float(ts_of(record))
-            src = src_of(record)
-            if src not in addresses:
-                try:
-                    addresses[src] = ipaddress.ip_address(src)
-                except ValueError:
-                    addresses[src] = None
-            src_ip = addresses[src]
-            if uid is None or ts is None or not math.isfinite(ts) or src_ip is None:
+            uid, ts, src, label = cells(record)
+            is_address = sources.get(src)
+            if is_address is None:
+                is_address = sources[src] = _is_address(src)
+            start = _to_float(ts)
+            if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
                 skipped += 1
                 continue
-            yield uid, ts, src_ip, label_of(record) or EMPTY_LABEL
+            yield uid, start, src, EMPTY_LABEL if label in null else label
     # after the stream: bad rows are reported first, and JSON keys are complete
     if header.index_of(LABEL_FIELDS[0]) is None:
         raise UsageError(f"{conn_path} has no label column; run 'label' before 'eval'")

@@ -222,6 +222,8 @@ class ZeekLogReader:
                 raise ValueError
         except ValueError:
             raise LogFormatError(f"{self.source}: line {lineno}: invalid JSON") from None
+        except RecursionError:
+            raise LogFormatError(f"{self.source}: line {lineno}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise LogFormatError(
                 f"{self.source}: line {lineno}: expected a JSON object"

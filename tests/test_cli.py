@@ -459,6 +459,54 @@ def test_json_relabel_of_an_unencodable_object_is_a_one_line_error(proplogs_dir,
     assert not list(proplogs_dir.glob(".*.tmp"))
 
 
+@pytest.mark.parametrize("http_format", ["tsv", "json"])
+@pytest.mark.parametrize("key", ["label", "detailed_label"])
+def test_propagate_label_holding_an_unpaired_surrogate_is_a_one_line_error(tmp_path, capsys, key, http_format):
+    """A JSON escape can spell a label no UTF-8 output can hold."""
+    conn = tmp_path / "conn.labeled.log"
+    pair = {"label": "Malicious", "detailed_label": "(empty)", key: "\ud800"}
+    conn.write_text(json_lines({"ts": 1.0, "uid": "CPRP01aaaa", "id.orig_h": "10.0.0.1", **pair}))
+    assert "\\ud800" in conn.read_text()
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    if http_format == "json":
+        http = json_lines({"ts": 1.0, "uid": "CPRP01aaaa", "host": "a.example"})
+    else:
+        http = zeek_tsv("http", ["ts", "uid", "host"], ["time", "string", "string"],
+                        [["1.0", "CPRP01aaaa", "a.example"]])
+    (logs / "http.log").write_text(http)
+    rc = main(["propagate", str(conn), str(logs)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {conn}: label '\\ud800' holds an unpaired surrogate escape"
+    )
+    assert [p.name for p in logs.iterdir()] == ["http.log"]
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["label", "propagate", "eval"])
+def test_json_nested_beyond_the_recursion_limit_is_a_one_line_error(proplogs_dir, capsys, command):
+    """The JSON scanner recurses once per level; a deep line is that line's data error."""
+    if command == "eval":
+        _label_proplogs(proplogs_dir)
+        log = proplogs_dir / "detections.jsonl"
+        log.write_text(
+            '{"ip": "10.0.0.1", "time": 1674560400.0, "evidence": ["CPRP01aaaa"]}\n'
+            '{"ip": "10.0.0.1", "time": 1674560400.0, "evidence": %s}\n' % _DEEP
+        )
+        rc = main(["eval", str(proplogs_dir / "conn.labeled.log"), str(log)])
+    else:
+        lines = ['{"ts":1.0,"uid":"CPRP01aaaa","proto":"tcp"}', '{"ts":2.0,"uid":"CPRP01aaaa","a":%s}' % _DEEP]
+        log, _, rc = _json_log_run(proplogs_dir, command, lines)
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: {log}: line 2: JSON nested too deeply"
+    labeled = {p.name for p in proplogs_dir.glob("*.labeled.log")}
+    assert labeled == (set() if command == "label" else {"conn.labeled.log"})
+    assert not list(proplogs_dir.glob(".*.tmp"))
+
+
 def test_label_output_that_is_a_directory_is_refused(portscan_dir, capsys):
     out_dir = portscan_dir / "out.log"
     out_dir.mkdir()

@@ -8,8 +8,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import zeek_tsv
 
 from zeeklabel.errors import LogFormatError, UsageError
 from zeeklabel.metrics import (
@@ -533,3 +535,77 @@ def test_score_flow_level_agrees_with_brute_reference():
         assert report.flow == counts_want
         assert report.predating == predating_want
         assert report.missing_evidence == missing_want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timeline_cases())
+def test_timeline_runs_are_maximal_and_span_every_event_window(case):
+    flows, detections, window, threshold = case
+    timelines = score(flows, detections, window, threshold).timelines
+    events = [math.floor(f.start / window) for f in flows] + [
+        math.floor(d.time / window) for d in detections if len(d.evidence) >= threshold
+    ]
+    assert bool(timelines) == bool(events)
+    for runs in timelines.values():
+        assert runs[0].first_window == min(events)
+        assert runs[-1].first_window + runs[-1].length == max(events) + 1
+        assert all(run.length > 0 for run in runs)
+        for run, after in zip(runs, runs[1:]):
+            assert run.first_window + run.length == after.first_window
+            assert run.status != after.status
+
+
+# one IPv6 source in three spellings, an IPv4 source, and sources that are no address
+_SPELLINGS = ["2001:db8::1", "2001:0db8:0:0:0:0:0:1", "2001:DB8::1", "10.0.0.7", "not-an-ip", "-"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(_SPELLINGS), st.floats(0.0, 5000.0),
+                  st.sampled_from(["Malicious", "Benign", "Unknown", "(empty)"])),
+        min_size=1, max_size=25,
+    ),
+    detected=st.lists(st.tuples(st.sampled_from(_SPELLINGS[:4]), st.floats(0.0, 5000.0), st.integers(0, 3)),
+                      max_size=4),
+    window=st.sampled_from([7.0, 250.0, 3600.0]),
+)
+def test_evaluate_keys_each_address_once_however_its_source_is_spelled(tmp_path, caplog, rows, detected, window):
+    flows = [
+        LabeledFlow(f"C{i}", start, ipaddress.ip_address(src), label)
+        for i, (src, start, label) in enumerate(rows)
+        if src not in ("not-an-ip", "-")
+    ]
+    uids = [flow.uid for flow in flows]
+    detections = [
+        DetectionRecord(ipaddress.ip_address(ip), time, frozenset(uids[:k])) for ip, time, k in detected
+    ]
+    want = score(flows, detections, window)
+    skipped = len(rows) - len(flows)
+    fields = ["ts", "uid", "id.orig_h", "label"]
+    cells = [[repr(start), f"C{i}", src, label] for i, (src, start, label) in enumerate(rows)]
+    renderings = {
+        "tsv": zeek_tsv("conn", fields, ["time", "string", "addr", "string"], cells),
+        "json": "".join(
+            json.dumps({name: float(cell) if name == "ts" else cell for name, cell in zip(fields, row) if cell != "-"})
+            + "\n"
+            for row in cells
+        ),
+    }
+    det = tmp_path / "d.jsonl"
+    det.write_text("".join(
+        json.dumps({"ip": ip, "time": time, "evidence": uids[:k]}) + "\n" for ip, time, k in detected
+    ))
+    for fmt, text in renderings.items():
+        conn = tmp_path / f"{fmt}.conn.labeled.log"
+        conn.write_text(text)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="zeeklabel.metrics"):
+            got = evaluate(conn, det, window)
+        assert got == want, fmt
+        # one key per address, however many spellings its rows had
+        assert list(got.timelines) == sorted({f.src_ip for f in flows} | {d.ip for d in detections if d.evidence},
+                                             key=lambda ip: (ip.version, int(ip)))
+        skips = [r.getMessage() for r in caplog.records if "rows skipped" in r.getMessage()]
+        assert skips == ([f"{skipped} rows skipped during evaluation (missing uid, ts or source IP)"]
+                         if skipped else [])
