@@ -177,6 +177,8 @@ def score(
                     detected[label] += 1
     except OverflowError:  # a flow or detection time / window of infinity
         raise UsageError(f"window {window:g}s is too small for the flow and detection times") from None
+    except ValueError:  # math.floor of NaN
+        raise UsageError("flow and detection times must be numbers, not NaN") from None
 
     predating = []
     for det in detections:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -30,6 +32,10 @@ from .zeekio import ZeekLogReader, field_getter, first_getter, replace_all_on_su
 logger = logging.getLogger(__name__)
 
 _RANK = {"Malicious": 3, "Unknown": 2, "Benign": 1}
+
+# the logs left after the ssl pass are split between two processes from this many bytes on
+FORK_MIN_BYTES = 1 << 20
+NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
 
 # accepted spellings of the join fields across Zeek versions
 SSL_CHAIN_FIELDS = ("cert_chain_fuids", "cert_chain_fps")
@@ -44,16 +50,7 @@ def _rank(pair: LabelPair | None) -> int:
 
 def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
     """Pick the most severe candidate pair; None entries count as (empty)."""
-    best: LabelPair | None = None
-    best_rank = -1
-    for candidate in candidates:
-        rank = _rank(candidate)
-        if rank > best_rank:
-            best = candidate
-            best_rank = rank
-    if best is None:
-        return EMPTY_PAIR
-    return best
+    return max(candidates, key=_rank, default=None) or EMPTY_PAIR  # max keeps the first of a rank
 
 
 def accumulate_cert_labels(
@@ -139,6 +136,11 @@ def propagate_dir(
     moved into place only after the last one is complete, so a run that
     fails leaves none of them, and no directory it created. The report lists
     the logs in name order.
+
+    Once the ssl logs are done, at most one forked child labels about half of
+    the rest by size, when they hold :data:`FORK_MIN_BYTES` or more, two CPUs
+    are usable and no other thread runs. Outputs, messages, the error raised
+    and the all-or-nothing writes are those of a run in one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     with open(conn_labeled, encoding="utf-8") as src:
@@ -150,52 +152,67 @@ def propagate_dir(
         if path.is_file() and path.name.endswith(".log") and ".labeled" not in path.name
         and path.resolve() != conn_resolved
     }
-    ssl_left = sum(stem == "ssl" for stem in stems.values())
+    order = sorted(stems, key=lambda path: (stems[path] != "ssl", path.name))
+    n_ssl = sum(stem == "ssl" for stem in stems.values())
     ssl_readers: list[ZeekLogReader] = []
     cert_map: dict[str, LabelPair] = {}
     report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    output_of = lambda path: out_dir / (path.name[: -len(".log")] + ".labeled.log")  # noqa: E731
+
+    def label_log(path: Path) -> LogReport | None:
+        stem = stems[path]
+        with open(path, encoding="utf-8") as src:
+            reader = ZeekLogReader(src, str(path))
+            if stem == "conn" or reader.header.path == "conn":
+                # a flow log is where labels come from, not a propagation target
+                if path.name == source:
+                    logger.info("%s is the label source; skipping", path.name)
+                else:
+                    logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
+                return None
+            x509 = stem == "x509" or reader.header.path == "x509"
+            if x509 and order.index(path) < n_ssl - 1:  # its certificate map would be partial
+                raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
+            if x509 and not ssl_readers:  # kept only for the first x509 log
+                logger.warning(NO_SSL_WARNING)
+            if not x509 and stem == "ssl":
+                ssl_readers.append(reader)
+                records = accumulate_cert_labels(reader, index, cert_map)
+            else:
+                records = reader.records()
+            pair_of = _pair_function(x509, reader, index, cert_map)
+            with open_output(output_of(path)) as dst:
+                counts = write_labeled(dst, reader, records, pair_of)
+        # the route a JSON log took is known only once all its keys are
+        fields = reader.header.fields
+        route = (
+            "x509" if x509
+            else "files" if "conn_uids" in fields
+            else "uid" if "uid" in fields or "uids" in fields
+            else "none"
+        )
+        if route == "none":
+            logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+        rows = sum(counts.values())
+        return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path))
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replace_all_on_success() as open_output:
-            for path in sorted(stems, key=lambda path: (stems[path] != "ssl", path.name)):
-                stem = stems[path]
-                ssl_left -= stem == "ssl"
-                with open(path, encoding="utf-8") as src:
-                    reader = ZeekLogReader(src, str(path))
-                    if stem == "conn" or reader.header.path == "conn":
-                        # a flow log is where labels come from, not a propagation target
-                        if path.name == source:
-                            logger.info("%s is the label source; skipping", path.name)
-                        else:
-                            logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
-                        continue
-                    x509 = stem == "x509" or reader.header.path == "x509"
-                    if x509 and ssl_left:  # its certificate map would be partial
-                        raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
-                    if x509 and not ssl_readers and not any(log.route == "x509" for log in report.logs):
-                        logger.warning("x509 log present but no ssl.log found; certificates will be labeled (empty)")
-                    if not x509 and stem == "ssl":
-                        ssl_readers.append(reader)
-                        records = accumulate_cert_labels(reader, index, cert_map)
-                    else:
-                        records = reader.records()
-                    out_path = out_dir / (path.name[: -len(".log")] + ".labeled.log")
-                    pair_of = _pair_function(x509, reader, index, cert_map)
-                    with open_output(out_path) as dst:
-                        counts = write_labeled(dst, reader, records, pair_of)
-                # the route a JSON log took is known only once all its keys are
-                fields = reader.header.fields
-                route = (
-                    "x509" if x509
-                    else "files" if "conn_uids" in fields
-                    else "uid" if "uid" in fields or "uids" in fields
-                    else "none"
-                )
-                if route == "none":
-                    logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
-                rows = sum(counts.values())
-                report.logs.append(LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), out_path))
+            outcomes: dict[Path, tuple] = {}
+            for i, path in enumerate(order):
+                if i == n_ssl:  # the index and certificate map are complete
+                    outcomes = _in_two_processes(order[i:], label_log, open_output.adopt, output_of)
+                # each log's messages, then its error, in read order however many processes ran
+                records, log, error = outcomes.get(path) or _held_back(label_log, path)
+                for level, name, message in records:
+                    if message != NO_SSL_WARNING or not any(done.route == "x509" for done in report.logs):
+                        logging.getLogger(name).log(level, message)
+                if error is not None:
+                    raise error
+                if log is not None:
+                    report.logs.append(log)
             # after the last log: a bad row of any log is reported first, and JSON keys are complete
             if any(log.route == "x509" for log in report.logs):
                 for reader in ssl_readers:
@@ -211,3 +228,57 @@ def propagate_dir(
         raise
     report.logs.sort(key=lambda log: log.name)
     return report
+
+
+_HELD_LOGGERS = (logger, logging.getLogger("zeeklabel.zeekio"))
+
+
+def _held_back(label_log: Callable, path: Path) -> tuple[list, LogReport | None, Exception | None]:
+    """``label_log(path)``'s records, as (level, logger name, message), then its report or its error."""
+    records: list[tuple[int, str, str]] = []
+    hold = lambda record: records.append((record.levelno, record.name, record.getMessage()))  # noqa: E731
+    for held in _HELD_LOGGERS:
+        held.addFilter(hold)  # returns None, so the record goes no further
+    try:
+        return records, label_log(path), None
+    except Exception as exc:
+        return records, None, exc
+    finally:
+        for held in _HELD_LOGGERS:
+            held.removeFilter(hold)
+
+
+def _in_two_processes(
+    paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path]
+) -> dict[Path, tuple]:
+    """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it."""
+    sizes = {path: path.stat().st_size for path in paths if not path.name.startswith("conn.")}  # skipped, no work
+    if not (len(sizes) >= 2 and sum(sizes.values()) >= FORK_MIN_BYTES and threading.active_count() == 1
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        return {}
+    import pickle
+
+    theirs, mine = [], []
+    for path in sorted(sizes, key=sizes.__getitem__, reverse=True):  # largest first, to the lighter group
+        (theirs if sum(map(sizes.get, theirs)) <= sum(map(sizes.get, mine)) else mine).append(path)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
+        pid = os.fork()
+        if pid == 0:  # the child sends its outcomes and exits without unwinding the parent's state
+            try:
+                pipe_out.write(pickle.dumps({path: _held_back(label_log, path) for path in theirs}))
+                pipe_out.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        pipe_out.close()
+        try:  # neither process stops at a failing log: which fails first in read order shows only at the end
+            outcomes = {path: _held_back(label_log, path) for path in mine}
+        finally:
+            data = pipe_in.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for path in theirs:
+                adopt(output_of(path), pid)
+    if status:
+        raise ChildProcessError(f"propagate: the second process (pid {pid}) ended without a result (status {status})")
+    return {**pickle.loads(data), **outcomes}

@@ -425,14 +425,16 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
     ``path`` that is a directory; the caller closes it. A temp name does not
     end in ``.log``, so a scan for logs skips it. On any error every temp file
     is removed and no ``path`` is touched; a crash between two renames can
-    still leave some outputs new and others old.
+    still leave some outputs new and others old. ``open_output.adopt(path, pid)``
+    takes over the temp file that a forked process ``pid`` wrote for ``path``.
     """
     moves: list[tuple[Path, Path]] = []
+    temp_of = lambda path, pid: path.with_name(f".{path.name}.{pid}.tmp")  # noqa: E731
 
     def open_output(path: Path) -> IO[str]:
         if path.is_dir():  # the final rename would fail, after other outputs moved
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = temp_of(path, os.getpid())
         try:
             out = open(tmp, "w", encoding="utf-8")
         except OSError as exc:
@@ -441,6 +443,11 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
         moves.append((tmp, path))
         return out
 
+    def adopt(path: Path, pid: int) -> None:
+        if (tmp := temp_of(path, pid)).exists():
+            moves.append((tmp, path))
+
+    open_output.adopt = adopt  # type: ignore[attr-defined]
     try:
         yield open_output
         for tmp, path in moves:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from zeeklabel import propagate
 from zeeklabel.zeekio import read_log
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -87,3 +89,24 @@ def table_from_text(text: str, source: str = "<test>"):
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Split propagate's logs left after the ssl pass between two processes whenever there are two.
+
+    Returns the list of forks made, one entry each.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks

@@ -609,3 +609,12 @@ def test_evaluate_keys_each_address_once_however_its_source_is_spelled(tmp_path,
         skips = [r.getMessage() for r in caplog.records if "rows skipped" in r.getMessage()]
         assert skips == ([f"{skipped} rows skipped during evaluation (missing uid, ts or source IP)"]
                          if skipped else [])
+
+
+@pytest.mark.parametrize("where", ["flow", "detection"])
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_score_refuses_a_time_that_is_not_finite_with_a_usage_error(where, time):
+    flows = [_flow("C1", time if where == "flow" else 1000.0, "Benign")]
+    detections = [DetectionRecord(ATTACKER, time if where == "detection" else 1000.0, frozenset({"C1"}))]
+    with pytest.raises(UsageError, match="not NaN" if math.isnan(time) else "too small"):
+        score(flows, detections, 60.0)

@@ -13,6 +13,8 @@ the row helpers only: ``read_log``, ``row_field``, ``row_set_field`` and
 the label keys before the closing brace, or, for an object that has a label
 key already, its compact encoding with the keys overwritten. The command
 must match it byte for byte, in every ``*.labeled.log`` and in its summary.
+Each case runs again with the logs left after the ssl pass split between two
+processes, which must change no output byte, summary line or log message.
 """
 
 from __future__ import annotations
@@ -335,3 +337,28 @@ def test_propagate_matches_reference(tmp_path, capsys, seed):
     assert sorted(got) == sorted(want_outputs)
     for name, text in want_outputs.items():
         assert got[name] == text.encode("utf-8"), name
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_two_processes_match_one(request, tmp_path, capsys, caplog, seed):
+    rng = random.Random(f"propagate-diff:{seed}")
+    gen_case(rng, tmp_path)
+    conn, logs = tmp_path / "conn.labeled.log", tmp_path / "logs"
+
+    def run(out) -> tuple:
+        caplog.clear()
+        rc = main(["propagate", str(conn), str(logs), "--output", str(out)])
+        captured = capsys.readouterr()
+        messages = [(r.levelno, r.name, r.getMessage()) for r in caplog.records]
+        return rc, captured.out, captured.err, messages, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    one = run(tmp_path / "one")
+    forks = request.getfixturevalue("two_processes")
+    two = run(tmp_path / "two")
+    assert two == one
+    # the logs after the ssl pass, but for a conn log, which is only skipped
+    left = [p for p in logs.iterdir() if p.name.split(".")[0] not in ("ssl", "conn")]
+    assert len(forks) == (len(left) >= 2)
+    want_outputs, want_stdout = reference(conn, logs)
+    assert one[1] == want_stdout
+    assert one[4] == {name: text.encode("utf-8") for name, text in want_outputs.items()}

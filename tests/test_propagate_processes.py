@@ -1,0 +1,166 @@
+"""``propagate`` when a forked child labels part of the logs.
+
+The logs here have sizes that fix the split: ``http.log`` is the largest, so
+the child labels it (and, where there is one, ``zz.log``), while this process
+labels ``dhcp.log`` and ``weird.log``. A failure on either side must end as
+a run in one process would: one ``error:`` line naming the first failing log
+in read order, exit 1, no output and no temp file left, and no child left.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+
+import pytest
+
+from conftest import zeek_tsv
+
+from zeeklabel import propagate
+from zeeklabel.cli import main
+
+CONN = zeek_tsv(
+    "conn", ["ts", "uid", "label", "detailed_label"], ["time", "string", "string", "string"],
+    [["1.0", f"C{i}", "Malicious" if i % 3 == 0 else "Benign", "(empty)"] for i in range(40)],
+)
+# log -> rows; http.log is about twice the bytes of dhcp.log and weird.log together
+ROWS = {"dhcp.log": 30, "http.log": 200, "weird.log": 40}
+
+
+def _log(name: str, rows: int, short_row: bool = False) -> str:
+    text = zeek_tsv(name.split(".")[0], ["ts", "uid"], ["time", "string"], [["1.0", f"C{i % 40}"] for i in range(rows)])
+    return text.replace("#close", "short\n#close") if short_row else text
+
+
+def _write_case(tmp_path, rows=ROWS, bad=()):
+    (tmp_path / "conn.labeled.log").write_text(CONN)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for name, n in rows.items():
+        (logs / name).write_text(_log(name, n, name in bad))
+    out = tmp_path / "out"
+    out.mkdir()
+    return ["propagate", str(tmp_path / "conn.labeled.log"), str(logs), "--output", str(out)], logs, out
+
+
+@pytest.fixture
+def labeled_by(monkeypatch, tmp_path):
+    """Record which process writes each log, in a file, as the child's memory is its own."""
+    record = tmp_path / "writers.txt"
+    write_labeled = propagate.write_labeled
+
+    def recorded(dst, reader, records, pair_of):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {os.path.basename(reader.source)}\n")
+        return write_labeled(dst, reader, records, pair_of)
+
+    monkeypatch.setattr(propagate, "write_labeled", recorded)
+
+    def writers() -> dict[str, str]:
+        lines = record.read_text().split() if record.exists() else []
+        return {name: "parent" if int(pid) == os.getpid() else "child" for pid, name in zip(lines[::2], lines[1::2])}
+
+    return writers
+
+
+def _assert_clean(logs, out) -> None:
+    assert list(out.iterdir()) == []
+    assert not [p for p in logs.iterdir() if ".labeled" in p.name or p.name.endswith(".tmp")]
+    with pytest.raises(ChildProcessError):  # no child left, neither running nor a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return errors[0]
+
+
+def test_the_split_puts_the_largest_log_in_the_child(tmp_path, capsys, two_processes, labeled_by):
+    argv, logs, out = _write_case(tmp_path)
+    assert main(argv) == 0
+    assert len(two_processes) == 1
+    assert labeled_by() == {"http.log": "child", "dhcp.log": "parent", "weird.log": "parent"}
+    assert sorted(p.name for p in out.iterdir()) == ["dhcp.labeled.log", "http.labeled.log", "weird.labeled.log"]
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        f"{name}: {ROWS[name]} rows, {ROWS[name]} labeled, 0 (empty) -> {name[:-4]}.labeled.log"
+        for name in sorted(ROWS)
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad, first", [
+    (["http.log"], "http.log"),  # the child's
+    (["weird.log"], "weird.log"),  # this process's
+    (["http.log", "weird.log"], "http.log"),  # both; the child's is read first
+    (["dhcp.log", "http.log"], "dhcp.log"),  # both; this process's is read first
+])
+def test_a_short_row_on_either_side_is_one_error_for_the_first_log_read(
+    tmp_path, capsys, two_processes, labeled_by, bad, first
+):
+    argv, logs, out = _write_case(tmp_path, bad=bad)
+    assert main(argv) == 1
+    assert len(two_processes) == 1
+    assert labeled_by()["http.log"] == "child"
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"error: {logs / first}: row {ROWS[first] + 1}: expected 2 fields, got 1"
+    _assert_clean(logs, out)
+
+
+def test_a_child_killed_partway_is_one_error_and_leaves_no_temp_file(
+    tmp_path, capsys, monkeypatch, two_processes, labeled_by
+):
+    # http.log outweighs weird.log but not weird.log and dhcp.log: the child labels http.log, then zz.log
+    argv, logs, out = _write_case(tmp_path, rows={"dhcp.log": 30, "http.log": 60, "weird.log": 40, "zz.log": 25})
+    parent = os.getpid()
+    write_labeled = propagate.write_labeled
+
+    def killed_at_zz(dst, reader, records, pair_of):
+        if os.getpid() != parent and reader.source.endswith("zz.log"):
+            assert list(out.glob(f".http.labeled.log.{os.getpid()}.tmp"))  # the first log's temp file is there
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write_labeled(dst, reader, records, pair_of)
+
+    monkeypatch.setattr(propagate, "write_labeled", killed_at_zz)
+    assert main(argv) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith("error: propagate: the second process (pid ")
+    assert line.endswith(") ended without a result (status -9)")
+    _assert_clean(logs, out)
+    assert labeled_by() == {"http.log": "child", "weird.log": "parent", "dhcp.log": "parent"}  # zz.log: killed
+
+
+def test_the_child_is_reaped_when_this_process_raises(tmp_path, monkeypatch, two_processes, labeled_by):
+    argv, logs, out = _write_case(tmp_path)
+    parent = os.getpid()
+    write_labeled = propagate.write_labeled
+
+    def interrupted(dst, reader, records, pair_of):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return write_labeled(dst, reader, records, pair_of)
+
+    monkeypatch.setattr(propagate, "write_labeled", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    _assert_clean(logs, out)
+
+
+def test_a_conn_log_weighs_nothing_in_the_split(tmp_path, capsys, caplog, two_processes, labeled_by):
+    # the unlabeled conn.log beside the others is the largest log, but it is only skipped
+    argv, logs, out = _write_case(tmp_path, rows={"conn.log": 400, "http.log": 60, "weird.log": 40})
+    with caplog.at_level("INFO"):
+        assert main(argv) == 0
+    assert labeled_by() == {"http.log": "child", "weird.log": "parent"}
+    assert [r.getMessage() for r in caplog.records] == ["conn.log is the label source; skipping"]
+
+
+def test_x509_without_ssl_warns_once_whichever_process_reads_each(tmp_path, capsys, caplog, two_processes, labeled_by):
+    argv, logs, out = _write_case(tmp_path, rows={"x509.log": 200, "x509.2.log": 30, "x509.3.log": 40})
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert labeled_by() == {"x509.log": "child", "x509.2.log": "parent", "x509.3.log": "parent"}
+    assert [r.getMessage() for r in caplog.records] == [propagate.NO_SSL_WARNING]
+    assert len(capsys.readouterr().out.splitlines()) == 4
