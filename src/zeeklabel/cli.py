@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
-from .metrics import MALICIOUS, UNKNOWN, ConfusionCounts, WindowRun, evaluate
+from .metrics import MALICIOUS, MAX_WINDOWS, UNKNOWN, ConfusionCounts, WindowRun, evaluate
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
@@ -178,7 +178,7 @@ def _write_json_timelines(write: Callable[[str], object], timelines: dict, windo
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    report = evaluate(ns.conn_labeled, ns.detections, ns.window, ns.threshold, ns.cutoff)
+    report = evaluate(ns.conn_labeled, ns.detections, ns.window, ns.threshold, ns.cutoff, ns.max_windows)
     labels = report.labels
     scored = labels.total()
     write = sys.stdout.write
@@ -287,6 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cutoff", type=float, default=None, help="only score flows starting at or before this epoch time"
+    )
+    p.add_argument(
+        "--max-windows", type=int, default=MAX_WINDOWS,
+        help=f"refuse a report of more (IP, window) decisions (default {MAX_WINDOWS})",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_eval)

@@ -16,7 +16,7 @@ from .errors import LogFormatError, UsageError
 from .ontology import LABEL_ITEMS
 from .rules import RuleSet
 from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable
-from .zeekio import field_getter, replace_all_on_success, write_labeled
+from .zeekio import cells_getter, field_getter, replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ LabelPair = tuple[str, str]
 
 def _pair_function(
     ruleset: RuleSet, log: ZeekLogReader | ZeekLogTable
-) -> Callable[[list[str] | dict], LabelPair]:
+) -> Callable[[str | dict], LabelPair]:
     """The label pair of one record of ``log``, a conn.log: its first matching rule's, else (empty)."""
     pairs = [rule.label_pair for rule in ruleset.rules] + [EMPTY_PAIR]
     classify = ruleset.classifier(log.header, log.format)
@@ -39,7 +39,7 @@ def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
     """One (label, detailed_label) pair per record, in record order."""
     if "uid" not in table.header.fields:
         raise LogFormatError("flow table has no uid field")
-    return list(map(_pair_function(ruleset, table), table.records))
+    return list(map(_pair_function(ruleset, table), table.iter_rows()))
 
 
 def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) -> dict[LabelPair, int]:
@@ -76,13 +76,14 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
     reads as ``(empty)``.
     """
     header = reader.header
-    uid_of, label_of, detail_of = (
-        field_getter(header, reader.format, name) for name in ("uid", *LABEL_FIELDS)
-    )
+    uid_of = field_getter(header, reader.format, "uid")
+    cells_of = cells_getter(header, reader.format, LABEL_FIELDS)
+    null = (None, header.unset_field, header.empty_field, "")
     index = UidIndex()
     add = index.setdefault
     pairs = {EMPTY_PAIR: EMPTY_PAIR}
     intern = pairs.setdefault
+    read: dict[tuple, LabelPair] = {}  # label cells as read -> their pair
     rows = unset = 0
     for record in reader.records():
         uid = uid_of(record)
@@ -90,8 +91,12 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
             unset += 1
             continue
         rows += 1
-        pair = (label_of(record) or EMPTY_LABEL, detail_of(record) or EMPTY_LABEL)
-        add(uid, intern(pair, pair))
+        cells = cells_of(record)
+        pair = read.get(cells)
+        if pair is None:
+            pair = tuple(EMPTY_LABEL if text in null else text for text in cells)
+            pair = read[cells] = intern(pair, pair)
+        add(uid, pair)
     # after the stream: bad rows are reported first, and JSON keys are complete
     if not all(name in header.fields for name in LABEL_FIELDS):
         raise UsageError(
@@ -109,7 +114,10 @@ def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
                     ) from None
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
-    _warn_index(index)
+    if unset:
+        logger.warning("%d conn rows had no uid and were left out of the index", unset)
+    if index.duplicates:
+        logger.warning("%d duplicate uids in conn.log; kept the first labels for each", index.duplicates)
     # per distinct pair: the uids are counted only when a label is foreign
     foreign = {label for label, _ in pairs if label not in LABEL_ITEMS and label != EMPTY_LABEL}
     if foreign:
@@ -129,16 +137,3 @@ def warn_foreign_labels(counts: Mapping[str, int], unit: str) -> None:
                 "%d %s carry the label %r, which is none of %s or %s",
                 count, unit, label, ", ".join(LABEL_ITEMS), EMPTY_LABEL,
             )
-
-
-def _warn_index(index: UidIndex) -> None:
-    if index.skipped_unset:
-        logger.warning(
-            "%d conn rows had no uid and were left out of the index",
-            index.skipped_unset,
-        )
-    if index.duplicates:
-        logger.warning(
-            "%d duplicate uids in conn.log; kept the first labels for each",
-            index.duplicates,
-        )

@@ -24,21 +24,23 @@ import ipaddress
 import json
 import logging
 import math
-import operator
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, field_getter, utf8_error
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, utf8_error
 
 logger = logging.getLogger(__name__)
 
 MALICIOUS = "Malicious"
 UNKNOWN = "Unknown"
+# the (IP, window) decisions a report may hold unless raised: 25x those of a week of
+# one-minute windows for 400 IPs, the largest shape measured
+MAX_WINDOWS = 10**8
 
 IPAddress = ipaddress.IPv4Address | ipaddress.IPv6Address
 
@@ -57,6 +59,7 @@ class DetectionRecord:
     ip: IPAddress
     time: float
     evidence: frozenset[str]
+    lineno: int = field(default=0, compare=False)  # in the detections file
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -329,7 +332,7 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
             if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
                 raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
             records.append(
-                DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence))
+                DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence), lineno=lineno)
             )
     except UnicodeDecodeError as exc:
         raise utf8_error(source, lineno, exc) from None
@@ -347,29 +350,22 @@ def _is_address(text: str) -> bool:
 def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, str, str]]:
     """``(uid, start, src_text, label)`` of each row with a uid, finite ts and source IP.
 
-    The four cells are resolved once per header, and each distinct source
+    The cells are read by two readers resolved once per header: the first
+    three columns, and the label near the end of a row. Each distinct source
     text is parsed once, only to tell whether its rows are skipped.
     """
     skipped = 0
     with open(conn_path, encoding="utf-8") as fh:
         reader = ZeekLogReader(fh, str(conn_path))
         header = reader.header
-        names = ("uid", "ts", "id.orig_h", LABEL_FIELDS[0])
-        indexes = [header.index_of(name) for name in names]
-        if reader.format == "tsv" and None not in indexes:
-            cells = operator.itemgetter(*indexes)
-        else:
-            uid_of, ts_of, src_of, label_of = (field_getter(header, reader.format, name) for name in names)
-
-            def cells(record):
-                return uid_of(record), ts_of(record), src_of(record), label_of(record)
-
+        cells = cells_getter(header, reader.format, ("uid", "ts", "id.orig_h"))
+        label_of = field_getter(header, reader.format, LABEL_FIELDS[0])
         # what reads as unset: a null cell of a TSV row, None from a getter
         null = frozenset((None, header.unset_field, header.empty_field, ""))
         sources = dict.fromkeys(null, False)  # source text -> whether it is an address
         isfinite = math.isfinite
         for record in reader.records():
-            uid, ts, src, label = cells(record)
+            uid, ts, src = cells(record)
             is_address = sources.get(src)
             if is_address is None:
                 is_address = sources[src] = _is_address(src)
@@ -377,7 +373,7 @@ def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, str, str]]:
             if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
                 skipped += 1
                 continue
-            yield uid, start, src, EMPTY_LABEL if label in null else label
+            yield uid, start, src, label_of(record) or EMPTY_LABEL
     # after the stream: bad rows are reported first, and JSON keys are complete
     if header.index_of(LABEL_FIELDS[0]) is None:
         raise UsageError(f"{conn_path} has no label column; run 'label' before 'eval'")
@@ -387,14 +383,15 @@ def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, str, str]]:
 
 def evaluate(
     conn_labeled: str | Path, detections_path: str | Path, window: float, threshold: int = 1,
-    cutoff: float | None = None,
+    cutoff: float | None = None, max_windows: int = MAX_WINDOWS,
 ) -> EvalReport:
     """:func:`score` a JSON-lines detections file against a labeled conn.log.
 
     The conn.log is streamed once, and its errors come first: when anything
-    else fails before the stream ends, the rest of it is still read.
-    Detections that predate their evidence are logged; evidence uids that
-    name no flow are a usage error.
+    else fails before the stream ends, the rest of it is still read. A report
+    of more than ``max_windows`` (IP, window) decisions is a usage error that
+    names the events at both ends of the span. Detections that predate their
+    evidence are logged; evidence uids that name no flow are a usage error.
     """
     flows = _read_flows(Path(conn_labeled))
     try:
@@ -405,6 +402,16 @@ def evaluate(
         for _ in flows:  # a conn.log error is reported first
             pass
         raise
+    if report.timelines:  # every IP's runs span the same windows
+        runs = next(iter(report.timelines.values()))
+        lo, hi = runs[0].first_window, runs[-1].first_window + runs[-1].length - 1
+        if (count := len(report.timelines) * (hi - lo + 1)) > max_windows:
+            # each end's event: a detection in its window, else a flow
+            first, last = (next((f"the detection at {d.time:.6f} ({detections_path} line {d.lineno})" for d in detections
+                                 if len(d.evidence) >= threshold and math.floor(d.time / window) == w),
+                                f"a flow in the window at {w * window:.6f} ({conn_labeled})") for w in (lo, hi))
+            raise UsageError(f"the IP timeline would hold {count} windows of {window:g}s, from {first} to {last}; "
+                             f"the bound is {max_windows} (--max-windows)")
     warn_foreign_labels(report.labels, "flows in scope")
     for det, latest in report.predating:
         logger.warning("detection of %s at %.6f predates evidence flow at %.6f", det.ip, det.time, latest)

@@ -33,8 +33,10 @@ logger = logging.getLogger(__name__)
 
 _RANK = {"Malicious": 3, "Unknown": 2, "Benign": 1}
 
-# the logs left after the ssl pass are split between two processes from this many bytes on
+# the logs are split between two processes from this weight on: bytes, a JSON-lines log's
+# times JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
 FORK_MIN_BYTES = 1 << 20
+JSON_BYTE_COST = 1.2
 NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
 
 # accepted spellings of the join fields across Zeek versions
@@ -55,7 +57,7 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
 
 def accumulate_cert_labels(
     reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]
-) -> Iterator[list[str] | dict]:
+) -> Iterator[str | dict]:
     """Yield ssl records, folding each one's chain into a certificate-id -> merged-labels mapping."""
     header = reader.header
     uid_of = field_getter(header, reader.format, "uid")
@@ -73,7 +75,7 @@ def accumulate_cert_labels(
 
 def _pair_function(
     x509: bool, reader: ZeekLogReader, index: UidIndex, cert_map: dict[str, LabelPair]
-) -> Callable[[list[str] | dict], LabelPair]:
+) -> Callable[[str | dict], LabelPair]:
     """The labels of one record of ``reader``'s log.
 
     An x509 record takes its certificate's labels. Any other record takes
@@ -137,10 +139,12 @@ def propagate_dir(
     fails leaves none of them, and no directory it created. The report lists
     the logs in name order.
 
-    Once the ssl logs are done, at most one forked child labels about half of
-    the rest by size, when they hold :data:`FORK_MIN_BYTES` or more, two CPUs
-    are usable and no other thread runs. Outputs, messages, the error raised
-    and the all-or-nothing writes are those of a run in one process.
+    Once the uid index is built, at most one forked child labels about half of
+    the logs by weight, when they weigh :data:`FORK_MIN_BYTES` or more, two CPUs
+    are usable and no other thread runs. Where there is an ssl log, the ssl and
+    x509 logs stay in this process, which alone holds the certificate map.
+    Outputs, messages, the error raised and the all-or-nothing writes are those
+    of a run in one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     with open(conn_labeled, encoding="utf-8") as src:
@@ -197,13 +201,22 @@ def propagate_dir(
         rows = sum(counts.values())
         return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path))
 
+    def zeek_path(path: Path) -> str | None:
+        with open(path, encoding="utf-8") as src:
+            return ZeekLogReader(src, str(path)).header.path
+
+    def pinned(path: Path) -> bool:
+        """Whether ``path`` fills or reads the certificate map, where there is one, or fails in its header."""
+        if not n_ssl or stems[path] in ("ssl", "x509"):
+            return n_ssl > 0
+        _, name, error = _held_back(zeek_path, path)  # its messages come when it is read
+        return name == "x509" or error is not None
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replace_all_on_success() as open_output:
-            outcomes: dict[Path, tuple] = {}
-            for i, path in enumerate(order):
-                if i == n_ssl:  # the index and certificate map are complete
-                    outcomes = _in_two_processes(order[i:], label_log, open_output.adopt, output_of)
+            outcomes = _in_two_processes(order, label_log, open_output.adopt, output_of, pinned)
+            for path in order:
                 # each log's messages, then its error, in read order however many processes ran
                 records, log, error = outcomes.get(path) or _held_back(label_log, path)
                 for level, name, message in records:
@@ -248,19 +261,36 @@ def _held_back(label_log: Callable, path: Path) -> tuple[list, LogReport | None,
             held.removeFilter(hold)
 
 
+def _weight(path: Path) -> float:
+    """The size of ``path``; of a JSON-lines log, whose first non-blank byte is ``{``, times JSON_BYTE_COST."""
+    try:
+        with open(path, "rb") as fh:
+            json_lines = fh.read(1 << 16).lstrip()[:1] == b"{"
+    except OSError:  # the error is raised when the log is labeled, in read order
+        json_lines = False
+    return path.stat().st_size * (JSON_BYTE_COST if json_lines else 1)
+
+
 def _in_two_processes(
-    paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path]
+    paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path],
+    pinned: Callable[[Path], bool],
 ) -> dict[Path, tuple]:
-    """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it."""
-    sizes = {path: path.stat().st_size for path in paths if not path.name.startswith("conn.")}  # skipped, no work
-    if not (len(sizes) >= 2 and sum(sizes.values()) >= FORK_MIN_BYTES and threading.active_count() == 1
+    """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it.
+
+    A ``pinned`` log is labeled in this process; this process labels its logs in the order of ``paths``.
+    """
+    weights = {path: _weight(path) for path in paths if not path.name.startswith("conn.")}  # skipped, no work
+    if not (sum(weights.values()) >= FORK_MIN_BYTES and threading.active_count() == 1
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        return {}
+    theirs, mine = [], [path for path in weights if pinned(path)]
+    for path in sorted(weights.keys() - set(mine), key=lambda path: (-weights[path], paths.index(path))):
+        # largest first, to the lighter group
+        (theirs if sum(map(weights.get, theirs)) <= sum(map(weights.get, mine)) else mine).append(path)
+    if not (theirs and mine):
         return {}
     import pickle
 
-    theirs, mine = [], []
-    for path in sorted(sizes, key=sizes.__getitem__, reverse=True):  # largest first, to the lighter group
-        (theirs if sum(map(sizes.get, theirs)) <= sum(map(sizes.get, mine)) else mine).append(path)
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
         pid = os.fork()
@@ -273,7 +303,7 @@ def _in_two_processes(
                 os._exit(1)
         pipe_out.close()
         try:  # neither process stops at a failing log: which fails first in read order shows only at the end
-            outcomes = {path: _held_back(label_log, path) for path in mine}
+            outcomes = {path: _held_back(label_log, path) for path in sorted(mine, key=paths.index)}
         finally:
             data = pipe_in.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

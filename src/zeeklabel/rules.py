@@ -48,7 +48,7 @@ from .ontology import (
     render_detailed_label,
     validate_assignment,
 )
-from .zeekio import ZeekHeader, _to_float, field_getter
+from .zeekio import ZeekHeader, _projection, _to_float, field_getter
 
 
 def _to_int(text: str) -> int | None:
@@ -118,7 +118,7 @@ class Flow(dict):
 
     __slots__ = ("_record", "_schema")
 
-    def __init__(self, record: list[str] | dict, schema: ConnSchema) -> None:
+    def __init__(self, record: str | dict, schema: ConnSchema) -> None:
         self._record = record
         self._schema = schema
 
@@ -146,12 +146,12 @@ class ConnSchema:
         def total(orig: Callable, resp: Callable) -> Callable:
             return lambda record: (orig(record) or 0) + (resp(record) or 0)
 
-        self.readers: dict[str, Callable[[list[str] | dict], object]] = {}
+        self.readers: dict[str, Callable[[str | dict], object]] = {}
         for column, (_, fields, convert) in COLUMNS.items():
             halves = [read(name, convert) for name in fields]
             self.readers[column] = halves[0] if len(halves) == 1 else total(*halves)
 
-    def view(self, record: list[str] | dict) -> Flow:
+    def view(self, record: str | dict) -> Flow:
         return Flow(record, self)
 
 
@@ -218,7 +218,7 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def classifier(self, header: ZeekHeader, fmt: str) -> Callable[[list[str] | dict], int]:
+    def classifier(self, header: ZeekHeader, fmt: str) -> Callable[[str | dict], int]:
         """A function from a record to the number of the first rule it matches, ``len(self)`` if none.
 
         Built once per conn.log header: the records are what
@@ -246,10 +246,13 @@ class _Compiler:
     columns and operators a parsed rule has. A config value enters as a
     parameter of the factory that makes a line's test; a cell index (TSV) or
     ``field_getter`` (JSON), a converter and a bucket table as a name bound in
-    the exec namespace. Lines of one shape share one compiled factory.
+    the exec namespace. Lines of one shape share one compiled factory. A TSV
+    line is split once, only as far as the fields the tests fetch.
     """
 
     def __init__(self, header: ZeekHeader, fmt: str) -> None:
+        self.header = header
+        self.used: dict[str, int] = {}  # the TSV fields fetched, by cell index
         self.json = fmt == "json"
         self.unset = "t is None" if self.json else "t in null"
         self.null = frozenset((header.unset_field, header.empty_field, ""))
@@ -266,7 +269,10 @@ class _Compiler:
 
     def fetch(self, field: str) -> str:
         """A statement that sets ``t`` to the field's text, which ``self.unset`` tests."""
-        return f"t = {_ident(field)}(r)" if self.json else f"t = r[{_ident(field)}]"
+        if self.json:
+            return f"t = {_ident(field)}(r)"
+        self.used.setdefault(_ident(field), self.ns[_ident(field)])
+        return f"t = r[{_ident(field)}]"
 
     def convert(self, column: str) -> str:
         """The column's value of the set text ``t``; IPv4 text is kept as written."""
@@ -316,7 +322,7 @@ class _Compiler:
         exec(_compiled(source), self.ns)
         return self.ns.pop("make")(*values)
 
-    def classifier(self, rules: tuple[Rule, ...]) -> Callable[[list[str] | dict], int]:
+    def classifier(self, rules: tuple[Rule, ...]) -> Callable[[str | dict], int]:
         # tuple space search: each line is filed under one of its "=" conditions
         # on an indexed column, the first in _INDEXED_COLUMNS order, or as keyless
         buckets: dict[str, dict[object, list]] = {c: {} for c in _INDEXED_COLUMNS}
@@ -349,6 +355,10 @@ class _Compiler:
         if keyless:
             self.ns["keyless"] = tuple(keyless)
             source.append(f"    e = keyless\n{_SCAN}")
+        if self.used:  # each fetched field's index becomes its place in the split
+            self.ns["split"], self.ns["maxsplit"], at = _projection(self.header, list(self.used.values()))
+            self.ns.update(zip(self.used, at), sep=self.header.separator)
+            source.insert(1, "    r = split(r, sep, maxsplit)\n")
         exec(_compiled("".join(source + ["    return best\n"])), self.ns)
         return self.ns["classify"]
 

@@ -9,8 +9,12 @@ object is written as its own text with the two label keys spliced in before
 its closing brace; only an object that already has a label key is encoded
 anew, compactly, with those keys overwritten in place.
 
+A streaming TSV record is its data line without the ``\n``, checked for its
+field count; a JSON-lines record is the object the decoder built, and the
+reader holds that object's exact ``text`` and ``lineno`` until the next one.
 Cells are read through readers resolved once per header (:func:`field_getter`,
-:func:`set_getter`).
+:func:`cells_getter`, :func:`set_getter`), which split a line only as far as
+the columns they read, and a line is written back as it was read.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -65,27 +70,32 @@ _decode_json = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
-class JsonRecord(dict):
-    """A JSON-lines object, with the exact ``text`` of it on line ``lineno``."""
-
-    __slots__ = ("text", "lineno")
-
-
 @dataclass
 class ZeekLogTable:
-    """A whole log held in memory, as the records :meth:`ZeekLogReader.records` yields."""
+    """A whole log held in memory: a list of cells per TSV line, the object per JSON line.
+
+    ``texts`` holds each JSON object's exact text and line number.
+    """
 
     header: ZeekHeader
-    records: list[list[str] | JsonRecord]
+    records: list[list[str] | dict]
     trailer: list[str]
     format: str  # "tsv" | "json"
     source: str = "<log>"
+    texts: list[tuple[str, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def iter_rows(self) -> Iterator[list[str] | dict]:
-        return iter(self.records)
+    def iter_rows(self) -> Iterator[str | dict]:
+        """The records as :meth:`ZeekLogReader.records` yields them, with ``text`` and ``lineno`` kept alike."""
+        if self.format == "tsv":
+            return map(self.header.separator.join, self.records)
+        return self._json_rows()
+
+    def _json_rows(self) -> Iterator[dict]:
+        for obj, (self.text, self.lineno) in zip(self.records, self.texts):
+            yield obj
 
 
 def _unescape_separator(text: str) -> str | None:
@@ -105,8 +115,6 @@ def _json_scalar(value: object) -> str:
 
 
 def _json_cell(value: object, header: ZeekHeader) -> str:
-    if value is None:
-        return header.unset_field
     if isinstance(value, list):
         if not value:
             return header.empty_field
@@ -183,18 +191,11 @@ class ZeekLogReader:
                     )
                 h.separator = sep
             else:
-                parts = line.split(h.separator)
-                name = parts[0]
-                if name == "#set_separator" and len(parts) > 1:
-                    h.set_separator = parts[1]
-                elif name == "#empty_field" and len(parts) > 1:
-                    h.empty_field = parts[1]
-                elif name == "#unset_field" and len(parts) > 1:
-                    h.unset_field = parts[1]
-                elif name == "#path" and len(parts) > 1:
-                    h.path = parts[1]
+                name, *values = line.split(h.separator)
+                if name in ("#set_separator", "#empty_field", "#unset_field", "#path") and values:
+                    setattr(h, name[1:], values[0])
                 elif name == "#fields":
-                    h.fields = parts[1:]
+                    h.fields = values
                     for column, count in Counter(h.fields).items():
                         if count > 1:
                             logger.warning(
@@ -202,7 +203,7 @@ class ZeekLogReader:
                                 self.source, column, count,
                             )
                 elif name == "#types":
-                    h.types = parts[1:]
+                    h.types = values
             line = self._next_line()
         if not h.fields:
             raise LogFormatError(f"{self.source}: missing #fields line")
@@ -213,7 +214,7 @@ class ZeekLogReader:
             )
         self._pending = line
 
-    def _parse_json(self, line: str, lineno: int) -> JsonRecord:
+    def _parse_json(self, line: str, lineno: int) -> dict:
         # what json.loads accepts, and where in the line the value's text is
         start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
         try:
@@ -228,26 +229,27 @@ class ZeekLogReader:
             raise LogFormatError(
                 f"{self.source}: line {lineno}: expected a JSON object"
             )
-        record = JsonRecord(obj)
-        record.text = line[start:end]
-        record.lineno = lineno
-        return record
+        self.text, self.lineno = line[start:end], lineno
+        return obj
 
-    def records(self) -> Iterator[list[str] | dict]:
-        """The data rows: a list of cells per TSV line, a :class:`JsonRecord` per JSON line.
+    def records(self) -> Iterator[str | dict]:
+        """The data rows: each TSV line without its ``\n``, the object of each JSON line.
 
-        A TSV line splits back to its exact text with ``header.separator``.
+        A TSV line has as many fields as the header, so :func:`cells_getter`
+        may split it only partly. Until the next record, ``text`` and
+        ``lineno`` are the exact text and the line number of a JSON object.
         """
         if self.format == "tsv":
             return self._tsv_records()
         return self._json_records()
 
-    def _tsv_records(self) -> Iterator[list[str]]:
+    def _tsv_records(self) -> Iterator[str]:
         line, self._pending = self._pending, None
         if line is None:
             return
         sep = self.header.separator
         n_fields = len(self.header.fields)
+        n_seps = n_fields - 1
         trailer = self.trailer
         # lines before the pending one; rows and trailer lines count the rest
         lines_before = self._lineno - 1
@@ -261,14 +263,13 @@ class ZeekLogReader:
                     trailer.append(line)
                     trailer.extend(rest.rstrip("\n") for rest in lines)
                     return
-                cells = line.split(sep)
                 rowno += 1
-                if len(cells) != n_fields:
+                if line.count(sep) != n_seps:
                     raise LogFormatError(
                         f"{self.source}: row {rowno}: expected {n_fields} "
-                        f"fields, got {len(cells)}"
+                        f"fields, got {line.count(sep) + 1}"
                     )
-                yield cells
+                yield line
         except UnicodeDecodeError as exc:
             raise utf8_error(self.source, lines_before + rowno + len(trailer), exc) from None
 
@@ -282,7 +283,7 @@ class ZeekLogReader:
         parse = self._parse_json
         try:
             for lineno, line in enumerate(chain((line,), self._stream), lineno):
-                if not line.strip():
+                if line[:1] != "{" and not line.strip():
                     continue
                 obj = parse(line, lineno)
                 if not known.issuperset(obj):
@@ -296,16 +297,23 @@ class ZeekLogReader:
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
-    """Read a whole log into a table of the records the streaming reader yields.
+    """Read a whole log into a table: a list of verbatim cells per TSV line.
 
-    A TSV record is the list of a line's verbatim cells, a JSON-lines record
-    the line's object as parsed, with its text. For JSON lines the header's
-    fields are the union of keys in first-appearance order; a key an object
-    lacks reads as unset through :func:`row_field`.
+    A JSON-lines record is the line's object as parsed; its text and line
+    number go to ``texts``. For JSON lines the header's fields are the union
+    of keys in first-appearance order; a key an object lacks reads as unset
+    through :func:`row_field`.
     """
     reader = ZeekLogReader(stream, source)
-    records = list(reader.records())
-    return ZeekLogTable(reader.header, records, reader.trailer, reader.format, source)
+    table = ZeekLogTable(reader.header, [], reader.trailer, reader.format, source)
+    sep = reader.header.separator
+    for record in reader.records():
+        if reader.format == "tsv":
+            record = record.split(sep)
+        else:
+            table.texts.append((reader.text, reader.lineno))
+        table.records.append(record)
+    return table
 
 
 # rows a writer joins into one write; bounds its buffer however long the log
@@ -314,7 +322,7 @@ WRITE_CHUNK_ROWS = 256
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode
 
 
-def _relabeled_json(obj: JsonRecord, pair: tuple[str, str], source: str) -> str:
+def _relabeled_json(obj: dict, pair: tuple[str, str], source: str, lineno: int) -> str:
     """``obj`` encoded anew with its label keys set to ``pair``, as strict UTF-8 JSON."""
     label_key, detail_key = LABEL_FIELDS
     try:
@@ -328,22 +336,24 @@ def _relabeled_json(obj: JsonRecord, pair: tuple[str, str], source: str) -> str:
     else:
         return text
     raise LogFormatError(
-        f"{source}: line {obj.lineno}: cannot relabel an object holding {problem}"
+        f"{source}: line {lineno}: cannot relabel an object holding {problem}"
     )
 
 
 def write_labeled(
     stream: IO[str],
     log: ZeekLogReader | ZeekLogTable,
-    records: Iterable[list[str] | dict],
-    pair_of: Callable[[list[str] | dict], tuple[str, str]],
+    records: Iterable[str | dict],
+    pair_of: Callable[[str | dict], tuple[str, str]],
 ) -> dict[tuple[str, str], int]:
     """Write ``log`` with the label pair ``pair_of(record)`` of each record.
 
-    ``records`` are what :meth:`ZeekLogReader.records` yields for ``log``. A
-    TSV log's directive lines are copied verbatim, with the label columns it
-    lacks appended to ``#fields`` and ``#types``; a label column it already
-    has (a relabeled log) gets the new value in place. A JSON object is its
+    ``records`` are what :meth:`ZeekLogReader.records` (or a table's
+    ``iter_rows``) yields for ``log``. A TSV log's directive lines are copied
+    verbatim, with the label columns it lacks appended to ``#fields`` and
+    ``#types``, and each line gets those columns' cells appended; only a line
+    of a log that has a label column already (a relabeled log) is split, to
+    take the new value in place. A JSON object is its
     own text with the label keys put before its closing brace; one that has a
     label key already is encoded anew, compactly, with its label keys
     overwritten, and a :class:`LogFormatError` if it holds a value JSON or
@@ -365,20 +375,20 @@ def write_labeled(
             elif line.startswith("#types" + sep) or line == "#types":
                 line = sep.join([line, *(["string"] * len(added))])
             write(line + "\n")
-        join = sep.join
         tails: dict[tuple[str, str], str] = {}
-        for cells in records:
-            pair = pair_of(cells)
+        for line in records:
+            pair = pair_of(line)
             tail = tails.get(pair)
             if tail is None:
                 tail = tails[pair] = "".join(sep + pair[k] for k in added) + "\n"
                 counts[pair] = 0
             counts[pair] += 1
             if present:
-                cells = cells.copy()
+                cells = line.split(sep)
                 for i, k in present:
                     cells[i] = pair[k]
-            buf.append(join(cells) + tail)
+                line = sep.join(cells)
+            buf.append(line + tail)
             if len(buf) == WRITE_CHUNK_ROWS:
                 write("".join(buf))
                 buf.clear()
@@ -394,9 +404,9 @@ def write_labeled(
                 counts[pair] = 0
             counts[pair] += 1
             if label_key in obj or detail_key in obj:
-                buf.append(_relabeled_json(obj, pair, log.source) + "\n")
+                buf.append(_relabeled_json(obj, pair, log.source, log.lineno) + "\n")
             else:
-                buf.append(obj.text[:-1] + (tail if obj else tail[1:]))
+                buf.append(log.text[:-1] + (tail if obj else tail[1:]))
             if len(buf) == WRITE_CHUNK_ROWS:
                 write("".join(buf))
                 buf.clear()
@@ -414,7 +424,7 @@ def write_log(
             f"{len(labels)} label pairs for {len(table.records)} records"
         )
     pairs = iter(labels)
-    write_labeled(stream, table, table.records, lambda _: next(pairs))
+    write_labeled(stream, table, table.iter_rows(), lambda _: next(pairs))
 
 
 @contextmanager
@@ -458,43 +468,32 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
         raise
 
 
-def row_field(record: list[str] | dict, header: ZeekHeader, name: str) -> str | None:
-    """A single field of a record as verbatim text, or None when unset/absent."""
-    if isinstance(record, dict):
-        value = record.get(name)
-        if value is None:
-            return None
-        text = _json_cell(value, header)
-    else:
-        idx = header.index_of(name)
-        if idx is None:
-            return None
-        text = record[idx]
-    if text == header.unset_field or text == header.empty_field or text == "":
-        return None
-    return text
+def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str, getter: Callable | None = None):
+    """``getter`` (:func:`field_getter` by default) of one record: a streamed one, or a table's list of cells."""
+    if isinstance(record, list):
+        record = header.separator.join(record)
+    return (getter or field_getter)(header, "tsv" if isinstance(record, str) else "json", name)(record)
 
 
-def row_set_field(record: list[str] | dict, header: ZeekHeader, name: str) -> list[str]:
-    """A set/vector field of a record as a list of member strings (empty when unset)."""
-    if isinstance(record, dict):
-        value = record.get(name)
-        if value is None:
-            return []
-        if isinstance(value, list):
-            return [_json_scalar(v) for v in value]
-        text = _json_scalar(value)
-        if text in (header.unset_field, header.empty_field, ""):
-            return []
-        return [text]
-    cell = row_field(record, header, name)
-    if cell is None:
-        return []
-    return cell.split(header.set_separator)
+def row_set_field(record: list[str] | str | dict, header: ZeekHeader, name: str) -> list[str]:
+    """:func:`set_getter` of one record: a streamed one, or a table's list of cells."""
+    return row_field(record, header, name, set_getter)
 
 
-def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] | dict], str | None]:
-    """``row_field`` for one column, resolved once: a function of a record.
+def _projection(header: ZeekHeader, indexes: list[int]) -> tuple[Callable, int, list[int]]:
+    """``(split, maxsplit, at)``: ``split(line, sep, maxsplit)[at]`` are the cells at ``indexes``.
+
+    It splits from the end when that is shorter; a separator of more than one
+    character might overlap itself, so only from the start.
+    """
+    n = len(header.fields)
+    if max(indexes) + 1 <= n - min(indexes) or len(header.separator) > 1:
+        return str.split, max(indexes) + 1, indexes
+    return str.rsplit, n - min(indexes), [i - n for i in indexes]
+
+
+def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], str | None]:
+    """One column's text in a record, resolved once; None when unset, empty or absent.
 
     The records are what :meth:`ZeekLogReader.records` yields for ``fmt``.
     """
@@ -511,17 +510,32 @@ def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str]
         return get
     idx = header.index_of(name)
     if idx is None:
-        return lambda cells: None
+        return lambda line: None
+    split, maxsplit, (at,) = _projection(header, [idx])
+    sep = header.separator
 
-    def cell(cells):
-        text = cells[idx]
+    def cell(line):
+        text = split(line, sep, maxsplit)[at]
         return None if text in null else text
 
     return cell
 
 
-def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] | dict], list[str]]:
-    """``row_set_field`` for one column, resolved once: a function of a record."""
+def cells_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...]) -> Callable[[str | dict], tuple]:
+    """Two or more columns of a record, resolved once: the tuple of a TSV line's verbatim cells,
+    split only as far as they lie, else of :func:`field_getter`'s values; so None and the
+    header's unset and empty texts read as unset."""
+    indexes = [header.index_of(name) for name in names]
+    if fmt == "json" or None in indexes:
+        getters = [field_getter(header, fmt, name) for name in names]
+        return lambda record: tuple([get(record) for get in getters])
+    split, maxsplit, at = _projection(header, indexes)
+    sep, get = header.separator, itemgetter(*at)
+    return lambda line: get(split(line, sep, maxsplit))
+
+
+def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], list[str]]:
+    """A set column's members in a record, resolved once; [] when unset, empty or absent."""
     get = field_getter(header, fmt, name)
     if fmt == "json":
 
@@ -535,8 +549,8 @@ def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] |
         return members
     set_sep = header.set_separator
 
-    def split(cells):
-        text = get(cells)
+    def split(line):
+        text = get(line)
         return [] if text is None else text.split(set_sep)
 
     return split
@@ -544,7 +558,7 @@ def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[list[str] |
 
 def first_getter(
     header: ZeekHeader, fmt: str, names: tuple[str, ...], getter: Callable = field_getter
-) -> Callable[[list[str] | dict], object]:
+) -> Callable[[str | dict], object]:
     """``getter`` for the first of ``names`` a record has: a function of a record.
 
     It returns None for a record with none of ``names``. A TSV log's records
@@ -564,7 +578,7 @@ def first_getter(
     for name in names:
         if name in header.fields:
             return getter(header, fmt, name)
-    return lambda cells: None
+    return lambda line: None
 
 
 def _to_float(text: str | None) -> float | None:

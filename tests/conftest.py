@@ -82,6 +82,26 @@ def conn_log_text(rows: list[list[str]]) -> str:
     return zeek_tsv("conn", CONN_FIELDS, CONN_TYPES, rows)
 
 
+class StdoutCapExceeded(Exception):
+    """A command wrote more to stdout than its test allows."""
+
+
+class CappedStdout(io.StringIO):
+    """An in-memory stdout that raises once it would hold more than ``cap`` characters.
+
+    An unbounded report then ends its test at once, before it fills memory or disk.
+    """
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > self.cap:
+            raise StdoutCapExceeded(f"stdout would pass {self.cap} characters")
+        return super().write(text)
+
+
 def table_from_text(text: str, source: str = "<test>"):
     return read_log(io.StringIO(text), source)
 
@@ -93,7 +113,7 @@ def data_dir() -> Path:
 
 @pytest.fixture
 def two_processes(monkeypatch):
-    """Split propagate's logs left after the ssl pass between two processes whenever there are two.
+    """Split propagate's logs between two processes whenever each process gets one.
 
     Returns the list of forks made, one entry each.
     """

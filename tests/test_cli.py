@@ -4,10 +4,11 @@ import hashlib
 import io
 import json
 import shutil
+import sys
 
 import pytest
 
-from conftest import CONN_FIELDS, CONN_TYPES, DATA_DIR, conn_log_text, conn_row, json_lines, zeek_tsv
+from conftest import CONN_FIELDS, CONN_TYPES, DATA_DIR, CappedStdout, conn_log_text, conn_row, json_lines, zeek_tsv
 
 from zeeklabel.cli import main
 from zeeklabel.zeekio import read_log, row_field
@@ -1224,6 +1225,36 @@ def test_eval_window_overflow_is_a_usage_error(tmp_path, capsys, which):
     assert _one_error_line(capsys.readouterr().err) == (
         "error: window 1e-300s is too small for the flow and detection times"
     )
+
+
+def test_eval_refuses_a_report_of_more_windows_than_the_bound(tmp_path, capsys, monkeypatch):
+    # detection times in milliseconds: fig2's one IP spans 2.8e10 one-minute windows
+    conn = DATA_DIR / "fig2" / "conn.labeled.log"
+    det = tmp_path / "detections.jsonl"
+    objects = map(json.loads, (DATA_DIR / "fig2" / "detections.jsonl").read_text().splitlines())
+    det.write_text("".join(json.dumps({**obj, "time": obj["time"] * 1000}) + "\n" for obj in objects))
+    stdout = CappedStdout(1 << 20)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["eval", str(conn), str(det), "--window", "60"]) == 2
+    assert stdout.getvalue() == ""
+    assert _one_error_line(capsys.readouterr().err) == (
+        "error: the IP timeline would hold 27881265835 windows of 60s, from a flow in the window at "
+        f"1674549960.000000 ({conn}) to the detection at 1674550500000.000000 ({det} line 1); "
+        "the bound is 100000000 (--max-windows)"
+    )
+
+
+def test_max_windows_sets_the_bound(capsys):
+    argv = ["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(DATA_DIR / "fig2" / "detections.jsonl"),
+            "--window", "60", "--json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    windows = sum(json.loads(report)["ip"]["counts"].values())
+    assert windows > 1
+    assert main([*argv, "--max-windows", str(windows)]) == 0
+    assert capsys.readouterr().out == report
+    assert main([*argv, "--max-windows", str(windows - 1)]) == 2
+    assert _one_error_line(capsys.readouterr().err).startswith(f"error: the IP timeline would hold {windows} windows")
 
 
 def test_validate_config_ok(capsys):

@@ -164,3 +164,32 @@ def test_x509_without_ssl_warns_once_whichever_process_reads_each(tmp_path, caps
     assert labeled_by() == {"x509.log": "child", "x509.2.log": "parent", "x509.3.log": "parent"}
     assert [r.getMessage() for r in caplog.records] == [propagate.NO_SSL_WARNING]
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_a_json_lines_log_weighs_more_per_byte(tmp_path, capsys, two_processes, labeled_by):
+    # dns.log (JSON lines) has fewer bytes than http.log (TSV) but weighs more, so the child labels it
+    argv, logs, out = _write_case(tmp_path, rows={"http.log": 200})
+    http = (logs / "http.log").stat().st_size
+    dns = next(text for n in range(1, 1000) if len(text := "".join(
+        f'{{"ts": 1.0, "uid": "C{i % 40}"}}\n' for i in range(n))) * propagate.JSON_BYTE_COST > http)
+    (logs / "dns.log").write_text(dns)
+    assert len(dns) < http
+    assert main(argv) == 0
+    assert labeled_by() == {"dns.log": "child", "http.log": "parent"}
+
+
+def test_with_an_ssl_log_the_certificate_logs_stay_in_this_process(tmp_path, monkeypatch, two_processes, labeled_by):
+    # certs.log is an x509 log by its #path, and the heaviest; only this process holds the certificate map
+    argv, logs, out = _write_case(tmp_path, rows={"http.log": 60})
+    (logs / "ssl.log").write_text(zeek_tsv("ssl", ["ts", "uid", "cert_chain_fuids"], ["time", "string", "vector[string]"],
+                                           [["1.0", f"C{i}", f"F{i},F{i + 1}"] for i in range(40)]))
+    for name, rows in (("x509.log", 10), ("certs.log", 300)):
+        (logs / name).write_text(zeek_tsv("x509", ["ts", "id"], ["time", "string"], [["1.0", f"F{i % 41}"] for i in range(rows)]))
+    assert main(argv) == 0
+    assert labeled_by() == {"ssl.log": "parent", "certs.log": "parent", "x509.log": "parent", "http.log": "child"}
+    one = tmp_path / "one"
+    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", float("inf"))
+    assert main([*argv[:-1], str(one)]) == 0
+    assert len(two_processes) == 1
+    for path in out.iterdir():
+        assert path.read_bytes() == (one / path.name).read_bytes()

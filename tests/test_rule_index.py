@@ -188,12 +188,12 @@ def test_a_config_value_is_data_not_source():
     rows = [flow_to_cells(make_flow(random.Random(seed))) for seed in range(20)]
     table = read_log(io.StringIO(conn_log_text(rows)), "<gen>")
     classify = ruleset.classifier(table.header, table.format)
-    assert [classify(row) for row in table.records] == [2] * 20
+    assert [classify(row) for row in table.iter_rows()] == [2] * 20
     assert not hasattr(builtins, "ZEEKLABEL_RAN")
     # and it matches a flow whose proto cell is that text, in any case
     cells = list(table.records[0])
     cells[CONN_FIELDS.index("proto")] = evil.upper()
     cells[CONN_FIELDS.index("id.orig_h")] = "10.0.0.1"
-    assert classify(cells) == 0
+    assert classify("\t".join(cells)) == 0
     cells[CONN_FIELDS.index("proto")] = "tcp"
-    assert classify(cells) == 2
+    assert classify("\t".join(cells)) == 2

@@ -266,7 +266,7 @@ def test_tos_reads_a_set_value_and_unset_as_none(fmt):
     _, ruleset = load_config("Malicious, (empty):\n    - Tos=16\n")
     classify = ruleset.classifier(table.header, table.format)
     got = {}
-    for record in table.records:
+    for record in table.iter_rows():
         flow = schema.view(record)
         uid = row_field(record, table.header, "uid")
         got[uid] = flow.value("Tos")
