@@ -16,8 +16,9 @@ import logging
 import math
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
@@ -97,9 +98,11 @@ def _score_json(c: ConfusionCounts) -> dict:
     return {"counts": vars(c), "metrics": metrics}
 
 
-def _print_score(c: ConfusionCounts) -> None:
-    print(f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}")
-    print(f"  FPR {_pct(c.fpr)}  TPR {_pct(c.tpr)}  Accuracy {_pct(c.accuracy)}  F1 {_pct(c.f1)}")
+def _score_text(c: ConfusionCounts) -> str:
+    return (
+        f"  TP {c.tp}  FP {c.fp}  FN {c.fn}  TN {c.tn}\n"
+        f"  FPR {_pct(c.fpr)}  TPR {_pct(c.tpr)}  Accuracy {_pct(c.accuracy)}  F1 {_pct(c.f1)}\n"
+    )
 
 
 # windows a report write holds at most: about 150 KB of --json or 25 KB of text,
@@ -118,77 +121,55 @@ _WINDOW_TAILS = {
 }
 
 
-def _write_text_timelines(write: Callable[[str], object], timelines: dict, limit: int) -> None:
-    """The text report's timeline lines, ``limit`` windows to a write."""
+def _json_windows(window: float, first: int, length: int, truth: bool, predicted: bool) -> str:
+    """``length`` window objects from window ``first`` on, as the --json report spells them."""
+    tail = _WINDOW_TAILS[truth, predicted]
+    starts = map(window.__mul__, range(first, first + length))
+    # the starts grow with the window, so only the ends can overflow to infinity
+    finite = math.isfinite(first * window) and math.isfinite((first + length - 1) * window)
+    windows = (tail + "," + _WINDOW_HEAD).join(map(float.__repr__ if finite else json.dumps, starts))
+    return f"{_WINDOW_HEAD}{windows}{tail}"
+
+
+def _write_timelines(write: Callable, timelines: dict, limit: int, joint: str, ends: Callable, spell: Callable) -> None:
+    """Each IP's runs between its ``ends(ip, runs)``, ``limit`` windows to a write: a run is cut where
+    it fills a write, each piece is ``spell(first, length, truth, predicted)``, and ``joint`` goes
+    between the IPs and between the pieces of one IP."""
     buf: list[str] = []
     held = 0
+    lead = ""
     for ip, runs in timelines.items():
-        buf.append(f"  {ip}:" if runs else f"  {ip}: ")
-        for _, length, truth, predicted in runs:
-            mark = _MARKS[truth, predicted]
-            while held + length >= limit:  # the run fills this write
-                take = limit - held
-                buf.append(mark * take)
-                write("".join(buf))
-                buf.clear()
-                length -= take
-                held = 0
-            buf.append(mark * length)
-            held += length
-        buf.append("\n")
-    write("".join(buf))
-
-
-def _json_floats(window: float, first: int, stop: int) -> Iterator[str]:
-    """``w * window`` for each w in [first, stop), as json spells a float."""
-    starts = map(window.__mul__, range(first, stop))
-    # the starts grow with w, so only the ends can overflow to infinity
-    if math.isfinite(first * window) and math.isfinite((stop - 1) * window):
-        return map(float.__repr__, starts)
-    return map(json.dumps, starts)
-
-
-def _write_json_timelines(write: Callable[[str], object], timelines: dict, window: float, limit: int) -> None:
-    """The members of the --json ``timelines`` object, ``limit`` windows to a write."""
-    buf: list[str] = []
-    held = 0
-    lead = "\n      "
-    for ip, runs in timelines.items():
-        buf.append(f"{lead}{json.dumps(str(ip))}: [")
-        head = _WINDOW_HEAD  # the comma goes between windows
+        opening, closing = ends(ip, runs)
+        buf += (lead, opening)
+        lead = ""
         for first, length, truth, predicted in runs:
-            tail = _WINDOW_TAILS[truth, predicted]
-            between = tail + "," + _WINDOW_HEAD
             while held + length >= limit:  # the run fills this write
                 take = limit - held
-                buf += (head, between.join(_json_floats(window, first, first + take)), tail)
+                buf += (lead, spell(first, take, truth, predicted))
                 write("".join(buf))
                 buf.clear()
-                head = "," + _WINDOW_HEAD
+                lead = joint
                 first += take
                 length -= take
                 held = 0
             if length:
-                buf += (head, between.join(_json_floats(window, first, first + length)), tail)
-                head = "," + _WINDOW_HEAD
+                buf += (lead, spell(first, length, truth, predicted))
+                lead = joint
                 held += length
-        buf.append("\n      ]" if runs else "]")
-        lead = ",\n      "
+        buf.append(closing)
+        lead = joint
     write("".join(buf))
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     report = evaluate(ns.conn_labeled, ns.detections, ns.window, ns.threshold, ns.cutoff, ns.max_windows)
     labels = report.labels
-    scored = labels.total()
-    write = sys.stdout.write
-
     if ns.json:
         # json.dumps(payload, indent=2) with the timelines written window by window
         payload = {
             "parameters": {"window": ns.window, "threshold": ns.threshold, "cutoff": ns.cutoff},
             "flow": {
-                "flows": scored,
+                "flows": labels.total(),
                 "malicious": labels[MALICIOUS],
                 "unknown_excluded": labels[UNKNOWN],
                 "unlabeled_negative": labels[EMPTY_PAIR[0]],
@@ -196,23 +177,28 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             },
             "ip": {**_score_json(report.ip), "timelines": {}},
         }
-        head, _, end = json.dumps(payload, indent=2).rpartition("{}")
-        write(head + "{")
-        _write_json_timelines(write, report.timelines, ns.window, JSON_CHUNK_WINDOWS)
-        write(("\n    }" if report.timelines else "}") + end + "\n")
-        return 0
-
-    print("flow-level evaluation")
-    print(
-        f"  flows: {scored} (malicious {labels[MALICIOUS]}, "
-        f"unknown excluded {labels[UNKNOWN]}, unlabeled {labels[EMPTY_PAIR[0]]})"
-    )
-    _print_score(report.flow)
-    print(
-        f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})"
-    )
-    _write_text_timelines(write, report.timelines, TEXT_CHUNK_WINDOWS)
-    _print_score(report.ip)
+        head, _, tail = json.dumps(payload, indent=2).rpartition("{}")
+        head, tail = head + "{", ("\n    }" if report.timelines else "}") + tail + "\n"
+        fmt = (
+            JSON_CHUNK_WINDOWS, ",",
+            lambda ip, runs: (f"\n      {json.dumps(str(ip))}: [", "\n      ]" if runs else "]"),
+            partial(_json_windows, ns.window),
+        )
+    else:
+        head = (
+            f"flow-level evaluation\n  flows: {labels.total()} (malicious {labels[MALICIOUS]}, "
+            f"unknown excluded {labels[UNKNOWN]}, unlabeled {labels[EMPTY_PAIR[0]]})\n{_score_text(report.flow)}"
+            f"ip-level evaluation (window {ns.window:g}s, threshold {ns.threshold})\n"
+        )
+        tail = _score_text(report.ip)
+        fmt = (
+            TEXT_CHUNK_WINDOWS, "",
+            lambda ip, runs: (f"  {ip}:" if runs else f"  {ip}: ", "\n"),
+            lambda first, length, truth, predicted: _MARKS[truth, predicted] * length,
+        )
+    sys.stdout.write(head)
+    _write_timelines(sys.stdout.write, report.timelines, *fmt)
+    sys.stdout.write(tail)
     return 0
 
 

@@ -8,7 +8,7 @@ several parent flows the labels merge by severity: Malicious beats Unknown
 beats Benign beats ``(empty)``, ties keeping the first candidate seen.
 
 :func:`propagate_dir` runs the whole pipeline over a log directory and
-reads each log once. The ssl logs go first: :func:`accumulate_cert_labels`
+labels each log in one pass. The ssl logs go first: :func:`accumulate_cert_labels`
 folds their records into the certificate map as they are written, so the map
 is complete before any x509 log is read. An x509 log is known by its name or
 ``#path``; any other log's record finds its flows through the columns (TSV)
@@ -130,7 +130,7 @@ def propagate_dir(
 ) -> PropagateReport:
     """Label every other ``*.log`` in ``log_dir`` from a labeled conn.log.
 
-    Each log is read once: the ssl logs first, whose records fill the
+    Each log is labeled in one pass: the ssl logs first, whose records fill the
     certificate map as they are written, then the rest in name order, so an
     x509 log always finds that map complete. Each output is
     ``<stem>.labeled.log`` in ``out_dir``, created (with its parents) before

@@ -4,10 +4,14 @@ Both on-disk shapes are supported: classic tab-separated logs with their
 ``#``-directive header block, and JSON-lines logs (one object per line).
 TSV is treated as the canonical form; headers and data cells are kept
 verbatim so a labeled file is byte-identical to its input apart from the
-two label columns, appended or, in a relabeled log, rewritten. A JSON-lines
-object is written as its own text with the two label keys spliced in before
-its closing brace; only an object that already has a label key is encoded
-anew, compactly, with those keys overwritten in place.
+two label columns, appended or, in a relabeled log, rewritten, with two
+limits: logs are read with universal newlines, so a CRLF log's copy has LF
+line ends and a lone ``\r`` in a TSV cell ends its line (the row then fails
+its field count). A JSON-lines object is written as its own text with the
+two label keys spliced in before its closing brace; only an object that
+already has a label key is encoded anew, compactly, with those keys
+overwritten in place. A second ``#separator`` block after the data, as
+``cat`` makes of two logs, is refused rather than kept as trailer.
 
 A streaming TSV record is its data line without the ``\n``, checked for its
 field count; a JSON-lines record is the object the decoder built, and the
@@ -259,9 +263,16 @@ class ZeekLogReader:
             for line in lines:
                 line = line.rstrip("\n")
                 if line[:1] == "#":
-                    # footer directives (#close); everything after is kept verbatim
-                    trailer.append(line)
-                    trailer.extend(rest.rstrip("\n") for rest in lines)
+                    # footer directives (#close); everything after is kept verbatim,
+                    # but a second header block (logs joined by cat) would go unread
+                    for line in chain((line,), lines):
+                        line = line.rstrip("\n")
+                        if line.startswith("#separator"):
+                            raise LogFormatError(
+                                f"{self.source}: line {lines_before + rowno + len(trailer) + 1}: a second "
+                                "header block starts here; split concatenated logs into one file each"
+                            )
+                        trailer.append(line)
                     return
                 rowno += 1
                 if line.count(sep) != n_seps:

@@ -650,6 +650,36 @@ def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, com
     assert not list(tmp_path.glob("*.labeled.log"))
 
 
+@pytest.mark.parametrize("command", ["label", "propagate-conn", "propagate-http", "propagate-http-forked", "eval"])
+def test_concatenated_tsv_log_is_a_one_line_error(proplogs_dir, request, capsys, command):
+    # `cat a.log b.log` gives one file with a second header block after the first #close
+    _label_proplogs(proplogs_dir)
+    name = {"label": "conn.log", "eval": "conn.labeled.log", "propagate-conn": "conn.labeled.log"}.get(command, "http.log")
+    doubled = proplogs_dir / name
+    once = doubled.read_text()
+    doubled.write_text(once + once)
+    forks = request.getfixturevalue("two_processes") if command.endswith("forked") else None
+    detections = proplogs_dir / "d.jsonl"
+    detections.write_text('{"ip": "10.0.0.1", "time": 1674560400.0, "evidence": []}\n')
+    before = sorted(p.name for p in proplogs_dir.iterdir())
+    capsys.readouterr()
+    conn_labeled = str(proplogs_dir / "conn.labeled.log")
+    argv = {
+        "label": ["label", str(doubled), "--config", str(proplogs_dir / "labeling.conf")],
+        "eval": ["eval", conn_labeled, str(detections)],
+    }.get(command, ["propagate", conn_labeled, str(proplogs_dir)])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) == (
+        f"error: {doubled}: line {once.count(chr(10)) + 1}: a second header block starts here; "
+        "split concatenated logs into one file each"
+    )
+    assert sorted(p.name for p in proplogs_dir.iterdir()) == before
+    if forks is not None:
+        assert len(forks) == 1
+
+
 def test_label_without_uid_column_names_the_file(tmp_path, capsys):
     conn = tmp_path / "conn.log"
     conn.write_text(zeek_tsv("conn", ["ts", "proto"], ["time", "enum"], [["1.0", "tcp"]]))
