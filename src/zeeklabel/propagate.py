@@ -140,11 +140,11 @@ def propagate_dir(
     the logs in name order.
 
     Once the uid index is built, at most one forked child labels about half of
-    the logs by weight, when they weigh :data:`FORK_MIN_BYTES` or more, two CPUs
-    are usable and no other thread runs. Where there is an ssl log, the ssl and
-    x509 logs stay in this process, which alone holds the certificate map.
-    Outputs, messages, the error raised and the all-or-nothing writes are those
-    of a run in one process.
+    the logs by weight, when those other than ``conn.*`` hold FORK_MIN_BYTES or
+    more, two CPUs are usable and no other thread runs; only then is each log's
+    header read a second time, to weigh it. Where there is an ssl log, the ssl
+    and x509 logs stay in this process, which alone holds the certificate map.
+    Outputs, messages, errors and all-or-nothing writes are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     with open(conn_labeled, encoding="utf-8") as src:
@@ -164,23 +164,28 @@ def propagate_dir(
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     output_of = lambda path: out_dir / (path.name[: -len(".log")] + ".labeled.log")  # noqa: E731
 
+    def kind_of(path: Path, reader: ZeekLogReader) -> str:
+        """``conn`` or ``x509`` by the stem or ``#path`` of ``path``, else ``ssl`` by its stem, else ``other``."""
+        names = (stems[path], reader.header.path)
+        return "conn" if "conn" in names else "x509" if "x509" in names else "ssl" if names[0] == "ssl" else "other"
+
     def label_log(path: Path) -> LogReport | None:
-        stem = stems[path]
         with open(path, encoding="utf-8") as src:
             reader = ZeekLogReader(src, str(path))
-            if stem == "conn" or reader.header.path == "conn":
+            kind = kind_of(path, reader)
+            if kind == "conn":
                 # a flow log is where labels come from, not a propagation target
                 if path.name == source:
                     logger.info("%s is the label source; skipping", path.name)
                 else:
                     logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
                 return None
-            x509 = stem == "x509" or reader.header.path == "x509"
+            x509 = kind == "x509"
             if x509 and order.index(path) < n_ssl - 1:  # its certificate map would be partial
                 raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
             if x509 and not ssl_readers:  # kept only for the first x509 log
                 logger.warning(NO_SSL_WARNING)
-            if not x509 and stem == "ssl":
+            if kind == "ssl":
                 ssl_readers.append(reader)
                 records = accumulate_cert_labels(reader, index, cert_map)
             else:
@@ -201,21 +206,20 @@ def propagate_dir(
         rows = sum(counts.values())
         return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path))
 
-    def zeek_path(path: Path) -> str | None:
+    def survey(path: Path) -> tuple[float, bool] | None:
+        """The weight of ``path`` in the split and whether it stays in this process; None for a conn log."""
         with open(path, encoding="utf-8") as src:
-            return ZeekLogReader(src, str(path)).header.path
-
-    def pinned(path: Path) -> bool:
-        """Whether ``path`` fills or reads the certificate map, where there is one, or fails in its header."""
-        if not n_ssl or stems[path] in ("ssl", "x509"):
-            return n_ssl > 0
-        _, name, error = _held_back(zeek_path, path)  # its messages come when it is read
-        return name == "x509" or error is not None
+            reader = ZeekLogReader(src, str(path))
+        kind = kind_of(path, reader)
+        if kind == "conn":
+            return None
+        weight = path.stat().st_size * (JSON_BYTE_COST if reader.format == "json" else 1)
+        return weight, n_ssl > 0 and kind in ("ssl", "x509")  # only this process holds a certificate map
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replace_all_on_success() as open_output:
-            outcomes = _in_two_processes(order, label_log, open_output.adopt, output_of, pinned)
+            outcomes = _in_two_processes(order, label_log, open_output.adopt, output_of, survey)
             for path in order:
                 # each log's messages, then its error, in read order however many processes ran
                 records, log, error = outcomes.get(path) or _held_back(label_log, path)
@@ -261,32 +265,26 @@ def _held_back(label_log: Callable, path: Path) -> tuple[list, LogReport | None,
             held.removeFilter(hold)
 
 
-def _weight(path: Path) -> float:
-    """The size of ``path``; of a JSON-lines log, whose first non-blank byte is ``{``, times JSON_BYTE_COST."""
-    try:
-        with open(path, "rb") as fh:
-            json_lines = fh.read(1 << 16).lstrip()[:1] == b"{"
-    except OSError:  # the error is raised when the log is labeled, in read order
-        json_lines = False
-    return path.stat().st_size * (JSON_BYTE_COST if json_lines else 1)
-
-
 def _in_two_processes(
     paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path],
-    pinned: Callable[[Path], bool],
+    survey: Callable[[Path], tuple[float, bool] | None],
 ) -> dict[Path, tuple]:
     """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it.
 
-    A ``pinned`` log is labeled in this process; this process labels its logs in the order of ``paths``.
+    A fork needs one thread, ``os.fork``, two usable CPUs and FORK_MIN_BYTES of logs other than ``conn.*``, all
+    checked before any log is opened. Then ``survey`` reads each log, its messages and error held back for when it
+    is labeled; a log it gives None, or that fails, is left to the caller, and this process labels its own in order.
     """
-    weights = {path: _weight(path) for path in paths if not path.name.startswith("conn.")}  # skipped, no work
-    if not (sum(weights.values()) >= FORK_MIN_BYTES and threading.active_count() == 1
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+    logs = [path for path in paths if not path.name.startswith("conn.")]  # skipped, no work
+    if not (threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and sum(path.stat().st_size for path in logs) >= FORK_MIN_BYTES):
         return {}
-    theirs, mine = [], [path for path in weights if pinned(path)]
-    for path in sorted(weights.keys() - set(mine), key=lambda path: (-weights[path], paths.index(path))):
+    surveyed = {path: found for path in logs if (found := _held_back(survey, path)[1]) is not None}
+    theirs, mine = [], [path for path, (_, stays) in surveyed.items() if stays]
+    weight = lambda group: sum(surveyed[path][0] for path in group)  # noqa: E731
+    for path in sorted(surveyed.keys() - set(mine), key=lambda path: (-surveyed[path][0], paths.index(path))):
         # largest first, to the lighter group
-        (theirs if sum(map(weights.get, theirs)) <= sum(map(weights.get, mine)) else mine).append(path)
+        (theirs if weight(theirs) <= weight(mine) else mine).append(path)
     if not (theirs and mine):
         return {}
     import pickle

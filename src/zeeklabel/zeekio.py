@@ -10,8 +10,8 @@ line ends and a lone ``\r`` in a TSV cell ends its line (the row then fails
 its field count). A JSON-lines object is written as its own text with the
 two label keys spliced in before its closing brace; only an object that
 already has a label key is encoded anew, compactly, with those keys
-overwritten in place. A second ``#separator`` block after the data, as
-``cat`` makes of two logs, is refused rather than kept as trailer.
+overwritten in place. A second ``#separator`` block, as ``cat`` makes of
+two logs, is refused rather than read as header or kept as trailer.
 
 A streaming TSV record is its data line without the ``\n``, checked for its
 field count; a JSON-lines record is the object the decoder built, and the
@@ -185,6 +185,8 @@ class ZeekLogReader:
         h = self.header
         # a log with no rows has its #close right after the header: a trailer line
         while line is not None and line.startswith("#") and not line.startswith("#close"):
+            if h.fields and line.startswith("#separator"):
+                break  # a second header block (an unclosed empty log joined by cat): _tsv_records refuses it
             h.preamble.append(line)
             if line.startswith("#separator "):
                 text = line[len("#separator ") :]

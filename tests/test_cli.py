@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import shutil
 import sys
@@ -650,14 +651,20 @@ def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, com
     assert not list(tmp_path.glob("*.labeled.log"))
 
 
-@pytest.mark.parametrize("command", ["label", "propagate-conn", "propagate-http", "propagate-http-forked", "eval"])
+@pytest.mark.parametrize("command", [
+    "label", "propagate-conn", "propagate-http", "propagate-http-forked", "eval",
+    "label-unclosed", "propagate-http-unclosed", "eval-unclosed",
+])
 def test_concatenated_tsv_log_is_a_one_line_error(proplogs_dir, request, capsys, command):
-    # `cat a.log b.log` gives one file with a second header block after the first #close
+    # `cat a.log b.log` gives one file with a second header block after the first #close, or right after
+    # the first header where a.log is an unclosed log with no rows
     _label_proplogs(proplogs_dir)
+    command, unclosed = command.removesuffix("-unclosed"), command.endswith("-unclosed")
     name = {"label": "conn.log", "eval": "conn.labeled.log", "propagate-conn": "conn.labeled.log"}.get(command, "http.log")
     doubled = proplogs_dir / name
     once = doubled.read_text()
-    doubled.write_text(once + once)
+    first = "".join(itertools.takewhile(lambda line: line.startswith("#"), once.splitlines(True))) if unclosed else once
+    doubled.write_text(first + once)
     forks = request.getfixturevalue("two_processes") if command.endswith("forked") else None
     detections = proplogs_dir / "d.jsonl"
     detections.write_text('{"ip": "10.0.0.1", "time": 1674560400.0, "evidence": []}\n')
@@ -672,7 +679,7 @@ def test_concatenated_tsv_log_is_a_one_line_error(proplogs_dir, request, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert _one_error_line(err) == (
-        f"error: {doubled}: line {once.count(chr(10)) + 1}: a second header block starts here; "
+        f"error: {doubled}: line {first.count(chr(10)) + 1}: a second header block starts here; "
         "split concatenated logs into one file each"
     )
     assert sorted(p.name for p in proplogs_dir.iterdir()) == before

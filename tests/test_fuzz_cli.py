@@ -7,22 +7,27 @@ duplicates a line. ``label``, ``propagate``, ``eval`` and ``eval --json`` run
 in process on each copy. Each returns 0, 1 or 2; a nonzero return prints
 exactly one ``error:`` line and leaves no new file; and stdout stays under a
 cap, which ``eval``'s ``--max-windows`` keeps it under, so a report that
-would not end fails the test instead of filling memory.
+would not end fails the test instead of filling memory. ``propagate`` runs a
+second time with its logs split between two processes wherever each gets one,
+and must return, print and leave exactly what the run in one process did.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, CappedStdout
 
+from zeeklabel import propagate
 from zeeklabel.cli import main
 
 TOKENS = [b"\t", b"\n", b"#", b"{", b"\xff", b"1e400", b"\\ud800", b"12345678901234567890"]
@@ -88,11 +93,27 @@ def test_every_command_ends_in_a_result_or_one_error_line(command, target, chang
             data = _mutate(data, change)
         path.write_bytes(data)
         before = sorted(work.rglob("*"))
-        stdout, stderr = CappedStdout(STDOUT_CAP), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main(argv(work))
+        rc, stdout, stderr, left = _run(argv(work), work, before)
         assert rc in (0, 1, 2)
         if rc:
-            assert "Traceback" not in stderr.getvalue()
-            assert len([line for line in stderr.getvalue().splitlines() if line.startswith("error:")]) == 1
+            assert "Traceback" not in stderr
+            assert len([line for line in stderr.splitlines() if line.startswith("error:")]) == 1
             assert sorted(work.rglob("*")) == before
+        if command == "propagate" and hasattr(os, "fork"):
+            # again with the logs split between two processes, from the same inputs
+            for path in left:
+                path.unlink()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(propagate, "FORK_MIN_BYTES", 0)
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+                split = _run(argv(work), work, before)
+            assert split == (rc, stdout, stderr, left)
+
+
+def _run(argv: list[str], work: Path, before: list[Path]) -> tuple[int, str, str, dict[Path, bytes]]:
+    """``main(argv)``'s return, stdout and stderr, and the bytes of each file it left in ``work``."""
+    stdout, stderr = CappedStdout(STDOUT_CAP), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    left = {path: path.read_bytes() for path in sorted(set(work.rglob("*")) - set(before))}
+    return rc, stdout.getvalue(), stderr.getvalue(), left

@@ -9,6 +9,8 @@ in read order, exit 1, no output and no temp file left, and no child left.
 
 from __future__ import annotations
 
+import builtins
+import collections
 import os
 import signal
 
@@ -193,3 +195,61 @@ def test_with_an_ssl_log_the_certificate_logs_stay_in_this_process(tmp_path, mon
     assert len(two_processes) == 1
     for path in out.iterdir():
         assert path.read_bytes() == (one / path.name).read_bytes()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """How many times this process opens each file, by name; a forked child counts in its own memory."""
+    counts = collections.Counter()
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            counts[os.path.basename(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    return counts
+
+
+def _with_certificates(logs) -> None:
+    (logs / "ssl.log").write_text(zeek_tsv("ssl", ["ts", "uid", "cert_chain_fuids"], ["time", "string", "vector[string]"],
+                                           [["1.0", f"C{i}", f"F{i}"] for i in range(40)]))
+    (logs / "certs.log").write_text(zeek_tsv("x509", ["ts", "id"], ["time", "string"], [["1.0", f"F{i}"] for i in range(40)]))
+
+
+def test_a_run_that_cannot_fork_opens_each_log_once(tmp_path, capsys, monkeypatch, opened):
+    argv, logs, out = _write_case(tmp_path)
+    _with_certificates(logs)
+    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(argv) == 0
+    assert {name: opened[name] for name in ("conn.labeled.log", *(p.name for p in logs.iterdir()))} == {
+        "conn.labeled.log": 1, "certs.log": 1, "dhcp.log": 1, "http.log": 1, "ssl.log": 1, "weird.log": 1,
+    }
+
+
+def test_this_process_opens_each_log_the_child_labels_once(tmp_path, capsys, two_processes, labeled_by, opened):
+    argv, logs, out = _write_case(tmp_path)
+    _with_certificates(logs)
+    assert main(argv) == 0
+    writers = labeled_by()
+    assert "child" in writers.values() and "parent" in writers.values()
+    # a log of this process's own is read once to weigh it and once to label it
+    assert {name: opened[name] for name in writers} == {name: 1 if by == "child" else 2 for name, by in writers.items()}
+
+
+def test_a_conn_log_known_by_its_path_takes_no_part_in_the_split(tmp_path, capsys, caplog, monkeypatch, two_processes):
+    argv, logs, out = _write_case(tmp_path, rows={"http.log": 60})
+    (logs / "flows.log").write_text(CONN)  # #path conn
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert two_processes == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "flows.log is a conn log but not conn.log, the label source; skipping"
+    ]
+    one = tmp_path / "one"
+    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", float("inf"))
+    assert main([*argv[:-1], str(one)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in one.iterdir()) == ["http.labeled.log"]
+    assert (out / "http.labeled.log").read_bytes() == (one / "http.labeled.log").read_bytes()

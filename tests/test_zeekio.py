@@ -58,6 +58,14 @@ def test_header_only_log_is_empty_table():
     assert table.header.fields == CONN_FIELDS
 
 
+def test_a_repeated_separator_before_fields_is_one_header():
+    # only a #separator after the #fields line starts a second header block
+    text = conn_log_text([conn_row()])
+    table = table_from_text("#separator \\x09\n" + text)
+    assert len(table) == 1
+    assert table.header.fields == CONN_FIELDS
+
+
 def test_missing_fields_directive_rejected():
     text = "#separator \\x09\n#unset_field\t-\n"
     with pytest.raises(LogFormatError, match="missing #fields"):
