@@ -19,23 +19,21 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
-from .zeekio import ZeekLogReader, field_getter, first_getter, replace_all_on_success, set_getter, write_labeled
+from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_two_processes, release
+from .zeekio import replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
 _RANK = {"Malicious": 3, "Unknown": 2, "Benign": 1}
 
-# the logs are split between two processes from this weight on: bytes, a JSON-lines log's
-# times JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
-FORK_MIN_BYTES = 1 << 20
+# a log's weight in the split between two processes: its bytes, a JSON-lines log's times
+# JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
 JSON_BYTE_COST = 1.2
 NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
 
@@ -140,11 +138,11 @@ def propagate_dir(
     the logs in name order.
 
     Once the uid index is built, at most one forked child labels about half of
-    the logs by weight, when those other than ``conn.*`` hold FORK_MIN_BYTES or
-    more, two CPUs are usable and no other thread runs; only then is each log's
-    header read a second time, to weigh it. Where there is an ssl log, the ssl
-    and x509 logs stay in this process, which alone holds the certificate map.
-    Outputs, messages, errors and all-or-nothing writes are those of one process.
+    the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of
+    those other than ``conn.*``; only then is each log's header read a second
+    time, to weigh it. Where there is an ssl log, the ssl and x509 logs stay in
+    this process, which alone holds the certificate map. Outputs, messages,
+    errors and all-or-nothing writes are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     with open(conn_labeled, encoding="utf-8") as src:
@@ -164,14 +162,15 @@ def propagate_dir(
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     output_of = lambda path: out_dir / (path.name[: -len(".log")] + ".labeled.log")  # noqa: E731
 
-    def kind_of(path: Path, reader: ZeekLogReader) -> str:
+    def kind_of(path: Path, reader: ZeekLogReader | None) -> str:
         """``conn`` or ``x509`` by the stem or ``#path`` of ``path``, else ``ssl`` by its stem, else ``other``."""
-        names = (stems[path], reader.header.path)
+        names = (stems[path], reader and reader.header.path)
         return "conn" if "conn" in names else "x509" if "x509" in names else "ssl" if names[0] == "ssl" else "other"
 
     def label_log(path: Path) -> LogReport | None:
-        with open(path, encoding="utf-8") as src:
-            reader = ZeekLogReader(src, str(path))
+        # a conn log by its name is skipped unread, whatever it holds
+        with open(path, encoding="utf-8") if stems[path] != "conn" else contextlib.nullcontext() as src:
+            reader = src and ZeekLogReader(src, str(path))
             kind = kind_of(path, reader)
             if kind == "conn":
                 # a flow log is where labels come from, not a propagation target
@@ -222,12 +221,9 @@ def propagate_dir(
             outcomes = _in_two_processes(order, label_log, open_output.adopt, output_of, survey)
             for path in order:
                 # each log's messages, then its error, in read order however many processes ran
-                records, log, error = outcomes.get(path) or _held_back(label_log, path)
-                for level, name, message in records:
-                    if message != NO_SSL_WARNING or not any(done.route == "x509" for done in report.logs):
-                        logging.getLogger(name).log(level, message)
-                if error is not None:
-                    raise error
+                records, log, error = outcomes.get(path) or held_back(label_log, path)
+                x509_done = any(done.route == "x509" for done in report.logs)
+                release([record for record in records if not (x509_done and record[2] == NO_SSL_WARNING)], None, error)
                 if log is not None:
                     report.logs.append(log)
             # after the last log: a bad row of any log is reported first, and JSON keys are complete
@@ -247,39 +243,19 @@ def propagate_dir(
     return report
 
 
-_HELD_LOGGERS = (logger, logging.getLogger("zeeklabel.zeekio"))
-
-
-def _held_back(label_log: Callable, path: Path) -> tuple[list, LogReport | None, Exception | None]:
-    """``label_log(path)``'s records, as (level, logger name, message), then its report or its error."""
-    records: list[tuple[int, str, str]] = []
-    hold = lambda record: records.append((record.levelno, record.name, record.getMessage()))  # noqa: E731
-    for held in _HELD_LOGGERS:
-        held.addFilter(hold)  # returns None, so the record goes no further
-    try:
-        return records, label_log(path), None
-    except Exception as exc:
-        return records, None, exc
-    finally:
-        for held in _HELD_LOGGERS:
-            held.removeFilter(hold)
-
-
 def _in_two_processes(
     paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path],
     survey: Callable[[Path], tuple[float, bool] | None],
 ) -> dict[Path, tuple]:
     """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it.
 
-    A fork needs one thread, ``os.fork``, two usable CPUs and FORK_MIN_BYTES of logs other than ``conn.*``, all
-    checked before any log is opened. Then ``survey`` reads each log, its messages and error held back for when it
-    is labeled; a log it gives None, or that fails, is left to the caller, and this process labels its own in order.
+    Where :func:`zeekio.can_fork` allows, ``survey`` reads each log, its messages and error held back for when
+    it is labeled; a log it gives None, or that fails, is left to the caller. This process labels its own in order.
     """
     logs = [path for path in paths if not path.name.startswith("conn.")]  # skipped, no work
-    if not (threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and sum(path.stat().st_size for path in logs) >= FORK_MIN_BYTES):
+    if not can_fork(sum(path.stat().st_size for path in logs)):
         return {}
-    surveyed = {path: found for path in logs if (found := _held_back(survey, path)[1]) is not None}
+    surveyed = {path: found for path in logs if (found := held_back(survey, path)[1]) is not None}
     theirs, mine = [], [path for path, (_, stays) in surveyed.items() if stays]
     weight = lambda group: sum(surveyed[path][0] for path in group)  # noqa: E731
     for path in sorted(surveyed.keys() - set(mine), key=lambda path: (-surveyed[path][0], paths.index(path))):
@@ -287,26 +263,9 @@ def _in_two_processes(
         (theirs if weight(theirs) <= weight(mine) else mine).append(path)
     if not (theirs and mine):
         return {}
-    import pickle
-
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
-        pid = os.fork()
-        if pid == 0:  # the child sends its outcomes and exits without unwinding the parent's state
-            try:
-                pipe_out.write(pickle.dumps({path: _held_back(label_log, path) for path in theirs}))
-                pipe_out.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        pipe_out.close()
-        try:  # neither process stops at a failing log: which fails first in read order shows only at the end
-            outcomes = {path: _held_back(label_log, path) for path in sorted(mine, key=paths.index)}
-        finally:
-            data = pipe_in.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            for path in theirs:
-                adopt(output_of(path), pid)
-    if status:
-        raise ChildProcessError(f"propagate: the second process (pid {pid}) ended without a result (status {status})")
-    return {**pickle.loads(data), **outcomes}
+    # neither process stops at a failing log: which fails first in read order shows only at the end
+    their_outcomes, outcomes = in_two_processes(
+        "propagate", lambda: {path: held_back(label_log, path) for path in theirs},
+        lambda: {path: held_back(label_log, path) for path in sorted(mine, key=paths.index)},
+        lambda pid: [adopt(output_of(path), pid) for path in theirs])
+    return {**their_outcomes, **outcomes}

@@ -27,6 +27,7 @@ import errno
 import json
 import logging
 import os
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -237,6 +238,11 @@ class ZeekLogReader:
             )
         self.text, self.lineno = line[start:end], lineno
         return obj
+
+    def follow(self, stream: IO[str]) -> None:
+        """Read ``stream``'s lines as this log's next records, with no directive lines to write before them."""
+        self._stream, self.trailer, self.header.preamble = stream, [], []
+        self._pending = self._next_line()
 
     def records(self) -> Iterator[str | dict]:
         """The data rows: each TSV line without its ``\n``, the object of each JSON line.
@@ -479,6 +485,66 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
         for tmp, _ in moves:
             tmp.unlink(missing_ok=True)
         raise
+
+
+FORK_MIN_BYTES = 768 << 10  # input bytes from which label and propagate may use a second process
+_HELD_LOGGERS = tuple(logging.getLogger(f"zeeklabel.{name}") for name in ("labeler", "propagate", "zeekio"))
+
+
+def can_fork(nbytes: int) -> bool:
+    """FORK_MIN_BYTES in ``nbytes``, one thread (a fork copies no other), ``os.fork`` and two CPUs to run on."""
+    return (nbytes >= FORK_MIN_BYTES and threading.active_count() == 1 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def held_back(function: Callable, *args) -> tuple[list[tuple[int, str, str]], object, Exception | None]:
+    """``function(*args)``'s log records, as (level, logger name, message), then its result or its error."""
+    records: list[tuple[int, str, str]] = []
+    hold = lambda record: records.append((record.levelno, record.name, record.getMessage()))  # noqa: E731
+    for held in _HELD_LOGGERS:
+        held.addFilter(hold)  # returns None, so the record goes no further
+    try:
+        return records, function(*args), None
+    except Exception as exc:
+        return records, None, exc
+    finally:
+        for held in _HELD_LOGGERS:
+            held.removeFilter(hold)
+
+
+def release(records: list[tuple[int, str, str]], result: object = None, error: Exception | None = None) -> object:
+    """What :func:`held_back` held: log ``records``, then raise ``error`` or return ``result``."""
+    for level, name, message in records:
+        logging.getLogger(name).log(level, message)
+    if error is not None:
+        raise error
+    return result
+
+
+def in_two_processes(command: str, theirs: Callable, mine: Callable, reaped: Callable[[int], object]) -> tuple:
+    """``theirs()`` in a forked child and ``mine()`` here, at once: both results. ``reaped(pid)`` runs once the
+    child has ended, also when ``mine()`` raises; a child that sends no result is a :class:`ChildProcessError`."""
+    import pickle  # only where a child starts
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
+        pid = os.fork()
+        if pid == 0:  # the child sends its result and exits without unwinding the parent's state
+            try:
+                pipe_out.write(pickle.dumps(theirs()))
+                pipe_out.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        pipe_out.close()
+        try:
+            result = mine()
+        finally:
+            data = pipe_in.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped(pid)
+    if status:
+        raise ChildProcessError(f"{command}: the second process (pid {pid}) ended without a result (status {status})")
+    return pickle.loads(data), result
 
 
 def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str, getter: Callable | None = None):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zeeklabel import propagate
+from zeeklabel import zeekio
 from zeeklabel.zeekio import read_log
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -113,7 +113,8 @@ def data_dir() -> Path:
 
 @pytest.fixture
 def two_processes(monkeypatch):
-    """Split propagate's logs between two processes whenever each process gets one.
+    """Use a second process at any input size: ``propagate`` splits its logs whenever each process gets
+    one, and ``label`` splits its conn.log at the middle.
 
     Returns the list of forks made, one entry each.
     """
@@ -126,7 +127,7 @@ def two_processes(monkeypatch):
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks

@@ -4,7 +4,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -77,6 +79,23 @@ def test_label_explicit_output(portscan_dir, tmp_path, capsys):
     assert f"wrote: {out_path}" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
+def test_label_reads_a_pipe(portscan_dir, tmp_path, capsys):
+    # a named pipe cannot seek, as /dev/stdin or a shell's <(...) cannot
+    pipe = tmp_path / "conn.pipe"
+    os.mkfifo(pipe)
+    writer = subprocess.Popen(["sh", "-c", f"cat '{portscan_dir / 'conn.log'}' > '{pipe}'"])
+    try:
+        rc = main(["label", str(pipe), "--config", str(portscan_dir / "portscan.conf"),
+                   "--output", str(tmp_path / "piped.log")])
+    finally:
+        writer.wait()
+    assert rc == 0
+    main(["label", str(portscan_dir / "conn.log"), "--config", str(portscan_dir / "portscan.conf"),
+          "--output", str(tmp_path / "read.log")])
+    assert (tmp_path / "piped.log").read_bytes() == (tmp_path / "read.log").read_bytes()
+
+
 def test_label_output_in_a_missing_directory_names_the_output(portscan_dir, tmp_path, capsys):
     out_path = tmp_path / "nodir" / "out.log"
     rc = main(
@@ -93,6 +112,16 @@ def test_label_output_in_a_missing_directory_names_the_output(portscan_dir, tmp_
     assert _one_error_line(capsys.readouterr().err) == (
         f"error: [Errno 2] No such file or directory: '{out_path}'"
     )
+
+
+@pytest.mark.parametrize("name, error", [("nope.log", "[Errno 2] No such file or directory"),
+                                         ("adir", "[Errno 21] Is a directory")])
+def test_label_input_that_cannot_be_read_is_named_as_given(portscan_dir, tmp_path, capsys, name, error):
+    (tmp_path / "adir").mkdir()
+    rc = main(["label", str(tmp_path / name), "--config", str(portscan_dir / "portscan.conf"),
+               "--output", str(tmp_path / "out.log")])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: {error}: '{tmp_path / name}'"
 
 
 def test_label_refuses_to_overwrite_input(portscan_dir, capsys):
@@ -543,6 +572,22 @@ def test_propagate_warns_on_conn_logs_other_than_the_label_source(proplogs_dir, 
     assert warned == ["conn.00:00:00-01:00:00.log is a conn log but not conn.log, the label source; skipping"]
     assert "conn.log is the label source; skipping" in caplog.text
     assert "conn.00" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["conn.log", "conn.00:00:00-01:00:00.log"])
+def test_propagate_skips_a_conn_log_by_its_name_without_reading_it(proplogs_dir, capsys, caplog, name):
+    _label_proplogs(proplogs_dir)
+    (proplogs_dir / name).write_text("garbage\n")
+    capsys.readouterr()
+    with caplog.at_level("INFO"):
+        rc = main(["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)])
+    assert rc == 0
+    assert "error:" not in capsys.readouterr().err
+    assert caplog.records[0].getMessage() == (
+        "conn.log is the label source; skipping" if name == "conn.log"
+        else f"{name} is a conn log but not conn.log, the label source; skipping"
+    )
+    assert (proplogs_dir / "http.labeled.log").exists()
 
 
 def _big_conn(path, rows: int, bad_row: bytes | None = None) -> int:

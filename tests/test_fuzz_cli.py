@@ -7,9 +7,11 @@ duplicates a line. ``label``, ``propagate``, ``eval`` and ``eval --json`` run
 in process on each copy. Each returns 0, 1 or 2; a nonzero return prints
 exactly one ``error:`` line and leaves no new file; and stdout stays under a
 cap, which ``eval``'s ``--max-windows`` keeps it under, so a report that
-would not end fails the test instead of filling memory. ``propagate`` runs a
-second time with its logs split between two processes wherever each gets one,
-and must return, print and leave exactly what the run in one process did.
+would not end fails the test instead of filling memory. ``propagate`` and
+``label`` run a second time with their work split between two processes
+(``propagate``'s logs wherever each process gets one, ``label``'s conn.log at
+its middle), and must return, print and leave exactly what the run in one
+process did.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, CappedStdout
 
-from zeeklabel import propagate
+from zeeklabel import zeekio
 from zeeklabel.cli import main
 
 TOKENS = [b"\t", b"\n", b"#", b"{", b"\xff", b"1e400", b"\\ud800", b"12345678901234567890"]
@@ -99,12 +101,12 @@ def test_every_command_ends_in_a_result_or_one_error_line(command, target, chang
             assert "Traceback" not in stderr
             assert len([line for line in stderr.splitlines() if line.startswith("error:")]) == 1
             assert sorted(work.rglob("*")) == before
-        if command == "propagate" and hasattr(os, "fork"):
-            # again with the logs split between two processes, from the same inputs
+        if command.startswith(("propagate", "label")) and hasattr(os, "fork"):
+            # again with the work split between two processes, from the same inputs
             for path in left:
                 path.unlink()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(propagate, "FORK_MIN_BYTES", 0)
+                patch.setattr(zeekio, "FORK_MIN_BYTES", 0)
                 patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
                 split = _run(argv(work), work, before)
             assert split == (rc, stdout, stderr, left)

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import zeek_tsv
 
-from zeeklabel import propagate
+from zeeklabel import propagate, zeekio
 from zeeklabel.cli import main
 
 CONN = zeek_tsv(
@@ -190,7 +190,7 @@ def test_with_an_ssl_log_the_certificate_logs_stay_in_this_process(tmp_path, mon
     assert main(argv) == 0
     assert labeled_by() == {"ssl.log": "parent", "certs.log": "parent", "x509.log": "parent", "http.log": "child"}
     one = tmp_path / "one"
-    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", float("inf"))
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", float("inf"))
     assert main([*argv[:-1], str(one)]) == 0
     assert len(two_processes) == 1
     for path in out.iterdir():
@@ -221,7 +221,7 @@ def _with_certificates(logs) -> None:
 def test_a_run_that_cannot_fork_opens_each_log_once(tmp_path, capsys, monkeypatch, opened):
     argv, logs, out = _write_case(tmp_path)
     _with_certificates(logs)
-    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(argv) == 0
     assert {name: opened[name] for name in ("conn.labeled.log", *(p.name for p in logs.iterdir()))} == {
@@ -249,7 +249,7 @@ def test_a_conn_log_known_by_its_path_takes_no_part_in_the_split(tmp_path, capsy
         "flows.log is a conn log but not conn.log, the label source; skipping"
     ]
     one = tmp_path / "one"
-    monkeypatch.setattr(propagate, "FORK_MIN_BYTES", float("inf"))
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", float("inf"))
     assert main([*argv[:-1], str(one)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in one.iterdir()) == ["http.labeled.log"]
     assert (out / "http.labeled.log").read_bytes() == (one / "http.labeled.log").read_bytes()
