@@ -7,7 +7,6 @@ belong above general ones in the config. Flows no rule matches get the
 
 from __future__ import annotations
 
-import io
 import logging
 from collections import Counter
 from pathlib import Path
@@ -16,8 +15,8 @@ from typing import IO, Callable, Mapping
 from .errors import LogFormatError, UsageError
 from .ontology import LABEL_ITEMS
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, can_fork, held_back, in_two_processes, release
-from .zeekio import cells_getter, field_getter, replace_all_on_success, write_labeled
+from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, field_getter, in_halves
+from .zeekio import replace_all_on_success, split_reads, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -49,42 +48,19 @@ def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) ->
     The copy appears only once complete, and only if the log has a uid column.
     From zeekio.FORK_MIN_BYTES, on two CPUs, a forked child labels the second half, as one process would.
     """
-    if can_fork(size := Path(conn_path).stat().st_size):
-        with open(conn_path, "rb") as raw:
-            split = raw.seek(size // 2) + len(raw.readline())  # where the line after the middle begins
-        records, counts, error = held_back(_label, conn_path, ruleset, out_path, split)
-        if counts is not None or isinstance(error, ChildProcessError):  # else one process labels the log
-            return release(records, counts, error)
-    return _label(conn_path, ruleset, out_path, None)
+    return in_halves(conn_path, _label, ruleset, out_path)
 
 
-class _OneProcess(Exception):
-    """A trailer began before the split, or this process labeled no rows: one process labels the log."""
-
-
-class _Head(io.FileIO):
-    """A file's bytes up to ``stop`` (None: all of them), for a text stream to read by lines."""
-
-    def __init__(self, path: str | Path, stop: int | None) -> None:
-        super().__init__(str(path))  # an error names it as open() does
-        self.stop = stop
-
-    def readinto(self, buffer) -> int:
-        return super().readinto(buffer if self.stop is None else memoryview(buffer)[: self.stop - self.tell()])
-
-
-def _label(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path, split: int | None) -> dict[LabelPair, int]:
+def _label(ruleset: RuleSet, out_path: str | Path, reader: ZeekLogReader, split: int | None) -> dict[LabelPair, int]:
     """Label the log here, or its lines up to byte ``split`` here and the rest in a forked child."""
-    src = io.TextIOWrapper(io.BufferedReader(_Head(conn_path, split)), encoding="utf-8")  # as open(conn_path) reads
-    with src, replace_all_on_success() as open_output:
-        reader = ZeekLogReader(src, str(conn_path))
-        pair_of = _pair_function(ruleset, reader)
-        label = lambda dst: (write_labeled(dst, reader, reader.records(), pair_of), reader.header.fields)  # noqa: E731
+    pair_of = _pair_function(ruleset, reader)
+    label = lambda dst: (write_labeled(dst, reader, reader.records(), pair_of), reader.header.fields)  # noqa: E731
+    with replace_all_on_success() as open_output:
         with open_output(Path(out_path)) as dst:
             counts, fields = label(dst) if split is None else _with_child(reader, split, label, dst)
         # after the stream, before the move: a JSON log's fields are complete only now
         if "uid" not in fields:
-            raise LogFormatError(f"{conn_path}: flow table has no uid field")
+            raise LogFormatError(f"{reader.source}: flow table has no uid field")
     return counts
 
 
@@ -94,20 +70,14 @@ def _with_child(reader: ZeekLogReader, split: int, label: Callable, dst: IO[str]
         Path(part.name).unlink()  # open in this process and the child, and on no path: nothing is left behind
 
         def theirs() -> tuple[dict[LabelPair, int], list[str]]:
-            with open(reader.source, encoding="utf-8") as rest, open(part.fileno(), "w", encoding="utf-8") as out:
-                rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
-                reader.follow(rest)
+            with open(part.fileno(), "w", encoding="utf-8") as out:
                 return label(out)
 
-        (records, result, error), (counts, fields) = in_two_processes(
-            "label", lambda: held_back(theirs), lambda: label(dst), lambda pid: None)
-        if error is not None or reader.trailer or not counts:
-            raise error or _OneProcess()
-        release(records)
+        (result, their_fields), (counts, fields) = split_reads("label", reader, split, theirs, lambda: label(dst))
         dst.flush()
         part.seek(0)
         dst.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
-    return dict(Counter(counts) + Counter(result[0])), {*fields, *result[1]}
+    return dict(Counter(counts) + Counter(result)), {*fields, *their_fields}
 
 
 class UidIndex(dict):

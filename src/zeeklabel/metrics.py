@@ -8,12 +8,15 @@ the epoch and each (source IP, window) pair becomes one decision, which is
 how "was the attacker flagged while attacking" is scored.
 
 :func:`score` takes the detections and one pass over the flows, which it
-does not keep. It keeps one state per source key a flow carries: the source
-text :func:`evaluate` reads from a conn.log, or an address. Each key becomes
-an address once, after the pass, and keys that spell one address differently
-merge. One sweep over each IP's event windows then gives its decisions as
-maximal runs: no two adjacent runs of an IP share a status. Scoring costs
-O(flows + detections) however many quiet windows the span holds.
+does not keep, in three steps. :func:`tally` keeps one state per source key a
+flow carries (the source text :func:`evaluate` reads from a conn.log, or an
+address) and the counts per label. :func:`merge` adds the tally of later flows
+to that of earlier ones, exactly as one pass over both would leave it, so two
+processes can each tally part of a conn.log. :func:`finish` turns each key into
+an address once, so that keys spelling one address differently merge, and one
+sweep over each IP's event windows then gives its decisions as maximal runs:
+no two adjacent runs of an IP share a status. Scoring costs O(flows +
+detections) however many quiet windows the span holds.
 
 Undefined ratios stay undefined (None), they are never reported as 0.
 """
@@ -32,7 +35,8 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, utf8_error
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, split_reads
+from .zeekio import utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -148,41 +152,70 @@ def score(
     ``threshold`` evidence uids are ignored), and stays positive afterwards
     only while the IP's most recent activity window holds malicious flows.
     """
-    if not 0 < window < math.inf:  # NaN too
-        raise UsageError("window must be a positive finite number of seconds")
-    if cutoff is not None and not math.isfinite(cutoff):
-        raise UsageError("cutoff must be a number" if math.isnan(cutoff) else "cutoff must be finite")
-    evidence: set[str] = set().union(*(det.evidence for det in detections))
-    labels: Counter[str] = Counter()  # in scope, per label
-    detected: Counter[str] = Counter()  # in scope and in the evidence, per label
-    starts: dict[str, float] = {}  # of the evidence uids; a repeated uid keeps its last
-    # per source key, as the flows carry it: a str hashes once, an address on every lookup
-    activity: defaultdict[object, set[int]] = defaultdict(set)
-    malicious: defaultdict[object, set[int]] = defaultdict(set)
-    alerts: defaultdict[IPAddress, set[int]] = defaultdict(set)
-    floor = math.floor
-    limit = math.inf if cutoff is None else cutoff
     try:
-        for det in detections:
-            if len(det.evidence) >= threshold:
-                alerts[det.ip].add(floor(det.time / window))
-        for uid, start, key, label in flows:
-            w = floor(start / window)
-            activity[key].add(w)
-            if label == MALICIOUS:
-                malicious[key].add(w)
-            in_scope = start <= limit
-            if in_scope:
-                labels[label] += 1
-            if uid in evidence:
-                starts[uid] = start
-                if in_scope:
-                    detected[label] += 1
+        evidence, alerts = _alerts(detections, window, threshold, cutoff)
+        counts = tally(flows, evidence, window, cutoff)
     except OverflowError:  # a flow or detection time / window of infinity
         raise UsageError(f"window {window:g}s is too small for the flow and detection times") from None
     except ValueError:  # math.floor of NaN
         raise UsageError("flow and detection times must be numbers, not NaN") from None
+    return finish(counts, detections, evidence, alerts)
 
+
+def _alerts(detections: Sequence[DetectionRecord], window: float, threshold: int, cutoff: float | None) -> tuple:
+    """The evidence uids of ``detections`` and each IP's alert windows, once ``window`` and ``cutoff`` are checked."""
+    if not 0 < window < math.inf:  # NaN too
+        raise UsageError("window must be a positive finite number of seconds")
+    if cutoff is not None and not math.isfinite(cutoff):
+        raise UsageError("cutoff must be a number" if math.isnan(cutoff) else "cutoff must be finite")
+    alerts: defaultdict[IPAddress, set[int]] = defaultdict(set)
+    floor = math.floor
+    for det in detections:
+        if len(det.evidence) >= threshold:
+            alerts[det.ip].add(floor(det.time / window))
+    return set().union(*(det.evidence for det in detections)), alerts
+
+
+def tally(flows: Iterable[LabeledFlow], evidence: set[str], window: float, cutoff: float | None = None) -> tuple:
+    """The per-flow step of :func:`score`: ``(labels, detected, starts, activity, malicious)``, the flows in scope
+    per label and those in ``evidence``, the start of each evidence uid's last flow, and the windows of each
+    source key's flows and Malicious flows."""
+    labels: Counter[str] = Counter()
+    detected: Counter[str] = Counter()
+    starts: dict[str, float] = {}
+    # per source key, as the flows carry it: a str hashes once, an address on every lookup
+    activity: defaultdict[object, set[int]] = defaultdict(set)
+    malicious: defaultdict[object, set[int]] = defaultdict(set)
+    floor = math.floor
+    limit = math.inf if cutoff is None else cutoff
+    for uid, start, key, label in flows:
+        w = floor(start / window)
+        activity[key].add(w)
+        if label == MALICIOUS:
+            malicious[key].add(w)
+        in_scope = start <= limit
+        if in_scope:
+            labels[label] += 1
+        if uid in evidence:
+            starts[uid] = start
+            if in_scope:
+                detected[label] += 1
+    return labels, detected, starts, activity, malicious
+
+
+def merge(mine: tuple, theirs: tuple) -> tuple:
+    """The :func:`tally` of ``mine``'s flows then ``theirs``', as one pass over both gives it: ``mine``, updated."""
+    for counts, more in zip(mine[:3], theirs):  # the Counters add up; a uid in both keeps its later start
+        counts.update(more)
+    for windows, more in zip(mine[3:], theirs[3:]):
+        for key, ws in more.items():
+            windows[key] |= ws
+    return mine
+
+
+def finish(counts: tuple, detections: Sequence[DetectionRecord], evidence: set[str], alerts: dict) -> EvalReport:
+    """The last step of :func:`score`: the report of a :func:`tally`, its detections, their evidence and alerts."""
+    labels, detected, starts, activity, malicious = counts
     predating = []
     for det in detections:
         latest = max((starts[u] for u in det.evidence if u in starts), default=None)
@@ -347,38 +380,69 @@ def _is_address(text: str) -> bool:
     return True
 
 
-def _read_flows(conn_path: Path) -> Iterator[tuple[str, float, str, str]]:
-    """``(uid, start, src_text, label)`` of each row with a uid, finite ts and source IP.
+def _read_flows(reader: ZeekLogReader, skipped: list[int]) -> Iterator[tuple[str, float, str, str]]:
+    """``(uid, start, src_text, label)`` of each of ``reader``'s rows with a uid, finite ts and source IP; once the
+    rows end, the count of the others is appended to ``skipped``.
 
     The cells are read by two readers resolved once per header: the first
     three columns, and the label near the end of a row. Each distinct source
     text is parsed once, only to tell whether its rows are skipped.
     """
-    skipped = 0
-    with open(conn_path, encoding="utf-8") as fh:
-        reader = ZeekLogReader(fh, str(conn_path))
-        header = reader.header
-        cells = cells_getter(header, reader.format, ("uid", "ts", "id.orig_h"))
-        label_of = field_getter(header, reader.format, LABEL_FIELDS[0])
-        # what reads as unset: a null cell of a TSV row, None from a getter
-        null = frozenset((None, header.unset_field, header.empty_field, ""))
-        sources = dict.fromkeys(null, False)  # source text -> whether it is an address
-        isfinite = math.isfinite
-        for record in reader.records():
-            uid, ts, src = cells(record)
-            is_address = sources.get(src)
-            if is_address is None:
-                is_address = sources[src] = _is_address(src)
-            start = _to_float(ts)
-            if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
-                skipped += 1
-                continue
-            yield uid, start, src, label_of(record) or EMPTY_LABEL
-    # after the stream: bad rows are reported first, and JSON keys are complete
-    if header.index_of(LABEL_FIELDS[0]) is None:
-        raise UsageError(f"{conn_path} has no label column; run 'label' before 'eval'")
-    if skipped:
-        logger.warning("%d rows skipped during evaluation (missing uid, ts or source IP)", skipped)
+    header = reader.header
+    cells = cells_getter(header, reader.format, ("uid", "ts", "id.orig_h"))
+    label_of = field_getter(header, reader.format, LABEL_FIELDS[0])
+    # what reads as unset: a null cell of a TSV row, None from a getter
+    null = frozenset((None, header.unset_field, header.empty_field, ""))
+    sources = dict.fromkeys(null, False)  # source text -> whether it is an address
+    isfinite = math.isfinite
+    count = 0
+    for record in reader.records():
+        uid, ts, src = cells(record)
+        is_address = sources.get(src)
+        if is_address is None:
+            is_address = sources[src] = _is_address(src)
+        start = _to_float(ts)
+        if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
+            count += 1
+            continue
+        yield uid, start, src, label_of(record) or EMPTY_LABEL
+    skipped.append(count)
+
+
+def _checked(source: str, fields: Iterable[str], skipped: list[int]) -> None:
+    """After the stream, so that bad rows come first and JSON keys are complete: the label column, then the skips."""
+    if LABEL_FIELDS[0] not in fields:
+        raise UsageError(f"{source} has no label column; run 'label' before 'eval'")
+    if sum(skipped):
+        logger.warning("%d rows skipped during evaluation (missing uid, ts or source IP)", sum(skipped))
+
+
+def _score_log(detections_path: str | Path, window: float, threshold: int, cutoff: float | None, reader: ZeekLogReader,
+               split: int | None) -> tuple[EvalReport, list[DetectionRecord]]:
+    """:func:`evaluate`'s report and detections, the conn.log's lines from byte ``split`` on tallied in a forked
+    child unless ``split`` is None. In one process, a conn.log error comes before any other."""
+    skipped: list[int] = []  # per process
+    flows, fields = _read_flows(reader, skipped), reader.header.fields
+    try:
+        with open(detections_path, encoding="utf-8") as fh:
+            detections = read_detections(fh, str(detections_path))
+        if split is None:
+            report = score(flows, detections, window, threshold, cutoff)
+        else:
+            evidence, alerts = _alerts(detections, window, threshold, cutoff)
+            half = lambda: (tally(flows, evidence, window, cutoff), skipped, reader.header.fields)  # noqa: E731
+            (theirs, more, their_fields), (counts, _, _) = split_reads("eval", reader, split, half, half)
+            skipped, fields = skipped + more, [*fields, *their_fields]
+            report = finish(merge(counts, theirs), detections, evidence, alerts)
+    except (ZeekLabelError, OSError):
+        if split is None:  # a conn.log error is reported first
+            for _ in flows:
+                pass
+            if skipped:  # the rows ended
+                _checked(reader.source, fields, skipped)
+        raise
+    _checked(reader.source, fields, skipped)
+    return report, detections
 
 
 def evaluate(
@@ -388,20 +452,14 @@ def evaluate(
     """:func:`score` a JSON-lines detections file against a labeled conn.log.
 
     The conn.log is streamed once, and its errors come first: when anything
-    else fails before the stream ends, the rest of it is still read. A report
-    of more than ``max_windows`` (IP, window) decisions is a usage error that
-    names the events at both ends of the span. Detections that predate their
-    evidence are logged; evidence uids that name no flow are a usage error.
+    else fails before the stream ends, the rest of it is still read. From
+    zeekio.FORK_MIN_BYTES, on two CPUs, a forked child tallies the second half
+    of its lines, as one process would. A report of more than ``max_windows``
+    (IP, window) decisions is a usage error that names the events at both ends
+    of the span. Detections that predate their evidence are logged; evidence
+    uids that name no flow are a usage error.
     """
-    flows = _read_flows(Path(conn_labeled))
-    try:
-        with open(detections_path, encoding="utf-8") as fh:
-            detections = read_detections(fh, str(detections_path))
-        report = score(flows, detections, window, threshold, cutoff)
-    except (ZeekLabelError, OSError):
-        for _ in flows:  # a conn.log error is reported first
-            pass
-        raise
+    report, detections = in_halves(Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff)
     if report.timelines:  # every IP's runs span the same windows
         runs = next(iter(report.timelines.values()))
         lo, hi = runs[0].first_window, runs[-1].first_window + runs[-1].length - 1

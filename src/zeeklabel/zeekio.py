@@ -24,6 +24,7 @@ the columns they read, and a line is written back as it was read.
 from __future__ import annotations
 
 import errno
+import io
 import json
 import logging
 import os
@@ -31,7 +32,7 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -158,13 +159,26 @@ class ZeekLogReader:
 
     def _next_line(self) -> str | None:
         try:
-            line = self._stream.readline()
+            line = next(self._stream, "")
         except UnicodeDecodeError as exc:
-            raise utf8_error(self.source, self._lineno, exc) from None
+            self._stream = self._undecoded(self._stream, exc, self._lineno)
+            return self._next_line()
         if line == "":
             return None
         self._lineno += 1
         return line.rstrip("\n")
+
+    def _undecoded(self, stream: IO[str], exc: UnicodeDecodeError, lines_read: int) -> Iterator[str]:
+        """The whole lines past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate escapes so a
+        bad row among them is reported first; then the error."""
+        error = utf8_error(self.source, lines_read, exc)
+        if (raw := getattr(stream, "buffer", None)) is not None and raw.seekable():
+            end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
+            raw.seek(0)
+            next(islice(raw, lines_read, lines_read), None)
+            text = raw.read(max(end - raw.tell(), 0)).decode("utf-8", "surrogateescape")
+            yield from (line for line in io.StringIO(text, newline=None) if line[-1:] == "\n")
+        raise error
 
     def _read_preamble(self) -> None:
         line = self._next_line()
@@ -267,30 +281,36 @@ class ZeekLogReader:
         lines_before = self._lineno - 1
         rowno = 0
         lines = chain((line,), self._stream)
-        try:
-            for line in lines:
-                line = line.rstrip("\n")
-                if line[:1] == "#":
-                    # footer directives (#close); everything after is kept verbatim,
-                    # but a second header block (logs joined by cat) would go unread
-                    for line in chain((line,), lines):
+        while True:
+            try:
+                if not trailer:
+                    for line in lines:
                         line = line.rstrip("\n")
-                        if line.startswith("#separator"):
+                        if line[:1] == "#":
+                            lines = chain((line,), lines)
+                            break
+                        rowno += 1
+                        if line.count(sep) != n_seps:
                             raise LogFormatError(
-                                f"{self.source}: line {lines_before + rowno + len(trailer) + 1}: a second "
-                                "header block starts here; split concatenated logs into one file each"
+                                f"{self.source}: row {rowno}: expected {n_fields} "
+                                f"fields, got {line.count(sep) + 1}"
                             )
-                        trailer.append(line)
-                    return
-                rowno += 1
-                if line.count(sep) != n_seps:
-                    raise LogFormatError(
-                        f"{self.source}: row {rowno}: expected {n_fields} "
-                        f"fields, got {line.count(sep) + 1}"
-                    )
-                yield line
-        except UnicodeDecodeError as exc:
-            raise utf8_error(self.source, lines_before + rowno + len(trailer), exc) from None
+                        yield line
+                    else:
+                        return
+                # footer directives (#close); everything after is kept verbatim,
+                # but a second header block (logs joined by cat) would go unread
+                for line in lines:
+                    line = line.rstrip("\n")
+                    if line.startswith("#separator"):
+                        raise LogFormatError(
+                            f"{self.source}: line {lines_before + rowno + len(trailer) + 1}: a second "
+                            "header block starts here; split concatenated logs into one file each"
+                        )
+                    trailer.append(line)
+                return
+            except UnicodeDecodeError as exc:
+                lines = self._undecoded(self._stream, exc, lines_before + rowno + len(trailer))
 
     def _json_records(self) -> Iterator[dict]:
         line, self._pending = self._pending, None
@@ -298,21 +318,23 @@ class ZeekLogReader:
             return
         fields = self.header.fields
         known = set(fields)
-        lineno = self._lineno
+        lines, lineno = chain((line,), self._stream), self._lineno
         parse = self._parse_json
-        try:
-            for lineno, line in enumerate(chain((line,), self._stream), lineno):
-                if line[:1] != "{" and not line.strip():
-                    continue
-                obj = parse(line, lineno)
-                if not known.issuperset(obj):
-                    for key in obj:
-                        if key not in known:
-                            known.add(key)
-                            fields.append(key)
-                yield obj
-        except UnicodeDecodeError as exc:
-            raise utf8_error(self.source, lineno, exc) from None
+        while True:
+            try:
+                for lineno, line in enumerate(lines, lineno):
+                    if line[:1] != "{" and not line.strip():
+                        continue
+                    obj = parse(line, lineno)
+                    if not known.issuperset(obj):
+                        for key in obj:
+                            if key not in known:
+                                known.add(key)
+                                fields.append(key)
+                    yield obj
+                return
+            except UnicodeDecodeError as exc:
+                lines, lineno = self._undecoded(self._stream, exc, lineno), lineno + 1
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
@@ -487,8 +509,8 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
         raise
 
 
-FORK_MIN_BYTES = 768 << 10  # input bytes from which label and propagate may use a second process
-_HELD_LOGGERS = tuple(logging.getLogger(f"zeeklabel.{name}") for name in ("labeler", "propagate", "zeekio"))
+FORK_MIN_BYTES = 768 << 10  # input bytes from which label, propagate and eval may use a second process
+_HELD_LOGGERS = tuple(logging.getLogger(f"zeeklabel.{name}") for name in ("labeler", "metrics", "propagate", "zeekio"))
 
 
 def can_fork(nbytes: int) -> bool:
@@ -545,6 +567,60 @@ def in_two_processes(command: str, theirs: Callable, mine: Callable, reaped: Cal
     if status:
         raise ChildProcessError(f"{command}: the second process (pid {pid}) ended without a result (status {status})")
     return pickle.loads(data), result
+
+
+class _Head(io.FileIO):
+    """A file's bytes up to ``stop``, for a text stream to read by lines."""
+
+    def __init__(self, path: str | Path, stop: int) -> None:
+        super().__init__(str(path))  # an error names it as open() does
+        self.stop = stop
+
+    def readinto(self, buffer) -> int:
+        return super().readinto(memoryview(buffer)[: self.stop - self.tell()])
+
+
+class _OneProcess(Exception):
+    """A trailer began before the split, or this process read no rows: one process reads the log."""
+
+
+def in_halves(path: str | Path, function: Callable, *args) -> object:
+    """``function(*args, reader, split)``, ``reader`` reading the log up to byte ``split``, from which a forked child
+    may read it (:func:`split_reads`), where :func:`can_fork`; else, or on any error but a lost child, what that
+    logged goes and ``split`` is None: one process reads the log."""
+
+    def run(split: int | None) -> object:
+        # the whole log through open() itself: _Head's readinto, in Python, made a one-process eval about 1% slower
+        src = (open(path, encoding="utf-8") if split is None
+               else io.TextIOWrapper(io.BufferedReader(_Head(path, split)), encoding="utf-8"))  # as open(path) reads
+        with src:
+            return function(*args, ZeekLogReader(src, str(path)), split)
+
+    if can_fork(size := Path(path).stat().st_size):
+        with open(path, "rb") as raw:
+            split = raw.seek(size // 2) + len(raw.readline())  # where the line after the middle begins
+        records, result, error = held_back(run, split)
+        if error is None or isinstance(error, ChildProcessError):
+            return release(records, result, error)
+    return run(None)
+
+
+def split_reads(command: str, reader: ZeekLogReader, split: int, theirs: Callable, mine: Callable) -> tuple:
+    """``theirs()`` in a forked child, where ``reader`` reads the log's lines from byte ``split`` on, and ``mine()``
+    here on those before: both results. Raises the child's error, or :class:`_OneProcess`."""
+    first = reader._pending  # None: the header reaches the split
+
+    def child() -> object:
+        with open(reader.source, encoding="utf-8") as rest:
+            rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
+            reader.follow(rest)
+            return theirs()
+
+    (records, result, error), own = in_two_processes(command, lambda: held_back(child), mine, lambda pid: None)
+    if error is not None or reader.trailer or first is None:
+        raise error or _OneProcess()
+    release(records)
+    return result, own
 
 
 def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str, getter: Callable | None = None):

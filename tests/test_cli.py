@@ -676,6 +676,29 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob(".*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["label", "label-forked", "propagate", "eval", "eval-forked"])
+def test_a_bad_row_before_a_non_utf8_byte_in_one_decode_chunk_is_the_error(tmp_path, capsys, request, command):
+    # 50 rows: row 3 cut short and a \xff byte in row 10, in the first 8 KiB that the text stream decodes at once
+    lines = (DATA_DIR / "portscan" / "conn.log").read_bytes().splitlines()
+    head = [line for line in lines if line.startswith(b"#") and not line.startswith(b"#close")]
+    rows = [line for line in lines if not line.startswith(b"#")] * 2
+    rows[2] = rows[2].rsplit(b"\t", 1)[0]
+    rows[9] = rows[9].replace(b"\t", b"\t\xff", 1)
+    bad = tmp_path / "conn.log"
+    bad.write_bytes(b"\n".join(head + rows[:50]) + b"\n")
+    assert bad.stat().st_size < 8192
+    forks = request.getfixturevalue("two_processes") if command.endswith("-forked") else None
+    argv = {
+        "label": ["label", str(bad), "--config", str(DATA_DIR / "portscan.conf")],
+        "propagate": ["propagate", str(bad), str(tmp_path)],
+        "eval": ["eval", str(bad), str(DATA_DIR / "fig2" / "detections.jsonl")],
+    }[command.removesuffix("-forked")]
+    assert main(argv) == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: {bad}: row 3: expected 21 fields, got 20"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log"]
+    assert forks is None or len(forks) == 1
+
+
 @pytest.mark.parametrize("separator", ["\\x", "", "é"])
 @pytest.mark.parametrize("command", ["label", "propagate", "eval"])
 def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, command, separator):

@@ -7,11 +7,11 @@ duplicates a line. ``label``, ``propagate``, ``eval`` and ``eval --json`` run
 in process on each copy. Each returns 0, 1 or 2; a nonzero return prints
 exactly one ``error:`` line and leaves no new file; and stdout stays under a
 cap, which ``eval``'s ``--max-windows`` keeps it under, so a report that
-would not end fails the test instead of filling memory. ``propagate`` and
-``label`` run a second time with their work split between two processes
-(``propagate``'s logs wherever each process gets one, ``label``'s conn.log at
-its middle), and must return, print and leave exactly what the run in one
-process did.
+would not end fails the test instead of filling memory. Every command runs a
+second time with its work split between two processes (``propagate``'s logs
+wherever each process gets one, the conn.log of ``label`` and ``eval`` at its
+middle), and must return, print and leave exactly what the run in one process
+did.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ STDOUT_CAP = 1 << 20
 EVAL_BOUND = ["--max-windows", "5000"]
 # where the 20-digit integer makes fig2's detection time about 1.2e30 seconds
 DETECTION_TIME_AT = (DATA_DIR / "fig2" / "detections.jsonl").read_bytes().index(b'"time": ') + len(b'"time": ')
+# a tab of portscan's third row, and its thirtieth row: a short row and a later \xff byte in one decode chunk
+_PORTSCAN = (DATA_DIR / "portscan" / "conn.log").read_bytes()
+_ROW = [i + 1 for i, byte in enumerate(_PORTSCAN) if byte == ord("\n") and _PORTSCAN[i + 1:i + 2] not in (b"#", b"")]
+SHORT_ROW_TAB, LATER_ROW = _PORTSCAN.index(b"\t", _ROW[2]), _ROW[29]
 
 # command -> (fixture directory, the files a mutation may touch, argv in a copy of it)
 COMMANDS = {
@@ -84,6 +88,8 @@ def _copy(fixture: str, work: Path) -> None:
 @given(command=st.sampled_from(sorted(COMMANDS)), target=st.integers(0, 5), changes=mutations)
 @example(command="eval", target=1, changes=[("insert", DETECTION_TIME_AT, TOKENS[-1], 1)])
 @example(command="eval --json", target=1, changes=[("insert", DETECTION_TIME_AT, TOKENS[-1], 1)])
+@example(command="label portscan", target=0, changes=[("insert", LATER_ROW, b"\xff", 1),
+                                                      ("delete", SHORT_ROW_TAB, b"\t", 1)])
 def test_every_command_ends_in_a_result_or_one_error_line(command, target, changes):
     fixture, files, argv = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,7 +107,7 @@ def test_every_command_ends_in_a_result_or_one_error_line(command, target, chang
             assert "Traceback" not in stderr
             assert len([line for line in stderr.splitlines() if line.startswith("error:")]) == 1
             assert sorted(work.rglob("*")) == before
-        if command.startswith(("propagate", "label")) and hasattr(os, "fork"):
+        if hasattr(os, "fork"):
             # again with the work split between two processes, from the same inputs
             for path in left:
                 path.unlink()

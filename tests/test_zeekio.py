@@ -312,3 +312,28 @@ def test_fixture_logs_parse(data_dir):
         with open(data_dir / name, encoding="utf-8") as fh:
             table = read_log(fh, name)
         assert len(table) > 0
+
+
+@pytest.mark.parametrize("shape", ["row", "trailer", "json"])
+def test_an_error_before_a_non_utf8_byte_later_in_its_decode_chunk_comes_first(tmp_path, shape):
+    # 200 rows, so the bad byte lies in a later 8 KiB chunk than the first: the reader has yielded rows already
+    lines = conn_log_text([conn_row(uid=f"C{i:03d}") for i in range(200)]).split("\n")
+    if shape == "row":
+        lines[150] = lines[150].replace("\t", " ", 1)
+        want = f"row {150 - 7}: expected {len(CONN_FIELDS)} fields, got {len(CONN_FIELDS) - 1}"
+    elif shape == "trailer":  # rows, #close, then a second log's header block
+        lines[150:150] = ["#close\t2023-01-24-14-00-00", lines[0]]
+        want = "line 152: a second header block starts here; split concatenated logs into one file each"
+    else:
+        lines = [json.dumps(dict(zip(CONN_FIELDS, line.split("\t")))) for line in lines if line and line[0] != "#"]
+        lines[150] = lines[150][:-1]
+        want = "line 151: invalid JSON"
+    lines[155] = lines[155].replace("tcp", "t\udcffp")
+    log = tmp_path / "conn.log"
+    log.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    assert log.read_bytes().index(b"\xff") > 8192
+    with open(log, encoding="utf-8") as fh:
+        with pytest.raises(LogFormatError) as raised:
+            for _ in ZeekLogReader(fh, "conn.log").records():
+                pass
+    assert str(raised.value) == f"conn.log: {want}"
