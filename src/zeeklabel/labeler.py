@@ -10,13 +10,13 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import IO, Callable, Mapping
+from typing import Callable, Mapping
 
 from .errors import LogFormatError, UsageError
 from .ontology import LABEL_ITEMS
 from .rules import RuleSet
 from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, field_getter, in_halves
-from .zeekio import replace_all_on_success, split_reads, write_labeled
+from .zeekio import replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -46,38 +46,25 @@ def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) ->
     """Stream a conn.log into its labeled copy at ``out_path``; rows per label pair.
 
     The copy appears only once complete, and only if the log has a uid column.
-    From zeekio.FORK_MIN_BYTES, on two CPUs, a forked child labels the second half, as one process would.
+    Through :func:`zeekio.in_halves`: from zeekio.FORK_MIN_BYTES, on two CPUs, a forked child labels the lines past
+    the middle into a part file appended to the copy, as one process would. The uid check reads both halves' fields
+    once they joined, so its error is final.
     """
-    return in_halves(conn_path, _label, ruleset, out_path)
+    return in_halves("label", conn_path, _label, ruleset, out_path)
 
 
-def _label(ruleset: RuleSet, out_path: str | Path, reader: ZeekLogReader, split: int | None) -> dict[LabelPair, int]:
-    """Label the log here, or its lines up to byte ``split`` here and the rest in a forked child."""
+def _label(ruleset: RuleSet, out_path: str | Path, reader: ZeekLogReader, halves: Callable) -> dict[LabelPair, int]:
+    """Label the log through ``halves``: each half's rows per pair and fields, added up."""
     pair_of = _pair_function(ruleset, reader)
     label = lambda dst: (write_labeled(dst, reader, reader.records(), pair_of), reader.header.fields)  # noqa: E731
+    join = lambda mine, theirs: (dict(Counter(mine[0]) + Counter(theirs[0])), {*mine[1], *theirs[1]})  # noqa: E731
     with replace_all_on_success() as open_output:
         with open_output(Path(out_path)) as dst:
-            counts, fields = label(dst) if split is None else _with_child(reader, split, label, dst)
+            counts, fields = halves(label, join, dst)
         # after the stream, before the move: a JSON log's fields are complete only now
         if "uid" not in fields:
             raise LogFormatError(f"{reader.source}: flow table has no uid field")
     return counts
-
-
-def _with_child(reader: ZeekLogReader, split: int, label: Callable, dst: IO[str]) -> tuple[dict, set[str]]:
-    """``label(dst)`` here and, in a forked child, of the log's lines from byte ``split`` on: both added up."""
-    with open(dst.name + ".part", "w+b") as part:
-        Path(part.name).unlink()  # open in this process and the child, and on no path: nothing is left behind
-
-        def theirs() -> tuple[dict[LabelPair, int], list[str]]:
-            with open(part.fileno(), "w", encoding="utf-8") as out:
-                return label(out)
-
-        (result, their_fields), (counts, fields) = split_reads("label", reader, split, theirs, lambda: label(dst))
-        dst.flush()
-        part.seek(0)
-        dst.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
-    return dict(Counter(counts) + Counter(result)), {*fields, *their_fields}
 
 
 class UidIndex(dict):

@@ -8,11 +8,11 @@ the epoch and each (source IP, window) pair becomes one decision, which is
 how "was the attacker flagged while attacking" is scored.
 
 :func:`score` takes the detections and one pass over the flows, which it
-does not keep, in three steps. :func:`tally` keeps one state per source key a
+does not keep, in three steps. :func:`_tally` keeps one state per source key a
 flow carries (the source text :func:`evaluate` reads from a conn.log, or an
-address) and the counts per label. :func:`merge` adds the tally of later flows
+address) and the counts per label. :func:`_merge` adds the tally of later flows
 to that of earlier ones, exactly as one pass over both would leave it, so two
-processes can each tally part of a conn.log. :func:`finish` turns each key into
+processes can each tally part of a conn.log. :func:`_finish` turns each key into
 an address once, so that keys spelling one address differently merge, and one
 sweep over each IP's event windows then gives its decisions as maximal runs:
 no two adjacent runs of an IP share a status. Scoring costs O(flows +
@@ -29,14 +29,14 @@ import logging
 import math
 import sys
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, split_reads
-from .zeekio import utf8_error
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, undecoded
 
 logger = logging.getLogger(__name__)
 
@@ -152,14 +152,21 @@ def score(
     ``threshold`` evidence uids are ignored), and stays positive afterwards
     only while the IP's most recent activity window holds malicious flows.
     """
-    try:
+    with _times_checked(window):
         evidence, alerts = _alerts(detections, window, threshold, cutoff)
-        counts = tally(flows, evidence, window, cutoff)
+        counts = _tally(flows, evidence, window, cutoff)
+    return _finish(counts, detections, evidence, alerts)
+
+
+@contextmanager
+def _times_checked(window: float) -> Iterator[None]:
+    """What a time of infinity or NaN raises in the steps of :func:`score`, as a :class:`UsageError`."""
+    try:
+        yield
     except OverflowError:  # a flow or detection time / window of infinity
         raise UsageError(f"window {window:g}s is too small for the flow and detection times") from None
     except ValueError:  # math.floor of NaN
         raise UsageError("flow and detection times must be numbers, not NaN") from None
-    return finish(counts, detections, evidence, alerts)
 
 
 def _alerts(detections: Sequence[DetectionRecord], window: float, threshold: int, cutoff: float | None) -> tuple:
@@ -176,7 +183,7 @@ def _alerts(detections: Sequence[DetectionRecord], window: float, threshold: int
     return set().union(*(det.evidence for det in detections)), alerts
 
 
-def tally(flows: Iterable[LabeledFlow], evidence: set[str], window: float, cutoff: float | None = None) -> tuple:
+def _tally(flows: Iterable[LabeledFlow], evidence: set[str], window: float, cutoff: float | None = None) -> tuple:
     """The per-flow step of :func:`score`: ``(labels, detected, starts, activity, malicious)``, the flows in scope
     per label and those in ``evidence``, the start of each evidence uid's last flow, and the windows of each
     source key's flows and Malicious flows."""
@@ -203,8 +210,8 @@ def tally(flows: Iterable[LabeledFlow], evidence: set[str], window: float, cutof
     return labels, detected, starts, activity, malicious
 
 
-def merge(mine: tuple, theirs: tuple) -> tuple:
-    """The :func:`tally` of ``mine``'s flows then ``theirs``', as one pass over both gives it: ``mine``, updated."""
+def _merge(mine: tuple, theirs: tuple) -> tuple:
+    """The :func:`_tally` of ``mine``'s flows then ``theirs``', as one pass over both gives it: ``mine``, updated."""
     for counts, more in zip(mine[:3], theirs):  # the Counters add up; a uid in both keeps its later start
         counts.update(more)
     for windows, more in zip(mine[3:], theirs[3:]):
@@ -213,8 +220,8 @@ def merge(mine: tuple, theirs: tuple) -> tuple:
     return mine
 
 
-def finish(counts: tuple, detections: Sequence[DetectionRecord], evidence: set[str], alerts: dict) -> EvalReport:
-    """The last step of :func:`score`: the report of a :func:`tally`, its detections, their evidence and alerts."""
+def _finish(counts: tuple, detections: Sequence[DetectionRecord], evidence: set[str], alerts: dict) -> EvalReport:
+    """The last step of :func:`score`: the report of a :func:`_tally`, its detections, their evidence and alerts."""
     labels, detected, starts, activity, malicious = counts
     predating = []
     for det in detections:
@@ -337,39 +344,40 @@ def timeline_confusion(timelines: dict[IPAddress, list[WindowRun]]) -> Confusion
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
     """Parse detections from JSON lines: {"ip", "time", "evidence": [uids]}."""
     records: list[DetectionRecord] = []
-    lineno = 0
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
-            except RecursionError:
-                raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
-            if not isinstance(obj, dict):
-                raise LogFormatError(f"{source}: line {lineno}: expected an object")
-            try:
-                ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
-                if type(ip) is not str:  # ip_address reads an int as an IPv4 address
-                    raise ValueError(f"ip {json.dumps(ip)} is not a string")
-                ip = ipaddress.ip_address(ip)
-            except (KeyError, ValueError) as exc:
-                raise LogFormatError(
-                    f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
-                ) from None
-            # a bool is not a time, and an int too large for a float is not finite
-            if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
-                raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
-            if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
-                raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
-            records.append(
-                DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence), lineno=lineno)
-            )
-    except UnicodeDecodeError as exc:
-        raise utf8_error(source, lineno, exc) from None
-    return records
+    lines, lineno = stream, 0
+    while True:
+        try:
+            for lineno, line in enumerate(lines, lineno + 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError:
+                    raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
+                except RecursionError:
+                    raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
+                if not isinstance(obj, dict):
+                    raise LogFormatError(f"{source}: line {lineno}: expected an object")
+                try:
+                    ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
+                    if type(ip) is not str:  # ip_address reads an int as an IPv4 address
+                        raise ValueError(f"ip {json.dumps(ip)} is not a string")
+                    ip = ipaddress.ip_address(ip)
+                except (KeyError, ValueError) as exc:
+                    raise LogFormatError(
+                        f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
+                    ) from None
+                # a bool is not a time, and an int too large for a float is not finite
+                if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
+                    raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
+                if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
+                    raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
+                records.append(
+                    DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence), lineno=lineno)
+                )
+            return records
+        except UnicodeDecodeError as exc:  # the lines before the bad byte come first
+            lines = undecoded(stream, exc, lineno, source)
 
 
 def _is_address(text: str) -> bool:
@@ -418,31 +426,26 @@ def _checked(source: str, fields: Iterable[str], skipped: list[int]) -> None:
 
 
 def _score_log(detections_path: str | Path, window: float, threshold: int, cutoff: float | None, reader: ZeekLogReader,
-               split: int | None) -> tuple[EvalReport, list[DetectionRecord]]:
-    """:func:`evaluate`'s report and detections, the conn.log's lines from byte ``split`` on tallied in a forked
-    child unless ``split`` is None. In one process, a conn.log error comes before any other."""
-    skipped: list[int] = []  # per process
-    flows, fields = _read_flows(reader, skipped), reader.header.fields
+               halves: Callable) -> tuple[EvalReport, list[DetectionRecord]]:
+    """:func:`evaluate`'s report and detections, the conn.log tallied through ``halves``; a conn.log error first."""
+    skipped: list[int] = []  # of this process
+    flows = _read_flows(reader, skipped)
+    half = lambda _: (_tally(flows, evidence, window, cutoff), skipped, reader.header.fields)  # noqa: E731
+    join = lambda mine, theirs: (_merge(mine[0], theirs[0]), mine[1] + theirs[1], [*mine[2], *theirs[2]])  # noqa: E731
     try:
         with open(detections_path, encoding="utf-8") as fh:
             detections = read_detections(fh, str(detections_path))
-        if split is None:
-            report = score(flows, detections, window, threshold, cutoff)
-        else:
+        with _times_checked(window):
             evidence, alerts = _alerts(detections, window, threshold, cutoff)
-            half = lambda: (tally(flows, evidence, window, cutoff), skipped, reader.header.fields)  # noqa: E731
-            (theirs, more, their_fields), (counts, _, _) = split_reads("eval", reader, split, half, half)
-            skipped, fields = skipped + more, [*fields, *their_fields]
-            report = finish(merge(counts, theirs), detections, evidence, alerts)
+            counts, skips, fields = halves(half, join)
     except (ZeekLabelError, OSError):
-        if split is None:  # a conn.log error is reported first
-            for _ in flows:
-                pass
-            if skipped:  # the rows ended
-                _checked(reader.source, fields, skipped)
+        for _ in flows:
+            pass
+        if skipped:  # the rows ended
+            _checked(reader.source, reader.header.fields, skipped)
         raise
-    _checked(reader.source, fields, skipped)
-    return report, detections
+    _checked(reader.source, fields, skips)
+    return _finish(counts, detections, evidence, alerts), detections
 
 
 def evaluate(
@@ -452,14 +455,16 @@ def evaluate(
     """:func:`score` a JSON-lines detections file against a labeled conn.log.
 
     The conn.log is streamed once, and its errors come first: when anything
-    else fails before the stream ends, the rest of it is still read. From
-    zeekio.FORK_MIN_BYTES, on two CPUs, a forked child tallies the second half
-    of its lines, as one process would. A report of more than ``max_windows``
+    else fails before the stream ends, the rest of it is still read. The
+    detections are read first; then, through :func:`zeekio.in_halves`, a forked
+    child may tally the lines past the middle, merged into this process's tally
+    as one pass would leave it. The label-column check reads both halves' fields
+    once they joined, so its error is final. A report of more than ``max_windows``
     (IP, window) decisions is a usage error that names the events at both ends
     of the span. Detections that predate their evidence are logged; evidence
     uids that name no flow are a usage error.
     """
-    report, detections = in_halves(Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff)
+    report, detections = in_halves("eval", Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff)
     if report.timelines:  # every IP's runs span the same windows
         runs = next(iter(report.timelines.values()))
         lo, hi = runs[0].first_window, runs[-1].first_window + runs[-1].length - 1

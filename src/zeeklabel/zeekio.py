@@ -19,6 +19,19 @@ reader holds that object's exact ``text`` and ``lineno`` until the next one.
 Cells are read through readers resolved once per header (:func:`field_getter`,
 :func:`cells_getter`, :func:`set_getter`), which split a line only as far as
 the columns they read, and a line is written back as it was read.
+
+A pipeline reads a log in two processes through one contract:
+``in_halves(command, path, function, *args)`` calls ``function(*args, reader,
+halves)``. ``halves(half, join, out=None)`` is ``half(out)`` in one process.
+Where :func:`can_fork` holds, it is ``join(mine, theirs)``: ``mine`` is
+``half`` run here over the lines before the first newline past the middle of
+the file, and ``theirs`` is ``half`` run over the rest in a forked child,
+whose writes to ``out`` go to a part file appended to ``out`` afterwards. An
+error that ``halves`` raises (also for a trailer or header that reaches the
+split), or that is raised before it is called, drops what was logged, and
+``function`` runs again in one process, so the first error in the file is the
+one reported. A child that ends without a result, and an error raised after
+``halves`` returned, are final.
 """
 
 from __future__ import annotations
@@ -140,6 +153,19 @@ def utf8_error(source: str, lines_read: int, exc: UnicodeDecodeError) -> LogForm
     return LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
 
 
+def undecoded(stream: IO[str], exc: UnicodeDecodeError, lines_read: int, source: str) -> Iterator[str]:
+    """The whole lines of ``stream`` past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate
+    escapes so that a bad line among them is reported first; then the :func:`utf8_error`."""
+    error = utf8_error(source, lines_read, exc)
+    if (raw := getattr(stream, "buffer", None)) is not None and raw.seekable():
+        end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
+        raw.seek(0)
+        next(islice(raw, lines_read, lines_read), None)
+        text = raw.read(max(end - raw.tell(), 0)).decode("utf-8", "surrogateescape")
+        yield from (line for line in io.StringIO(text, newline=None) if line[-1:] == "\n")
+    raise error
+
+
 class ZeekLogReader:
     """Streaming reader; header is available right after construction.
 
@@ -161,24 +187,12 @@ class ZeekLogReader:
         try:
             line = next(self._stream, "")
         except UnicodeDecodeError as exc:
-            self._stream = self._undecoded(self._stream, exc, self._lineno)
+            self._stream = undecoded(self._stream, exc, self._lineno, self.source)
             return self._next_line()
         if line == "":
             return None
         self._lineno += 1
         return line.rstrip("\n")
-
-    def _undecoded(self, stream: IO[str], exc: UnicodeDecodeError, lines_read: int) -> Iterator[str]:
-        """The whole lines past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate escapes so a
-        bad row among them is reported first; then the error."""
-        error = utf8_error(self.source, lines_read, exc)
-        if (raw := getattr(stream, "buffer", None)) is not None and raw.seekable():
-            end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
-            raw.seek(0)
-            next(islice(raw, lines_read, lines_read), None)
-            text = raw.read(max(end - raw.tell(), 0)).decode("utf-8", "surrogateescape")
-            yield from (line for line in io.StringIO(text, newline=None) if line[-1:] == "\n")
-        raise error
 
     def _read_preamble(self) -> None:
         line = self._next_line()
@@ -310,7 +324,7 @@ class ZeekLogReader:
                     trailer.append(line)
                 return
             except UnicodeDecodeError as exc:
-                lines = self._undecoded(self._stream, exc, lines_before + rowno + len(trailer))
+                lines = undecoded(self._stream, exc, lines_before + rowno + len(trailer), self.source)
 
     def _json_records(self) -> Iterator[dict]:
         line, self._pending = self._pending, None
@@ -334,7 +348,7 @@ class ZeekLogReader:
                     yield obj
                 return
             except UnicodeDecodeError as exc:
-                lines, lineno = self._undecoded(self._stream, exc, lineno), lineno + 1
+                lines, lineno = undecoded(self._stream, exc, lineno, self.source), lineno + 1
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
@@ -584,43 +598,53 @@ class _OneProcess(Exception):
     """A trailer began before the split, or this process read no rows: one process reads the log."""
 
 
-def in_halves(path: str | Path, function: Callable, *args) -> object:
-    """``function(*args, reader, split)``, ``reader`` reading the log up to byte ``split``, from which a forked child
-    may read it (:func:`split_reads`), where :func:`can_fork`; else, or on any error but a lost child, what that
-    logged goes and ``split`` is None: one process reads the log."""
+def in_halves(command: str, path: str | Path, function: Callable, *args) -> object:
+    """``function(*args, reader, halves)``, ``reader`` reading the log at ``path``, ``halves`` as the module
+    docstring states."""
+    joined = []
 
     def run(split: int | None) -> object:
+        def halves(half: Callable, join: Callable, out: IO[str] | None = None) -> object:
+            if split is None:
+                return half(out)
+            first = reader._pending  # None: the header reaches the split
+            # the child writes into a part file, open here and in the child and on no path; with no out, nowhere
+            with open(out.name + ".part" if out else os.devnull, "w+b") as part:
+                if out:
+                    Path(part.name).unlink()
+
+                def theirs() -> object:
+                    with open(path, encoding="utf-8") as rest, open(part.fileno(), "w", encoding="utf-8") as to:
+                        rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
+                        reader.follow(rest)
+                        return half(out and to)
+
+                (records, result, error), own = in_two_processes(command, lambda: held_back(theirs),
+                                                                 lambda: half(out), lambda pid: None)
+                if error is not None or reader.trailer or first is None:
+                    raise error or _OneProcess()
+                if out:
+                    out.flush()
+                    part.seek(0)
+                    out.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
+            release(records)
+            joined.append(True)  # from here on an error is final
+            return join(own, result)
+
         # the whole log through open() itself: _Head's readinto, in Python, made a one-process eval about 1% slower
         src = (open(path, encoding="utf-8") if split is None
                else io.TextIOWrapper(io.BufferedReader(_Head(path, split)), encoding="utf-8"))  # as open(path) reads
         with src:
-            return function(*args, ZeekLogReader(src, str(path)), split)
+            reader = ZeekLogReader(src, str(path))
+            return function(*args, reader, halves)
 
     if can_fork(size := Path(path).stat().st_size):
         with open(path, "rb") as raw:
             split = raw.seek(size // 2) + len(raw.readline())  # where the line after the middle begins
         records, result, error = held_back(run, split)
-        if error is None or isinstance(error, ChildProcessError):
+        if error is None or joined or isinstance(error, ChildProcessError):
             return release(records, result, error)
     return run(None)
-
-
-def split_reads(command: str, reader: ZeekLogReader, split: int, theirs: Callable, mine: Callable) -> tuple:
-    """``theirs()`` in a forked child, where ``reader`` reads the log's lines from byte ``split`` on, and ``mine()``
-    here on those before: both results. Raises the child's error, or :class:`_OneProcess`."""
-    first = reader._pending  # None: the header reaches the split
-
-    def child() -> object:
-        with open(reader.source, encoding="utf-8") as rest:
-            rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
-            reader.follow(rest)
-            return theirs()
-
-    (records, result, error), own = in_two_processes(command, lambda: held_back(child), mine, lambda pid: None)
-    if error is not None or reader.trailer or first is None:
-        raise error or _OneProcess()
-    release(records)
-    return result, own
 
 
 def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str, getter: Callable | None = None):

@@ -699,6 +699,18 @@ def test_a_bad_row_before_a_non_utf8_byte_in_one_decode_chunk_is_the_error(tmp_p
     assert forks is None or len(forks) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "eval-forked"])
+def test_a_bad_detections_line_before_a_non_utf8_byte_is_the_error(tmp_path, capsys, request, command):
+    # fig2's detection, a line that is not JSON, then one with a \xff byte, in the first 8 KiB decoded at once
+    first = (DATA_DIR / "fig2" / "detections.jsonl").read_bytes().splitlines()[0]
+    detections = tmp_path / "detections.jsonl"
+    detections.write_bytes(b"\n".join([first, b"not json", first.replace(b'"ip"', b'"ip\xff"')]) + b"\n")
+    forks = request.getfixturevalue("two_processes") if command.endswith("-forked") else None
+    assert main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(detections)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == f"error: {detections}: line 2: invalid JSON"
+    assert not forks  # the detections are read before the conn.log is split
+
+
 @pytest.mark.parametrize("separator", ["\\x", "", "é"])
 @pytest.mark.parametrize("command", ["label", "propagate", "eval"])
 def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, command, separator):

@@ -1,8 +1,8 @@
 """``eval`` when a forked child tallies the labeled conn.log's lines past its middle.
 
 The split falls at the first newline byte at or past the middle of the file.
-Each process tallies its lines (``metrics.tally``), and this process merges
-the child's tally into its own (``metrics.merge``): Counters added, a uid in
+Each process tallies its lines (``metrics._tally``), and this process merges
+the child's tally into its own (``metrics._merge``): Counters added, a uid in
 both halves keeping the child's start, window sets unioned, keys in
 first-seen order. The merged tally is used only when both processes read
 their lines without an error and no trailer began before the split; any other
@@ -89,14 +89,14 @@ def both(run_eval, monkeypatch, tmp_path):
 def tallied_by(monkeypatch, tmp_path):
     """Which processes tallied flows: "parent" or "child", in a file, as the child's memory is its own."""
     record = tmp_path.parent / f"{tmp_path.name}-tallies.txt"
-    tally = metrics.tally
+    tally = metrics._tally
 
     def recorded(flows, *args):
         with open(record, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         return tally(flows, *args)
 
-    monkeypatch.setattr(metrics, "tally", recorded)
+    monkeypatch.setattr(metrics, "_tally", recorded)
     return lambda: sorted("parent" if int(pid) == os.getpid() else "child" for pid in record.read_text().split())
 
 
@@ -218,7 +218,7 @@ def test_a_bad_row_comes_before_a_bad_detections_file(tmp_path, both, two_proces
 
 def test_a_child_killed_partway_is_one_error(tmp_path, monkeypatch, run_eval, two_processes):
     parent = os.getpid()
-    tally = metrics.tally
+    tally = metrics._tally
 
     def killed_partway(flows):
         for n, flow in enumerate(flows):
@@ -229,7 +229,7 @@ def test_a_child_killed_partway_is_one_error(tmp_path, monkeypatch, run_eval, tw
     def recorded(flows, *args):
         return tally(flows if os.getpid() == parent else killed_partway(flows), *args)
 
-    monkeypatch.setattr(metrics, "tally", recorded)
+    monkeypatch.setattr(metrics, "_tally", recorded)
     rc, out, err, _ = run_eval(tmp_path / "run", _log([_row(i) for i in range(ROWS)]), _detections("C00007"))
     assert rc == 1 and out == ""
     line = _one_error_line(err)
@@ -237,3 +237,38 @@ def test_a_child_killed_partway_is_one_error(tmp_path, monkeypatch, run_eval, tw
     assert line.endswith(") ended without a result (status -9)")
     with pytest.raises(ChildProcessError):  # no child left, neither running nor a zombie
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("options", [(), ("--json",)])
+def test_a_header_that_reaches_past_the_middle_is_read_as_one_process_reads_it(both, two_processes, options):
+    lines = _log([_row(i) for i in range(5)]).splitlines(keepends=True)
+    data = b"".join(lines[:HEADER_LINES] + [b"#note\t%d\n" % i for i in range(100)] + lines[HEADER_LINES:])
+    assert data.index(b"\n", len(data) // 2) < data.index(b"#note\t99")
+    two, one = both(data, _detections("C00001"), *options)
+    assert len(two_processes) == 1
+    assert two == one
+    assert two[0] == 0
+
+
+@pytest.mark.parametrize("options", [(), ("--json",)])
+def test_a_byte_that_is_not_utf8_in_the_second_half_is_named_by_its_line_in_the_file(both, two_processes, options):
+    data = _log([_row(i) for i in range(ROWS)])
+    row = _first_row_of_the_child(data) + 20
+    lines = data.split(b"\n")
+    lines[HEADER_LINES + row - 1] = lines[HEADER_LINES + row - 1].replace(b"tcp", b"t\xffp", 1)
+    two, one = both(b"\n".join(lines), _detections("C00007"), *options)
+    assert len(two_processes) == 1
+    assert two == one
+    assert two[0] == 1
+    assert _one_error_line(two[2]) == f"error: <dir>/conn.labeled.log: line {HEADER_LINES + row}: not valid UTF-8"
+
+
+def test_an_error_after_both_halves_joined_is_final(both, two_processes, tallied_by):
+    # no label column: the check that follows the join is the run's error, with no second pass in one process
+    data = zeek_tsv("conn", CONN_FIELDS, CONN_TYPES, [_row(i)[:-2] for i in range(ROWS)]).encode()
+    two, one = both(data, _detections("C00007"))
+    assert len(two_processes) == 1
+    assert tallied_by() == ["child", "parent", "parent"]  # the last in the run in one process
+    assert two == one
+    assert two[0] == 2
+    assert _one_error_line(two[2]) == "error: <dir>/conn.labeled.log has no label column; run 'label' before 'eval'"

@@ -16,7 +16,7 @@ import signal
 
 import pytest
 
-from conftest import CONN_FIELDS, conn_log_text, conn_row
+from conftest import CONN_FIELDS, CONN_TYPES, conn_log_text, conn_row, zeek_tsv
 
 from zeeklabel import labeler, zeekio
 from zeeklabel.cli import main
@@ -193,6 +193,20 @@ def test_a_json_log_whose_first_half_lacks_uid_has_the_union_of_both_halves_keys
     assert main(argv) == 1
     assert _one_error_line(capsys.readouterr().err) == f"error: {conn}: flow table has no uid field"
     _assert_clean(tmp_path / "none")
+
+
+def test_an_error_after_both_halves_joined_is_final(tmp_path, monkeypatch, capsys, two_processes, labeled_by):
+    # no uid column: the check that follows the join is the run's error, with no second pass in one process
+    names = [name for name in CONN_FIELDS if name != "uid"]
+    rows = [[cell for name, cell in zip(CONN_FIELDS, row) if name != "uid"] for row in _rows()]
+    data = zeek_tsv("conn", names, [CONN_TYPES[CONN_FIELDS.index(name)] for name in names], rows).encode()
+    two = _run(tmp_path, data, capsys)
+    assert len(two_processes) == 1
+    assert sorted(labeled_by()) == ["child", "parent"]
+    assert two == _in_one_process(monkeypatch, tmp_path, data, capsys)
+    assert two[0] == 1 and two[3] is False
+    assert _one_error_line(two[2]) == "error: <dir>/conn.log: flow table has no uid field"
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) == ["conn.log", "r.conf"]
 
 
 def test_a_child_killed_partway_is_one_error_and_leaves_no_file(tmp_path, monkeypatch, capsys, two_processes):
