@@ -30,12 +30,12 @@ import math
 import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
+from .values import Frozen
 from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, undecoded
 
 logger = logging.getLogger(__name__)
@@ -58,26 +58,22 @@ class LabeledFlow(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    ip: IPAddress
-    time: float
-    evidence: frozenset[str]
-    lineno: int = field(default=0, compare=False)  # in the detections file
+class DetectionRecord(Frozen):
+    _fields = ("ip", "time", "evidence")  # not lineno, its line in the detections file
+
+    def __init__(self, ip: IPAddress, time: float, evidence: frozenset[str], lineno: int = 0) -> None:
+        self._set(ip=ip, time=time, evidence=evidence, lineno=lineno)
 
 
 def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(Frozen):
     """TP/FP/TN/FN and their ratios; a None ratio had a zero denominator."""
 
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
+    def __init__(self, tp: int = 0, fp: int = 0, tn: int = 0, fn: int = 0) -> None:
+        self._set(tp=tp, fp=fp, tn=tn, fn=fn)
 
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
@@ -115,16 +111,18 @@ class WindowRun(NamedTuple):
         return _STATUS[self.truth, self.predicted]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """What :func:`score` finds: the flow-level and IP-level results of one evaluation."""
+class EvalReport(Frozen):
+    """What :func:`score` finds: the flow-level and IP-level results of one evaluation.
 
-    labels: Counter[str]  # flows in scope, per label
-    flow: ConfusionCounts
-    ip: ConfusionCounts
-    timelines: dict[IPAddress, list[WindowRun]]
-    missing_evidence: list[str]  # evidence uids that name no flow, sorted
-    predating: list[tuple[DetectionRecord, float]]  # with the start of its latest evidence
+    ``labels`` counts the flows in scope per label; ``missing_evidence`` holds the evidence uids that name
+    no flow, sorted; ``predating`` pairs each detection that predates its evidence with the start of the latest.
+    """
+
+    def __init__(self, labels: Counter[str], flow: ConfusionCounts, ip: ConfusionCounts,
+                 timelines: dict[IPAddress, list[WindowRun]], missing_evidence: list[str],
+                 predating: list[tuple[DetectionRecord, float]]) -> None:
+        self._set(labels=labels, flow=flow, ip=ip, timelines=timelines, missing_evidence=missing_evidence,
+                  predating=predating)
 
 
 def score(

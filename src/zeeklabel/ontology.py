@@ -11,11 +11,11 @@ levels 2-7 so a rendered string parses back without positional bookkeeping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .config import SECTION_ONTOLOGY, split_sections
 from .errors import ConfigError
+from .values import Frozen
 
 LEVEL_NAMES = (
     "label",
@@ -48,19 +48,16 @@ def canonical_level(name: str) -> str | None:
     return resolved if resolved in LEVEL_NAMES else None
 
 
-@dataclass(frozen=True)
-class LevelSpec:
-    name: str
-    mandatory: bool
-    extensible: bool
-    items: tuple[str, ...]
+class LevelSpec(Frozen):
+    def __init__(self, name: str, mandatory: bool, extensible: bool, items: tuple[str, ...]) -> None:
+        self._set(name=name, mandatory=mandatory, extensible=extensible, items=items)
 
 
-@dataclass(frozen=True)
-class OntologySpec:
+class OntologySpec(Frozen):
     """The full level/item vocabulary a config file is validated against."""
 
-    levels: tuple[LevelSpec, ...]
+    def __init__(self, levels: tuple[LevelSpec, ...]) -> None:
+        self._set(levels=levels)
 
     def level(self, name: str) -> LevelSpec:
         canon = canonical_level(name)
@@ -74,20 +71,16 @@ class OntologySpec:
         return [lvl.name for lvl in self.levels[1:] if item in lvl.items]
 
 
-@dataclass(frozen=True)
-class LabelAssignment:
+class LabelAssignment(Frozen):
     """One verdict plus its optional per-level detail items.
 
     Detail keys are canonicalized on construction so ``app-process`` and
     ``process`` refer to the same slot.
     """
 
-    label: str
-    detail: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        canon = {_LEVEL_ALIASES.get(k, k): v for k, v in self.detail.items()}
-        object.__setattr__(self, "detail", canon)
+    def __init__(self, label: str, detail: Mapping[str, str] | None = None) -> None:
+        canon = {_LEVEL_ALIASES.get(k, k): v for k, v in (detail or {}).items()}
+        self._set(label=label, detail=canon)
 
 
 def builtin_ontology() -> OntologySpec:

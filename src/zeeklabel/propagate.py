@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
+from .values import Value
 from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_two_processes, release
 from .zeekio import replace_all_on_success, set_getter, write_labeled
 
@@ -102,25 +102,20 @@ def _pair_function(
     return lookup
 
 
-@dataclass
-class LogReport:
+class LogReport(Value):
     """What propagation did to one log."""
 
-    name: str
-    route: str
-    rows: int
-    labeled: int
-    output: Path
+    def __init__(self, name: str, route: str, rows: int, labeled: int, output: Path) -> None:
+        self._set(name=name, route=route, rows=rows, labeled=labeled, output=output)
 
 
-@dataclass
-class PropagateReport:
+class PropagateReport(Value):
     """The uid index's counts, and one entry per log in the order written."""
 
-    index_uids: int
-    index_duplicates: int
-    index_skipped_unset: int
-    logs: list[LogReport] = field(default_factory=list)
+    def __init__(self, index_uids: int, index_duplicates: int, index_skipped_unset: int,
+                 logs: list[LogReport] | None = None) -> None:
+        self._set(index_uids=index_uids, index_duplicates=index_duplicates, index_skipped_unset=index_skipped_unset,
+                  logs=[] if logs is None else logs)
 
 
 def propagate_dir(

@@ -33,7 +33,6 @@ import datetime
 import ipaddress
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import CodeType
 from typing import Callable, NamedTuple
@@ -48,6 +47,7 @@ from .ontology import (
     render_detailed_label,
     validate_assignment,
 )
+from .values import Frozen
 from .zeekio import ZeekHeader, _projection, _to_float, field_getter
 
 
@@ -163,11 +163,9 @@ _CONDITION_RE = re.compile(r"^(\w+)\s*(<=|>=|<|>|=)\s*(\S+)$")
 _SPLIT_RE = re.compile(r"(?i)\s+and\s+|\s*&\s*")
 
 
-@dataclass(frozen=True)
-class Condition:
-    column: str
-    op: str
-    value: object
+class Condition(Frozen):
+    def __init__(self, column: str, op: str, value: object) -> None:
+        self._set(column=column, op=op, value=value)
 
     @cached_property
     def key(self) -> object:
@@ -189,31 +187,31 @@ class Condition:
         return lambda flow: (have := flow.value(column)) is not None and compare(have, want)
 
 
-@dataclass(frozen=True)
-class ConditionGroup:
+class ConditionGroup(Frozen):
     """One rule line: the conjunction of its conditions."""
 
-    conditions: tuple[Condition, ...]
+    def __init__(self, conditions: tuple[Condition, ...]) -> None:
+        self._set(conditions=conditions)
 
 
-@dataclass(frozen=True)
-class Rule:
-    assignment: LabelAssignment
-    groups: tuple[ConditionGroup, ...]
-    label_text: str
-    detail_text: str
-    source_line: int = field(default=0, compare=False)
+class Rule(Frozen):
+    _fields = ("assignment", "groups", "label_text", "detail_text")  # not source_line: a re-rendered rule is equal
+
+    def __init__(self, assignment: LabelAssignment, groups: tuple[ConditionGroup, ...], label_text: str,
+                 detail_text: str, source_line: int = 0) -> None:
+        self._set(assignment=assignment, groups=groups, label_text=label_text, detail_text=detail_text,
+                  source_line=source_line)
 
     @property
     def label_pair(self) -> tuple[str, str]:
         return (self.label_text, self.detail_text)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Frozen):
     """Rules in file order; earlier rules win when several match."""
 
-    rules: tuple[Rule, ...]
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        self._set(rules=rules)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -44,13 +44,13 @@ import os
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import LogFormatError, UsageError
+from .values import Value
 
 logger = logging.getLogger(__name__)
 
@@ -59,18 +59,15 @@ EMPTY_DEFAULT = "(empty)"
 LABEL_FIELDS = ("label", "detailed_label")
 
 
-@dataclass
-class ZeekHeader:
+class ZeekHeader(Value):
     """Parsed header metadata plus the raw directive lines for round-trips."""
 
-    separator: str = "\t"
-    set_separator: str = ","
-    empty_field: str = EMPTY_DEFAULT
-    unset_field: str = UNSET_DEFAULT
-    path: str | None = None
-    fields: list[str] = field(default_factory=list)
-    types: list[str] | None = None
-    preamble: list[str] = field(default_factory=list)
+    def __init__(self, separator: str = "\t", set_separator: str = ",", empty_field: str = EMPTY_DEFAULT,
+                 unset_field: str = UNSET_DEFAULT, path: str | None = None, fields: list[str] | None = None,
+                 types: list[str] | None = None, preamble: list[str] | None = None) -> None:
+        self._set(separator=separator, set_separator=set_separator, empty_field=empty_field, unset_field=unset_field,
+                  path=path, fields=[] if fields is None else fields, types=types,
+                  preamble=[] if preamble is None else preamble)
 
     def index_of(self, name: str) -> int | None:
         """The position of column ``name``; of a repeated name, the last one.
@@ -89,19 +86,16 @@ _decode_json = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
-@dataclass
-class ZeekLogTable:
+class ZeekLogTable(Value):
     """A whole log held in memory: a list of cells per TSV line, the object per JSON line.
 
-    ``texts`` holds each JSON object's exact text and line number.
+    ``format`` is ``"tsv"`` or ``"json"``; ``texts`` holds each JSON object's exact text and line number.
     """
 
-    header: ZeekHeader
-    records: list[list[str] | dict]
-    trailer: list[str]
-    format: str  # "tsv" | "json"
-    source: str = "<log>"
-    texts: list[tuple[str, int]] = field(default_factory=list)
+    def __init__(self, header: ZeekHeader, records: list[list[str] | dict], trailer: list[str], format: str,
+                 source: str = "<log>", texts: list[tuple[str, int]] | None = None) -> None:
+        self._set(header=header, records=records, trailer=trailer, format=format, source=source,
+                  texts=[] if texts is None else texts)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -607,7 +601,8 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
         def halves(half: Callable, join: Callable, out: IO[str] | None = None) -> object:
             if split is None:
                 return half(out)
-            first = reader._pending  # None: the header reaches the split
+            if reader._pending is None:  # the header reaches the split: known before a child would read the rest
+                raise _OneProcess()
             # the child writes into a part file, open here and in the child and on no path; with no out, nowhere
             with open(out.name + ".part" if out else os.devnull, "w+b") as part:
                 if out:
@@ -621,7 +616,7 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
 
                 (records, result, error), own = in_two_processes(command, lambda: held_back(theirs),
                                                                  lambda: half(out), lambda pid: None)
-                if error is not None or reader.trailer or first is None:
+                if error is not None or reader.trailer:
                     raise error or _OneProcess()
                 if out:
                     out.flush()

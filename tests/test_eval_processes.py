@@ -245,7 +245,7 @@ def test_a_header_that_reaches_past_the_middle_is_read_as_one_process_reads_it(b
     data = b"".join(lines[:HEADER_LINES] + [b"#note\t%d\n" % i for i in range(100)] + lines[HEADER_LINES:])
     assert data.index(b"\n", len(data) // 2) < data.index(b"#note\t99")
     two, one = both(data, _detections("C00001"), *options)
-    assert len(two_processes) == 1
+    assert two_processes == []  # no fork: the header is known to reach the split before one
     assert two == one
     assert two[0] == 0
 
