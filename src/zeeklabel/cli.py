@@ -10,6 +10,7 @@ problem, 2 usage or configuration problem.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -306,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# the import's objects live as long as the process: left out of every collection, none lands inside a command
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

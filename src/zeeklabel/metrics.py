@@ -36,7 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
 from .values import Frozen
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, undecoded
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -340,42 +340,23 @@ def timeline_confusion(timelines: dict[IPAddress, list[WindowRun]]) -> Confusion
 
 
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
-    """Parse detections from JSON lines: {"ip", "time", "evidence": [uids]}."""
+    """Parse detections, {"ip", "time", "evidence": [uids]}, from JSON lines read as a log's (:func:`json_lines`)."""
     records: list[DetectionRecord] = []
-    lines, lineno = stream, 0
-    while True:
+    for obj, _, lineno in json_lines(stream, source, "an object"):
         try:
-            for lineno, line in enumerate(lines, lineno + 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
-                except RecursionError:
-                    raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
-                if not isinstance(obj, dict):
-                    raise LogFormatError(f"{source}: line {lineno}: expected an object")
-                try:
-                    ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
-                    if type(ip) is not str:  # ip_address reads an int as an IPv4 address
-                        raise ValueError(f"ip {json.dumps(ip)} is not a string")
-                    ip = ipaddress.ip_address(ip)
-                except (KeyError, ValueError) as exc:
-                    raise LogFormatError(
-                        f"{source}: line {lineno}: needs ip, time and evidence ({exc})"
-                    ) from None
-                # a bool is not a time, and an int too large for a float is not finite
-                if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
-                    raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
-                if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
-                    raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
-                records.append(
-                    DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence), lineno=lineno)
-                )
-            return records
-        except UnicodeDecodeError as exc:  # the lines before the bad byte come first
-            lines = undecoded(stream, exc, lineno, source)
+            ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
+            if type(ip) is not str:  # ip_address reads an int as an IPv4 address
+                raise ValueError(f"ip {json.dumps(ip)} is not a string")
+            ip = ipaddress.ip_address(ip)
+        except (KeyError, ValueError) as exc:
+            raise LogFormatError(f"{source}: line {lineno}: needs ip, time and evidence ({exc})") from None
+        # a bool is not a time, and an int too large for a float is not finite
+        if type(time) not in (int, float) or not abs(time) <= sys.float_info.max:
+            raise LogFormatError(f"{source}: line {lineno}: time must be a finite number")
+        if not isinstance(evidence, list) or not all(type(uid) is str for uid in evidence):
+            raise LogFormatError(f"{source}: line {lineno}: evidence must be a list of uids")
+        records.append(DetectionRecord(ip=ip, time=float(time), evidence=frozenset(evidence), lineno=lineno))
+    return records
 
 
 def _is_address(text: str) -> bool:

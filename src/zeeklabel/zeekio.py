@@ -16,9 +16,11 @@ two logs, is refused rather than read as header or kept as trailer.
 A streaming TSV record is its data line without the ``\n``, checked for its
 field count; a JSON-lines record is the object the decoder built, and the
 reader holds that object's exact ``text`` and ``lineno`` until the next one.
-Cells are read through readers resolved once per header (:func:`field_getter`,
-:func:`cells_getter`, :func:`set_getter`), which split a line only as far as
-the columns they read, and a line is written back as it was read.
+:func:`json_lines` reads every JSON line, of a log or of ``eval``'s
+detections. Cells are read through readers resolved once per header
+(:func:`field_getter`, :func:`cells_getter`, :func:`set_getter`), which split
+a line only as far as the columns they read, and one loop in
+:func:`write_labeled` writes a line back as it was read, of either shape.
 
 A pipeline reads a log in two processes through one contract:
 ``in_halves(command, path, function, *args)`` calls ``function(*args, reader,
@@ -135,29 +137,50 @@ def _json_cell(value: object, header: ZeekHeader) -> str:
     return _json_scalar(value)
 
 
-def utf8_error(source: str, lines_read: int, exc: UnicodeDecodeError) -> LogFormatError:
-    """The error for a non-UTF-8 byte met after ``lines_read`` whole lines.
+def undecoded(stream: IO[str], exc: UnicodeDecodeError, lines_read: int, source: str) -> Iterator[str]:
+    """The whole lines of ``stream`` past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate
+    escapes so that a bad line among them is reported first; then the error naming the byte's line.
 
     A text stream decodes the chunk that continues the first line not yet
     read, so the byte sits that many newlines into the chunk past that line.
     """
-    lineno = lines_read + 1
-    if isinstance(exc.object, bytes):
-        lineno += exc.object.count(b"\n", 0, exc.start)
-    return LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
-
-
-def undecoded(stream: IO[str], exc: UnicodeDecodeError, lines_read: int, source: str) -> Iterator[str]:
-    """The whole lines of ``stream`` past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate
-    escapes so that a bad line among them is reported first; then the :func:`utf8_error`."""
-    error = utf8_error(source, lines_read, exc)
+    lineno = lines_read + 1 + (exc.object.count(b"\n", 0, exc.start) if isinstance(exc.object, bytes) else 0)
     if (raw := getattr(stream, "buffer", None)) is not None and raw.seekable():
         end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
         raw.seek(0)
         next(islice(raw, lines_read, lines_read), None)
         text = raw.read(max(end - raw.tell(), 0)).decode("utf-8", "surrogateescape")
         yield from (line for line in io.StringIO(text, newline=None) if line[-1:] == "\n")
-    raise error
+    raise LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
+
+
+def json_lines(stream: IO[str], source: str, expected: str, first: Iterable[str] = (),
+               lines_read: int = 0) -> Iterator[tuple[dict, str, int]]:
+    """``(object, text, lineno)`` of each line of ``first``, then of ``stream``, that is not blank: the line parsed
+    as :func:`json.loads` parses it, the exact text of its object, and its number counted on from ``lines_read``.
+    A line that is not JSON, nested too deeply or not ``expected`` (an object) is a :class:`LogFormatError`, and
+    so is a non-UTF-8 byte once the whole lines before it are read."""
+    lines, lineno = chain(first, stream), lines_read
+    while True:
+        try:
+            for lineno, line in enumerate(lines, lineno + 1):
+                if line[:1] != "{" and not line.strip():
+                    continue
+                start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
+                try:
+                    obj, end = _decode_json(line, start)
+                    if line[end:].strip(_JSON_SPACE):
+                        raise ValueError
+                except ValueError:
+                    raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
+                except RecursionError:
+                    raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
+                if not isinstance(obj, dict):
+                    raise LogFormatError(f"{source}: line {lineno}: expected {expected}")
+                yield obj, line[start:end], lineno
+            return
+        except UnicodeDecodeError as exc:
+            lines = undecoded(stream, exc, lineno, source)
 
 
 class ZeekLogReader:
@@ -197,7 +220,7 @@ class ZeekLogReader:
         if line.lstrip().startswith("{"):
             self.format = "json"
             self._pending = line
-            self.header.fields = list(self._parse_json(line, self._lineno))
+            self.header.fields = list(next(self._json_lines(line))[0])
             return
         if not line.startswith("#separator"):
             raise LogFormatError(
@@ -243,23 +266,9 @@ class ZeekLogReader:
             )
         self._pending = line
 
-    def _parse_json(self, line: str, lineno: int) -> dict:
-        # what json.loads accepts, and where in the line the value's text is
-        start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
-        try:
-            obj, end = _decode_json(line, start)
-            if line[end:].strip(_JSON_SPACE):
-                raise ValueError
-        except ValueError:
-            raise LogFormatError(f"{self.source}: line {lineno}: invalid JSON") from None
-        except RecursionError:
-            raise LogFormatError(f"{self.source}: line {lineno}: JSON nested too deeply") from None
-        if not isinstance(obj, dict):
-            raise LogFormatError(
-                f"{self.source}: line {lineno}: expected a JSON object"
-            )
-        self.text, self.lineno = line[start:end], lineno
-        return obj
+    def _json_lines(self, line: str) -> Iterator[tuple[dict, str, int]]:
+        """:func:`json_lines` of ``line`` (the one read last) and the lines after it."""
+        return json_lines(self._stream, self.source, "a JSON object", (line,), self._lineno - 1)
 
     def follow(self, stream: IO[str]) -> None:
         """Read ``stream``'s lines as this log's next records, with no directive lines to write before them."""
@@ -326,23 +335,13 @@ class ZeekLogReader:
             return
         fields = self.header.fields
         known = set(fields)
-        lines, lineno = chain((line,), self._stream), self._lineno
-        parse = self._parse_json
-        while True:
-            try:
-                for lineno, line in enumerate(lines, lineno):
-                    if line[:1] != "{" and not line.strip():
-                        continue
-                    obj = parse(line, lineno)
-                    if not known.issuperset(obj):
-                        for key in obj:
-                            if key not in known:
-                                known.add(key)
-                                fields.append(key)
-                    yield obj
-                return
-            except UnicodeDecodeError as exc:
-                lines, lineno = undecoded(self._stream, exc, lineno, self.source), lineno + 1
+        for obj, self.text, self.lineno in self._json_lines(line):
+            if not known.issuperset(obj):
+                for key in obj:
+                    if key not in known:
+                        known.add(key)
+                        fields.append(key)
+            yield obj
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
@@ -400,19 +399,22 @@ def write_labeled(
     ``records`` are what :meth:`ZeekLogReader.records` (or a table's
     ``iter_rows``) yields for ``log``. A TSV log's directive lines are copied
     verbatim, with the label columns it lacks appended to ``#fields`` and
-    ``#types``, and each line gets those columns' cells appended; only a line
-    of a log that has a label column already (a relabeled log) is split, to
-    take the new value in place. A JSON object is its
-    own text with the label keys put before its closing brace; one that has a
-    label key already is encoded anew, compactly, with its label keys
-    overwritten, and a :class:`LogFormatError` if it holds a value JSON or
+    ``#types``. One loop writes the records, ``WRITE_CHUNK_ROWS`` to a write,
+    each with its pair's tail, made once per pair: a TSV line gets the cells of
+    those columns appended; only a line of a log that has a label column
+    already (a relabeled log) is split, to take the new value in place. A JSON
+    object is its own text with the label keys put before its closing brace;
+    one that has a label key already is encoded anew, compactly, with its label
+    keys overwritten, and a :class:`LogFormatError` if it holds a value JSON or
     UTF-8 cannot carry. The trailer is written last, as a reader fills it only
     once its records are read. Returns how many rows got each pair.
     """
     header = log.header
     write = stream.write
     counts: dict[tuple[str, str], int] = {}
+    tails: dict[tuple[str, str], str] = {}
     buf: list[str] = []
+    row = None  # (record, pair, tail) -> the record's output line, where that is more than record + tail
     if log.format == "tsv":
         sep = header.separator
         # (cell, pair member) of each label column the log already has
@@ -424,41 +426,34 @@ def write_labeled(
             elif line.startswith("#types" + sep) or line == "#types":
                 line = sep.join([line, *(["string"] * len(added))])
             write(line + "\n")
-        tails: dict[tuple[str, str], str] = {}
-        for line in records:
-            pair = pair_of(line)
-            tail = tails.get(pair)
-            if tail is None:
-                tail = tails[pair] = "".join(sep + pair[k] for k in added) + "\n"
-                counts[pair] = 0
-            counts[pair] += 1
-            if present:
+        tail_of = lambda pair: "".join(sep + pair[k] for k in added) + "\n"  # noqa: E731
+        if present:
+            def row(line: str, pair: tuple[str, str], tail: str) -> str:
                 cells = line.split(sep)
                 for i, k in present:
                     cells[i] = pair[k]
-                line = sep.join(cells)
-            buf.append(line + tail)
-            if len(buf) == WRITE_CHUNK_ROWS:
-                write("".join(buf))
-                buf.clear()
+                return sep.join(cells) + tail
     else:
         label_key, detail_key = LABEL_FIELDS
         # ',"label":…,"detailed_label":…}\n', what takes an object's closing brace
-        tails: dict[tuple[str, str], str] = {}
-        for obj in records:
-            pair = pair_of(obj)
-            tail = tails.get(pair)
-            if tail is None:
-                tail = tails[pair] = "," + _encode_json(dict(zip(LABEL_FIELDS, pair)))[1:] + "\n"
-                counts[pair] = 0
-            counts[pair] += 1
+        tail_of = lambda pair: "," + _encode_json(dict(zip(LABEL_FIELDS, pair)))[1:] + "\n"  # noqa: E731
+
+        def row(obj: dict, pair: tuple[str, str], tail: str) -> str:
             if label_key in obj or detail_key in obj:
-                buf.append(_relabeled_json(obj, pair, log.source, log.lineno) + "\n")
-            else:
-                buf.append(log.text[:-1] + (tail if obj else tail[1:]))
-            if len(buf) == WRITE_CHUNK_ROWS:
-                write("".join(buf))
-                buf.clear()
+                return _relabeled_json(obj, pair, log.source, log.lineno) + "\n"
+            return log.text[:-1] + (tail if obj else tail[1:])
+
+    for record in records:
+        pair = pair_of(record)
+        tail = tails.get(pair)
+        if tail is None:
+            tail = tails[pair] = tail_of(pair)
+            counts[pair] = 0
+        counts[pair] += 1
+        buf.append(record + tail if row is None else row(record, pair, tail))
+        if len(buf) == WRITE_CHUNK_ROWS:
+            write("".join(buf))
+            buf.clear()
     write("".join(buf))
     write("".join(line + "\n" for line in log.trailer))
     return counts

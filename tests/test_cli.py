@@ -711,6 +711,54 @@ def test_a_bad_detections_line_before_a_non_utf8_byte_is_the_error(tmp_path, cap
     assert not forks  # the detections are read before the conn.log is split
 
 
+def _json_objects(tsv_log) -> list[str]:
+    """Each row of a TSV log as the text of a JSON object, its unset cells left out."""
+    lines = tsv_log.read_text().splitlines()
+    names = next(line for line in lines if line.startswith("#fields")).split("\t")[1:]
+    rows = [line.split("\t") for line in lines if not line.startswith("#")]
+    return [json.dumps({k: v for k, v in zip(names, row) if v != "-"}) for row in rows]
+
+
+@pytest.mark.parametrize("text_after", [False, True], ids=["padded", "text-after-an-object"])
+@pytest.mark.parametrize("reader", ["label", "eval-conn", "eval-detections"])
+def test_json_lines_of_a_log_and_of_detections_are_read_alike(tmp_path, capsys, reader, text_after):
+    """Whitespace before an object and blank lines between objects are read, and line numbers count the
+    blank lines; text after an object on its line is invalid JSON. So for a conn.log and a detections file."""
+    fig2 = DATA_DIR / "fig2"
+    if reader == "label":
+        name, objects = "conn.log", _json_objects(DATA_DIR / "proplogs" / "conn.log")
+        argv = ["label", name, "--config", str(DATA_DIR / "proplogs" / "labeling.conf")]
+    elif reader == "eval-conn":
+        name, objects = "conn.labeled.log", _json_objects(fig2 / "conn.labeled.log")
+        argv = ["eval", name, str(fig2 / "detections.jsonl")]
+    else:
+        detection = json.loads((fig2 / "detections.jsonl").read_text())
+        name, objects = "detections.jsonl", [json.dumps({**detection, "evidence": [uid]}) for uid in detection["evidence"]]
+        argv = ["eval", str(fig2 / "conn.labeled.log"), name]
+    # each object after a space and a tab, and a blank and a whitespace-only line between two: object k on line 3k + 1
+    padded = [" \t" + obj for obj in objects]
+    if text_after:
+        padded[1] += ' {"ts": 1.0}'
+    runs = []
+    for kind, lines in (("plain", objects), ("padded", "\n\n  \n".join(padded).split("\n"))):
+        (tmp_path / kind).mkdir()
+        (tmp_path / kind / name).write_text("".join(line + "\n" for line in lines))
+        rc = main([str(tmp_path / kind / arg) if arg == name else arg for arg in argv])
+        out, err = capsys.readouterr()
+        runs.append((rc, out.replace(str(tmp_path / kind), "<dir>"), err))
+    (plain_rc, plain_out, _), (rc, out, err) = runs
+    assert plain_rc == 0
+    if text_after:
+        assert rc == 1
+        assert _one_error_line(err) == f"error: {tmp_path / 'padded' / name}: line 4: invalid JSON"
+        assert sorted(p.name for p in (tmp_path / "padded").iterdir()) == [name]
+    else:
+        assert (rc, out) == (0, plain_out)
+        if reader == "label":  # an object is written as its own text, without what was around it
+            labeled = [(tmp_path / kind / "conn.labeled.log").read_bytes() for kind in ("plain", "padded")]
+            assert labeled[0] == labeled[1]
+
+
 @pytest.mark.parametrize("separator", ["\\x", "", "é"])
 @pytest.mark.parametrize("command", ["label", "propagate", "eval"])
 def test_malformed_separator_directive_is_a_one_line_error(tmp_path, capsys, command, separator):
@@ -1391,6 +1439,42 @@ def test_validate_config_bad_exits_2(tmp_path, capsys):
     rc = main(["validate-config", "--config", str(bad)])
     assert rc == 2
     assert "unknown detail item 'Nonsense'" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes("Benign, (empty):\n    - Proto=tcp  # caf\xe9\n".encode("latin-1"))
+    assert main(["validate-config", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: config file is not valid UTF-8\n"
+
+
+def test_ontology_may_relist_the_items_of_a_fixed_level(tmp_path, capsys):
+    """Re-listing built-in items of a fixed level adds nothing: the counts are those of the config without them."""
+    rules = "[rules]\nMalicious, From_benign:\n    - Proto=tcp\n"
+    counts = []
+    for name, text in (("plain", rules), ("relisted", "[ontology]\nlabel: Malicious, Benign\nsource: From_benign\n\n" + rules)):
+        config = tmp_path / f"{name}.conf"
+        config.write_text(text)
+        assert main(["validate-config", "--config", str(config)]) == 0
+        counts.append([line for line in capsys.readouterr().out.splitlines() if line.endswith(" items")])
+    assert "  label (fixed): 3 items" in counts[0]
+    assert "  source (fixed): 2 items" in counts[0]
+    assert counts[1] == counts[0]
+
+
+def test_label_reads_a_destination_that_is_not_an_address_as_unset(tmp_path, capsys):
+    """A rule's IPv6 address matches the rows spelling that address in any way; a cell with a colon that is
+    no address is unset and matches no address."""
+    spellings = ["fe80::1", "FE80:0::1", "fe80::zz", "fe80::2", "-"]
+    conn = tmp_path / "conn.log"
+    conn.write_text(conn_log_text([conn_row(uid=f"C{i}", **{"id.resp_h": h}) for i, h in enumerate(spellings)]))
+    config = tmp_path / "v6.conf"
+    config.write_text("Malicious, (empty):\n    - dstIP=fe80::1\n")
+    assert main(["label", str(conn), "--config", str(config)]) == 0
+    assert "labeled: 2\n" in capsys.readouterr().out
+    with open(tmp_path / "conn.labeled.log", encoding="utf-8") as fh:
+        labeled = read_log(fh, "conn.labeled.log")
+    assert [cells[-2] for cells in labeled.records] == ["Malicious", "Malicious", "(empty)", "(empty)", "(empty)"]
 
 
 def test_show_ontology_builtin(capsys):

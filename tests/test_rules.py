@@ -275,6 +275,28 @@ def test_tos_reads_a_set_value_and_unset_as_none(fmt):
     assert got == want
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_dst_ip_with_a_colon_that_is_no_address_reads_as_unset(fmt):
+    """The reference reading and the classifier agree: only the spellings of fe80::1 match it."""
+    spellings = {"C1": "fe80::1", "Cupper": "FE80:0::1", "Czz": "fe80::zz", "C2": "fe80::2"}
+    if fmt == "tsv":
+        text = conn_log_text([conn_row(uid=uid, **{"id.resp_h": h}) for uid, h in spellings.items()])
+    else:
+        text = json_lines(*({"ts": 1.0, "uid": uid, "id.resp_h": h} for uid, h in spellings.items()))
+    table = table_from_text(text)
+    schema = ConnSchema(table.header, table.format)
+    _, ruleset = load_config("Malicious, (empty):\n    - dstIP=fe80::1\n")
+    classify = ruleset.classifier(table.header, table.format)
+    got = {}
+    for record in table.iter_rows():
+        flow = schema.view(record)
+        uid = row_field(record, table.header, "uid")
+        got[uid] = flow.value("dstIP")
+        assert match_rule(ruleset.rules[0], flow) is (uid in ("C1", "Cupper"))
+        assert classify(record) == (0 if uid in ("C1", "Cupper") else 1)
+    assert got == {"C1": "fe80::1", "Cupper": "fe80::1", "Czz": None, "C2": "fe80::2"}
+
+
 def test_evaluate_date_from_epoch_utc():
     flow = _view(ts="1674567890.500000")
     assert _holds("Date=2023-01-24", flow)
