@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import ConfigError, LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, label_file
-from .metrics import MALICIOUS, MAX_WINDOWS, UNKNOWN, ConfusionCounts, WindowRun, evaluate
+from .metrics import MALICIOUS, MAX_WINDOWS, STATUS, UNKNOWN, ConfusionCounts, evaluate
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
@@ -34,7 +34,7 @@ def _read_config(path: Path) -> tuple[str, str]:
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     try:
-        return data.decode("utf-8"), digest
+        return data.decode("utf-8-sig"), digest
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: config file is not valid UTF-8") from None
 
@@ -111,14 +111,13 @@ def _score_text(c: ConfusionCounts) -> str:
 JSON_CHUNK_WINDOWS = 1024
 TEXT_CHUNK_WINDOWS = 8192
 
-_STATUS = {(t, p): WindowRun(0, 1, t, p).status for t in (False, True) for p in (False, True)}
-_MARKS = {key: " " + status for key, status in _STATUS.items()}
+_MARKS = {key: " " + status for key, status in STATUS.items()}
 # a window object of json.dumps(payload, indent=2), split around its window_start
 _WINDOW_HEAD = '\n        {\n          "window_start": '
 _WINDOW_TAILS = {
     (truth, predicted): f',\n          "truth": {json.dumps(truth)},\n          "predicted": '
     f'{json.dumps(predicted)},\n          "status": "{status}"\n        }}'
-    for (truth, predicted), status in _STATUS.items()
+    for (truth, predicted), status in STATUS.items()
 }
 
 

@@ -13,14 +13,13 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .errors import LogFormatError, UsageError
-from .ontology import LABEL_ITEMS
+from .ontology import EMPTY_DETAIL as EMPTY_LABEL, LABEL_ITEMS
 from .rules import RuleSet
 from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, field_getter, in_halves
 from .zeekio import replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
-EMPTY_LABEL = "(empty)"
 EMPTY_PAIR = (EMPTY_LABEL, EMPTY_LABEL)
 
 LabelPair = tuple[str, str]
@@ -47,22 +46,22 @@ def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) ->
 
     The copy appears only once complete, and only if the log has a uid column.
     Through :func:`zeekio.in_halves`: from zeekio.FORK_MIN_BYTES, on two CPUs, a forked child labels the lines past
-    the middle into a part file appended to the copy, as one process would. The uid check reads both halves' fields
-    once they joined, so its error is final.
+    the middle into a part file appended to the copy, as one process would. The uid check reads the fields once the
+    halves joined, so its error is final.
     """
     return in_halves("label", conn_path, _label, ruleset, out_path)
 
 
 def _label(ruleset: RuleSet, out_path: str | Path, reader: ZeekLogReader, halves: Callable) -> dict[LabelPair, int]:
-    """Label the log through ``halves``: each half's rows per pair and fields, added up."""
+    """Label the log through ``halves``: each half's rows per pair, added up."""
     pair_of = _pair_function(ruleset, reader)
-    label = lambda dst: (write_labeled(dst, reader, reader.records(), pair_of), reader.header.fields)  # noqa: E731
-    join = lambda mine, theirs: (dict(Counter(mine[0]) + Counter(theirs[0])), {*mine[1], *theirs[1]})  # noqa: E731
+    label = lambda dst: write_labeled(dst, reader, reader.records(), pair_of)  # noqa: E731
+    join = lambda mine, theirs: dict(Counter(mine) + Counter(theirs))  # noqa: E731
     with replace_all_on_success() as open_output:
         with open_output(Path(out_path)) as dst:
-            counts, fields = halves(label, join, dst)
+            counts = halves(label, join, dst)
         # after the stream, before the move: a JSON log's fields are complete only now
-        if "uid" not in fields:
+        if "uid" not in reader.header.fields:
             raise LogFormatError(f"{reader.source}: flow table has no uid field")
     return counts
 

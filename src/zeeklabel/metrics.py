@@ -95,7 +95,7 @@ class ConfusionCounts(Frozen):
         return _ratio(2 * self.tp, 2 * self.tp + self.fp + self.fn)
 
 
-_STATUS = {(True, True): "TP", (True, False): "FN", (False, True): "FP", (False, False): "TN"}
+STATUS = {(True, True): "TP", (True, False): "FN", (False, True): "FP", (False, False): "TN"}
 
 
 class WindowRun(NamedTuple):
@@ -108,7 +108,7 @@ class WindowRun(NamedTuple):
 
     @property
     def status(self) -> str:
-        return _STATUS[self.truth, self.predicted]
+        return STATUS[self.truth, self.predicted]
 
 
 class EvalReport(Frozen):
@@ -396,10 +396,10 @@ def _read_flows(reader: ZeekLogReader, skipped: list[int]) -> Iterator[tuple[str
     skipped.append(count)
 
 
-def _checked(source: str, fields: Iterable[str], skipped: list[int]) -> None:
+def _checked(reader: ZeekLogReader, skipped: list[int]) -> None:
     """After the stream, so that bad rows come first and JSON keys are complete: the label column, then the skips."""
-    if LABEL_FIELDS[0] not in fields:
-        raise UsageError(f"{source} has no label column; run 'label' before 'eval'")
+    if LABEL_FIELDS[0] not in reader.header.fields:
+        raise UsageError(f"{reader.source} has no label column; run 'label' before 'eval'")
     if sum(skipped):
         logger.warning("%d rows skipped during evaluation (missing uid, ts or source IP)", sum(skipped))
 
@@ -409,21 +409,21 @@ def _score_log(detections_path: str | Path, window: float, threshold: int, cutof
     """:func:`evaluate`'s report and detections, the conn.log tallied through ``halves``; a conn.log error first."""
     skipped: list[int] = []  # of this process
     flows = _read_flows(reader, skipped)
-    half = lambda _: (_tally(flows, evidence, window, cutoff), skipped, reader.header.fields)  # noqa: E731
-    join = lambda mine, theirs: (_merge(mine[0], theirs[0]), mine[1] + theirs[1], [*mine[2], *theirs[2]])  # noqa: E731
+    half = lambda _: (_tally(flows, evidence, window, cutoff), skipped)  # noqa: E731
+    join = lambda mine, theirs: (_merge(mine[0], theirs[0]), mine[1] + theirs[1])  # noqa: E731
     try:
         with open(detections_path, encoding="utf-8") as fh:
             detections = read_detections(fh, str(detections_path))
         with _times_checked(window):
             evidence, alerts = _alerts(detections, window, threshold, cutoff)
-            counts, skips, fields = halves(half, join)
+            counts, skips = halves(half, join)
     except (ZeekLabelError, OSError):
         for _ in flows:
             pass
         if skipped:  # the rows ended
-            _checked(reader.source, reader.header.fields, skipped)
+            _checked(reader, skipped)
         raise
-    _checked(reader.source, fields, skips)
+    _checked(reader, skips)
     return _finish(counts, detections, evidence, alerts), detections
 
 
@@ -437,8 +437,8 @@ def evaluate(
     else fails before the stream ends, the rest of it is still read. The
     detections are read first; then, through :func:`zeekio.in_halves`, a forked
     child may tally the lines past the middle, merged into this process's tally
-    as one pass would leave it. The label-column check reads both halves' fields
-    once they joined, so its error is final. A report of more than ``max_windows``
+    as one pass would leave it. The label-column check reads the fields once the
+    halves joined, so its error is final. A report of more than ``max_windows``
     (IP, window) decisions is a usage error that names the events at both ends
     of the span. Detections that predate their evidence are logged; evidence
     uids that name no flow are a usage error.

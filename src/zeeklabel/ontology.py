@@ -31,7 +31,6 @@ DETAIL_LEVELS = LEVEL_NAMES[1:]
 EMPTY_DETAIL = "(empty)"
 
 _LEVEL_ALIASES = {"app-process": "process"}
-_CLOSED_LEVELS = frozenset({"label", "source", "destination"})
 # the label level is fixed: a config can add no verdict
 LABEL_ITEMS = ("Benign", "Malicious", "Unknown")
 _BUILTIN_ITEMS: dict[str, tuple[str, ...]] = {
@@ -54,9 +53,15 @@ class LevelSpec(Frozen):
 
 
 class OntologySpec(Frozen):
-    """The full level/item vocabulary a config file is validated against."""
+    """The full level/item vocabulary a config file is validated against; no detail item is in two levels."""
 
     def __init__(self, levels: tuple[LevelSpec, ...]) -> None:
+        seen: dict[str, str] = {}
+        for lvl in levels[1:]:
+            for item in lvl.items:
+                if (first := seen.setdefault(item, lvl.name)) != lvl.name:
+                    raise ConfigError(f"item '{item}' appears in both '{first}' and '{lvl.name}'; "
+                                      "detail items must be unique across levels")
         self._set(levels=levels)
 
     def level(self, name: str) -> LevelSpec:
@@ -83,19 +88,13 @@ class LabelAssignment(Frozen):
         self._set(label=label, detail=canon)
 
 
-def builtin_ontology() -> OntologySpec:
-    """The vocabulary available before any config is read."""
-    return load_ontology("")
-
-
 def load_ontology(config_text: str) -> OntologySpec:
     """Build an OntologySpec from a config file's ontology section.
 
     Ontology lines look like ``technique: Discovery, Initial_access``. The
     fixed levels (label/source/destination) may re-list their built-in items
-    but cannot gain new ones. Items may not repeat within a level, and a
-    detail item may not appear in two different levels, since the detailed
-    label string identifies items without naming their level.
+    but cannot gain new ones. Items may not repeat within a level, nor a
+    detail item appear in two levels (:class:`OntologySpec` refuses it).
     """
     items: dict[str, list[str]] = {
         name: list(_BUILTIN_ITEMS.get(name, ())) for name in LEVEL_NAMES
@@ -121,7 +120,7 @@ def load_ontology(config_text: str) -> OntologySpec:
                     f"line {lineno}: invalid item '{item}' (letters, digits, "
                     f"'_' and '.' only; '-' is reserved for joining)"
                 )
-            if name in _CLOSED_LEVELS:
+            if name in _BUILTIN_ITEMS:
                 if item in items[name]:
                     continue
                 raise ConfigError(
@@ -134,21 +133,11 @@ def load_ontology(config_text: str) -> OntologySpec:
                 )
             items[name].append(item)
 
-    seen: dict[str, str] = {}
-    for name in DETAIL_LEVELS:
-        for item in items[name]:
-            if item in seen:
-                raise ConfigError(
-                    f"item '{item}' appears in both '{seen[item]}' and "
-                    f"'{name}'; detail items must be unique across levels"
-                )
-            seen[item] = name
-
     levels = tuple(
         LevelSpec(
             name=name,
             mandatory=name == "label",
-            extensible=name not in _CLOSED_LEVELS,
+            extensible=name not in _BUILTIN_ITEMS,
             items=tuple(items[name]),
         )
         for name in LEVEL_NAMES
@@ -202,11 +191,6 @@ def parse_detailed_label(text: str, spec: OntologySpec) -> dict[str, str]:
         levels = spec.levels_of_item(token)
         if not levels:
             raise ConfigError(f"unknown detail item '{token}'")
-        if len(levels) > 1:
-            raise ConfigError(
-                f"detail item '{token}' is ambiguous across levels "
-                f"{', '.join(levels)}"
-            )
         name = levels[0]
         if name in detail:
             raise ConfigError(

@@ -28,12 +28,13 @@ halves)``. ``halves(half, join, out=None)`` is ``half(out)`` in one process.
 Where :func:`can_fork` holds, it is ``join(mine, theirs)``: ``mine`` is
 ``half`` run here over the lines before the first newline past the middle of
 the file, and ``theirs`` is ``half`` run over the rest in a forked child,
-whose writes to ``out`` go to a part file appended to ``out`` afterwards. An
-error that ``halves`` raises (also for a trailer or header that reaches the
-split), or that is raised before it is called, drops what was logged, and
-``function`` runs again in one process, so the first error in the file is the
-one reported. A child that ends without a result, and an error raised after
-``halves`` returned, are final.
+whose writes to ``out`` go to a part file appended to ``out`` afterwards. A
+half returns only its own result: once ``halves`` returns, the reader's header
+is the one a single process would hold. An error that ``halves`` raises (also
+for a trailer or header that reaches the split), or that is raised before it
+is called, drops what was logged, and ``function`` runs again in one process,
+so the first error in the file is the one reported. A child that ends without
+a result, and an error raised after ``halves`` returned, are final.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ class ZeekLogReader:
         if line.lstrip().startswith("{"):
             self.format = "json"
             self._pending = line
-            self.header.fields = list(next(self._json_lines(line))[0])
+            first = json_lines(self._stream, self.source, "a JSON object", (line,), self._lineno - 1)
+            self.header.fields = list(next(first)[0])
             return
         if not line.startswith("#separator"):
             raise LogFormatError(
@@ -265,10 +267,6 @@ class ZeekLogReader:
                 f"({len(h.fields)} vs {len(h.types)})"
             )
         self._pending = line
-
-    def _json_lines(self, line: str) -> Iterator[tuple[dict, str, int]]:
-        """:func:`json_lines` of ``line`` (the one read last) and the lines after it."""
-        return json_lines(self._stream, self.source, "a JSON object", (line,), self._lineno - 1)
 
     def follow(self, stream: IO[str]) -> None:
         """Read ``stream``'s lines as this log's next records, with no directive lines to write before them."""
@@ -335,7 +333,8 @@ class ZeekLogReader:
             return
         fields = self.header.fields
         known = set(fields)
-        for obj, self.text, self.lineno in self._json_lines(line):
+        for obj, self.text, self.lineno in json_lines(self._stream, self.source, "a JSON object", (line,),
+                                                      self._lineno - 1):
             if not known.issuperset(obj):
                 for key in obj:
                     if key not in known:
@@ -607,7 +606,7 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
                     with open(path, encoding="utf-8") as rest, open(part.fileno(), "w", encoding="utf-8") as to:
                         rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
                         reader.follow(rest)
-                        return half(out and to)
+                        return half(out and to), reader.header.fields
 
                 (records, result, error), own = in_two_processes(command, lambda: held_back(theirs),
                                                                  lambda: half(out), lambda pid: None)
@@ -619,6 +618,9 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
                     out.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
             release(records)
             joined.append(True)  # from here on an error is final
+            result, fields = result
+            # one process's header: the keys first met past the split follow this half's
+            reader.header.fields += [name for name in fields if name not in reader.header.fields]
             return join(own, result)
 
         # the whole log through open() itself: _Head's readinto, in Python, made a one-process eval about 1% slower

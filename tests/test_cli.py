@@ -1448,6 +1448,39 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {config}: config file is not valid UTF-8\n"
 
 
+def test_a_config_with_a_byte_order_mark_reads_as_the_file_without_it(proplogs_dir, capsys):
+    """The mark is not text of the config; the printed sha256 stays that of the file's bytes."""
+    plain = proplogs_dir / "labeling.conf"
+    marked = proplogs_dir / "marked.conf"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    runs = []
+    for config in (plain, marked):
+        out = proplogs_dir / f"{config.stem}.labeled.log"
+        codes = [
+            main(["show-ontology", "--config", str(config)]),
+            main(["validate-config", "--config", str(config)]),
+            main(["label", str(proplogs_dir / "conn.log"), "--config", str(config), "--output", str(out)]),
+        ]
+        printed = capsys.readouterr()
+        assert codes == [0, 0, 0] and printed.err == ""
+        assert f"config sha256: {hashlib.sha256(config.read_bytes()).hexdigest()}" in printed.out
+        lines = [line for line in printed.out.splitlines() if not line.startswith(("config sha256: ", "wrote: "))]
+        runs.append((lines, out.read_bytes()))
+    assert "technique [extensible]: Command_and_control" in runs[0][0]
+    assert runs[1] == runs[0]
+
+
+def test_label_reads_a_json_empty_list_as_unset(tmp_path, capsys):
+    conn = tmp_path / "conn.log"
+    conn.write_text(json_lines({"ts": 1.0, "uid": "Cempty", "proto": []}, {"ts": 2.0, "uid": "Ctcp", "proto": "tcp"}))
+    config = tmp_path / "tcp.conf"
+    config.write_text("Benign, (empty):\n    - Proto=tcp\n")
+    assert main(["label", str(conn), "--config", str(config)]) == 0
+    assert "labeled: 1\n" in capsys.readouterr().out
+    rows = [json.loads(line) for line in (tmp_path / "conn.labeled.log").read_text().splitlines()]
+    assert [(row["uid"], row["label"]) for row in rows] == [("Cempty", "(empty)"), ("Ctcp", "Benign")]
+
+
 def test_ontology_may_relist_the_items_of_a_fixed_level(tmp_path, capsys):
     """Re-listing built-in items of a fixed level adds nothing: the counts are those of the config without them."""
     rules = "[rules]\nMalicious, From_benign:\n    - Proto=tcp\n"

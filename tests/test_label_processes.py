@@ -270,3 +270,23 @@ def test_other_shapes_of_tsv_log_give_the_output_of_one_process(tmp_path, monkey
     assert len(two_processes) == 1
     assert two == _in_one_process(monkeypatch, tmp_path, data, capsys)
     assert two[0] == 0
+
+
+def test_after_the_halves_the_reader_holds_the_fields_that_one_process_reads(tmp_path, two_processes):
+    """Keys that only objects past the split bring come after the others, in the order the child met them."""
+    rows = [{"ts": i, "uid": f"C{i:05d}"} for i in range(ROWS)]
+    rows[10]["a"] = rows[170]["a"] = 1  # in both halves: listed once
+    rows[160]["k"] = rows[170]["m"] = rows[180]["k"] = 1
+    log = tmp_path / "conn.log"
+    log.write_text(text := "".join(json.dumps(row) + "\n" for row in rows))
+    assert '"k"' not in text[: len(text) // 2]
+
+    def count_rows(reader, halves):
+        count = halves(lambda _: sum(1 for _ in reader.records()), lambda mine, theirs: mine + theirs)
+        return count, reader.header.fields
+
+    two = zeekio.in_halves("label", log, count_rows)
+    assert len(two_processes) == 1
+    with open(log, encoding="utf-8") as fh:
+        one = count_rows(zeekio.ZeekLogReader(fh, str(log)), lambda half, join: half(None))
+    assert two == one == (ROWS, ["ts", "uid", "a", "k", "m"])

@@ -9,7 +9,8 @@ from zeeklabel.ontology import (
     DETAIL_LEVELS,
     LEVEL_NAMES,
     LabelAssignment,
-    builtin_ontology,
+    LevelSpec,
+    OntologySpec,
     canonical_level,
     load_ontology,
     parse_detailed_label,
@@ -40,7 +41,7 @@ def test_level_names_in_order():
 
 
 def test_builtin_vocabulary():
-    spec = builtin_ontology()
+    spec = load_ontology("")
     assert spec.level("label").items == ("Benign", "Malicious", "Unknown")
     assert spec.level("source").items == ("From_malicious", "From_benign")
     assert spec.level("destination").items == ("To_malicious", "To_benign")
@@ -186,7 +187,7 @@ def test_parse_detailed_label_empty_marker():
 
 
 def test_parse_detailed_label_source_and_destination_only():
-    spec = builtin_ontology()
+    spec = load_ontology("")
     detail = parse_detailed_label("From_benign-To_benign", spec)
     assert detail == {"source": "From_benign", "destination": "To_benign"}
 
@@ -223,3 +224,33 @@ def test_render_parse_round_trip_seeded():
         assert validate_assignment(a, spec) == []
         rendered = render_detailed_label(a)
         assert parse_detailed_label(rendered, spec) == dict(a.detail)
+
+
+def test_level_of_an_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError):
+        load_ontology("").level("bogus")
+
+
+def test_an_ontology_line_skips_empty_items():
+    spec = load_ontology("[ontology]\ntechnique: Discovery, , Scan,\n")
+    assert spec.level("technique").items == ("Discovery", "Scan")
+
+
+@pytest.mark.parametrize("key", ["label", "bogus"])
+def test_validate_assignment_names_a_key_that_is_no_detail_level(key):
+    assignment = LabelAssignment("Benign", {key: "Benign"})
+    assert validate_assignment(assignment, load_ontology("")) == [f"'{key}' is not a detail level"]
+
+
+def test_a_spec_with_one_item_in_two_detail_levels_is_refused_at_construction():
+    """Not only load_ontology: any spec, so a detailed label parses back to one level per item."""
+    shared = {"technique": ("Scan",), "process": ("Nmap", "Scan")}
+    levels = tuple(
+        LevelSpec(lvl.name, lvl.mandatory, lvl.extensible, lvl.items + shared.get(lvl.name, ()))
+        for lvl in load_ontology("").levels
+    )
+    with pytest.raises(ConfigError) as exc:
+        OntologySpec(levels)
+    assert str(exc.value) == (
+        "item 'Scan' appears in both 'technique' and 'process'; detail items must be unique across levels"
+    )

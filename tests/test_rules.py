@@ -374,3 +374,22 @@ def test_random_rulesets_render_round_trip():
         config_text, _ = gen_case(rng)
         spec, ruleset = load_config(config_text)
         assert parse_ruleset(render_ruleset(ruleset), spec) == ruleset
+
+
+def test_a_json_empty_list_reads_as_unset():
+    """``[]`` is an empty set, as Zeek's TSV writer prints (empty): the getter, the view and the classifier
+    all read the row's proto as unset, so a Proto rule does not match it."""
+    table = table_from_text(json_lines(
+        {"ts": 1.0, "uid": "Cempty", "proto": []},
+        {"ts": 2.0, "uid": "Ctcp", "proto": "tcp"},
+    ))
+    schema = ConnSchema(table.header, table.format)
+    _, ruleset = load_config("Benign, (empty):\n    - Proto=tcp\n")
+    classify = ruleset.classifier(table.header, table.format)
+    got = {}
+    for record in table.iter_rows():
+        uid = row_field(record, table.header, "uid")
+        got[uid] = (row_field(record, table.header, "proto"), schema.view(record).value("Proto"))
+        assert match_rule(ruleset.rules[0], schema.view(record)) is (uid == "Ctcp")
+        assert classify(record) == (0 if uid == "Ctcp" else 1)
+    assert got == {"Cempty": (None, None), "Ctcp": ("tcp", "tcp")}
