@@ -77,41 +77,70 @@ class UidIndex(dict):
     skipped_unset = 0
 
 
-def index_from_labeled_rows(reader: ZeekLogReader) -> UidIndex:
-    """Index a labeled conn.log stream by uid.
+class _Half(tuple):
+    """A half's ``(index, pairs, rows, unset)``. A child sends its index as pickles of 1,024 uids and their pairs'
+    numbers in ``pairs``; the join loads one at a time, so the index grows before the child's uids are all loaded."""
 
-    Rows with an unset uid cannot be joined against and are skipped with a
-    warning; duplicate uids keep their first labels. An unset label cell
-    reads as ``(empty)``.
+    def __reduce__(self):
+        import pickle  # only in a child
+        index, pairs, *counts = self
+        number = {pair: i for i, pair in enumerate(pairs)}
+        uids, numbers = list(index), list(map(number.__getitem__, index.values()))
+        chunks = [pickle.dumps((uids[at : at + 1024], numbers[at : at + 1024])) for at in range(0, len(uids), 1024)]
+        return tuple, ((chunks, list(pairs), *counts),)
+
+
+def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda half, join: half(None)) -> UidIndex:
+    """Index a labeled conn.log stream by uid, through ``halves`` as :func:`zeekio.in_halves` gives it.
+
+    Rows with an unset uid cannot be joined against and are skipped with a warning; duplicate uids keep their
+    first labels. An unset label cell reads as ``(empty)``. A log without a ``uid`` column is an error.
     """
     header = reader.header
     uid_of = field_getter(header, reader.format, "uid")
     cells_of = cells_getter(header, reader.format, LABEL_FIELDS)
     null = (None, header.unset_field, header.empty_field, "")
-    index = UidIndex()
-    add = index.setdefault
-    pairs = {EMPTY_PAIR: EMPTY_PAIR}
-    intern = pairs.setdefault
-    read: dict[tuple, LabelPair] = {}  # label cells as read -> their pair
-    rows = unset = 0
-    for record in reader.records():
-        uid = uid_of(record)
-        if uid is None:
-            unset += 1
-            continue
-        rows += 1
-        cells = cells_of(record)
-        pair = read.get(cells)
-        if pair is None:
-            pair = tuple(EMPTY_LABEL if text in null else text for text in cells)
-            pair = read[cells] = intern(pair, pair)
-        add(uid, pair)
+
+    def half(_) -> _Half:
+        index = UidIndex()
+        add = index.setdefault
+        pairs = {EMPTY_PAIR: EMPTY_PAIR}
+        intern = pairs.setdefault
+        read: dict[tuple, LabelPair] = {}  # label cells as read -> their pair
+        rows = unset = 0
+        for record in reader.records():
+            uid = uid_of(record)
+            if uid is None:
+                unset += 1
+                continue
+            rows += 1
+            cells = cells_of(record)
+            pair = read.get(cells)
+            if pair is None:
+                pair = tuple(EMPTY_LABEL if text in null else text for text in cells)
+                pair = read[cells] = intern(pair, pair)
+            add(uid, pair)
+        return _Half((index, pairs, rows, unset))
+
+    def join(mine: _Half, theirs: tuple) -> tuple:
+        import pickle  # loaded already, for the child's result
+        (index, pairs, rows, unset), (chunks, their_pairs, their_rows, their_unset) = mine, theirs
+        same = [pairs.setdefault(pair, pair) for pair in their_pairs]  # each pair one of this process's tuples
+        for chunk in chunks:  # the child's uids after this process's; the first labels of a uid win
+            uids, numbers = pickle.loads(chunk)
+            for uid, number in zip(uids, numbers):
+                index.setdefault(uid, same[number])
+        return index, pairs, rows + their_rows, unset + their_unset
+
+    index, pairs, rows, unset = halves(half, join)
     # after the stream: bad rows are reported first, and JSON keys are complete
     if not all(name in header.fields for name in LABEL_FIELDS):
         raise UsageError(
             "labeled conn.log has no label/detailed_label columns; run "
             "'label' before 'propagate'"
         )
+    if "uid" not in header.fields:
+        raise LogFormatError(f"{reader.source}: flow table has no uid field")
     for pair in pairs:  # a JSON escape can spell a lone surrogate, which no output can hold
         for text in pair:
             if not text.isascii():

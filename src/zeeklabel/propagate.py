@@ -25,8 +25,8 @@ from typing import Callable, Iterator
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .values import Value
-from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_two_processes, release
-from .zeekio import replace_all_on_success, set_getter, write_labeled
+from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_halves, in_two_processes
+from .zeekio import release, replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -132,16 +132,15 @@ def propagate_dir(
     fails leaves none of them, and no directory it created. The report lists
     the logs in name order.
 
-    Once the uid index is built, at most one forked child labels about half of
-    the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of
-    those other than ``conn.*``; only then is each log's header read a second
-    time, to weigh it. Where there is an ssl log, the ssl and x509 logs stay in
-    this process, which alone holds the certificate map. Outputs, messages,
-    errors and all-or-nothing writes are those of one process.
+    The uid index is built through :func:`zeekio.in_halves`: from zeekio.FORK_MIN_BYTES on two CPUs, a forked
+    child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child labels about half
+    of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other than ``conn.*``;
+    only then is each log's header read a second time, to weigh it. Where there is an ssl log, the ssl and x509
+    logs stay in this process, which alone holds the certificate map. Outputs, messages, errors and
+    all-or-nothing writes are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
-    with open(conn_labeled, encoding="utf-8") as src:
-        index = index_from_labeled_rows(ZeekLogReader(src, str(conn_labeled)))
+    index = in_halves("propagate", conn_labeled, index_from_labeled_rows)
     conn_resolved = conn_labeled.resolve()
     source = conn_labeled.name.replace(".labeled", "")
     stems = {

@@ -22,7 +22,8 @@ detections. Cells are read through readers resolved once per header
 a line only as far as the columns they read, and one loop in
 :func:`write_labeled` writes a line back as it was read, of either shape.
 
-A pipeline reads a log in two processes through one contract:
+A pipeline reads a log in two processes through one contract (``label``'s
+conn.log, ``eval``'s labeled conn.log and ``propagate``'s uid index):
 ``in_halves(command, path, function, *args)`` calls ``function(*args, reader,
 halves)``. ``halves(half, join, out=None)`` is ``half(out)`` in one process.
 Where :func:`can_fork` holds, it is ``join(mine, theirs)``: ``mine`` is

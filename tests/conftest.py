@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,10 +114,13 @@ def data_dir() -> Path:
 
 @pytest.fixture
 def two_processes(monkeypatch):
-    """Use a second process at any input size: ``propagate`` splits its logs whenever each process gets
-    one, and ``label`` splits its conn.log at the middle.
+    """Use a second process at any input size: ``label`` and ``eval`` split their conn.log at the middle,
+    and ``propagate`` builds its uid index from the two halves of its labeled conn.log, then splits its
+    other logs whenever each process gets one.
 
-    Returns the list of forks made, one entry each.
+    Returns the list of forks made, one entry each, by what was split: ``"halves"`` for a log split
+    through ``zeekio.in_halves`` (a conn.log, or ``propagate``'s uid index), ``"logs"`` for
+    ``propagate``'s split of its other logs.
     """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
@@ -124,7 +128,8 @@ def two_processes(monkeypatch):
     fork = os.fork
 
     def counted_fork():
-        forks.append(os.getpid())
+        # the caller of zeekio.in_two_processes: the halves that in_halves hands out, or propagate's split
+        forks.append("halves" if sys._getframe(2).f_code.co_name == "halves" else "logs")
         return fork()
 
     monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", 0)

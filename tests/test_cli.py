@@ -812,7 +812,7 @@ def test_concatenated_tsv_log_is_a_one_line_error(proplogs_dir, request, capsys,
     )
     assert sorted(p.name for p in proplogs_dir.iterdir()) == before
     if forks is not None:
-        assert len(forks) == 1
+        assert forks == ["halves", "logs"]  # the uid index's fork, then the one child for the logs
 
 
 def test_label_without_uid_column_names_the_file(tmp_path, capsys):
@@ -824,6 +824,45 @@ def test_label_without_uid_column_names_the_file(tmp_path, capsys):
     assert rc == 1
     assert _one_error_line(capsys.readouterr().err) == f"error: {conn}: flow table has no uid field"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log", "r.conf"]
+
+
+@pytest.mark.parametrize("fields, error", [
+    (["ts", "label", "detailed_label"], "{conn}: flow table has no uid field"),
+    # the label columns are checked first
+    (["ts", "proto"], "labeled conn.log has no label/detailed_label columns; run 'label' before 'propagate'"),
+])
+def test_propagate_refuses_a_labeled_conn_log_without_uid_column(tmp_path, capsys, fields, error):
+    conn = tmp_path / "conn.labeled.log"
+    conn.write_text(zeek_tsv("conn", fields, ["string"] * len(fields), [["1.0", "Benign", "(empty)"][: len(fields)]]))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "http.log").write_text(zeek_tsv("http", ["ts", "uid"], ["time", "string"], [["1.0", "C1"]]))
+    rc = main(["propagate", str(conn), str(logs), "--output", str(tmp_path / "out")])
+    assert rc == (1 if "uid" in error else 2)
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) == "error: " + error.format(conn=conn)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.labeled.log", "logs"]
+
+
+@pytest.mark.parametrize("processes", ["one", "two"])
+def test_propagate_accepts_a_json_conn_log_whose_uid_key_first_appears_past_the_split(
+    request, tmp_path, capsys, caplog, processes
+):
+    conn = tmp_path / "conn.labeled.log"
+    conn.write_text(json_lines(*(
+        {"ts": i + 0.5, **({"uid": f"C{i}"} if i >= 30 else {}), "label": "Malicious", "detailed_label": "(empty)"}
+        for i in range(40)
+    )))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "http.log").write_text(zeek_tsv("http", ["ts", "uid"], ["time", "string"], [["1.0", "C35"], ["2.0", "C5"]]))
+    forks = request.getfixturevalue("two_processes") if processes == "two" else []
+    assert main(["propagate", str(conn), str(logs), "--output", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "http.log: 2 rows, 1 labeled, 1 (empty) -> http.labeled.log", "index: 10 uids"
+    ]
+    assert [r.getMessage() for r in caplog.records] == ["30 conn rows had no uid and were left out of the index"]
+    assert forks == ([] if processes == "one" else ["halves"])  # one log: no child for the logs
 
 
 def _label_proplogs(proplogs_dir) -> None:

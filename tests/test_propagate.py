@@ -12,6 +12,7 @@ from conftest import DATA_DIR, zeek_tsv
 from zeeklabel.errors import LogFormatError
 from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
 import zeeklabel.propagate
+import zeeklabel.zeekio
 from zeeklabel.propagate import accumulate_cert_labels, merge_labels, propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, read_log, write_log
@@ -214,6 +215,7 @@ def test_each_log_is_read_once(conn_labeled, tmp_path, monkeypatch):
             super().__init__(stream, source)
 
     monkeypatch.setattr(zeeklabel.propagate, "ZeekLogReader", CountingReader)
+    monkeypatch.setattr(zeeklabel.zeekio, "ZeekLogReader", CountingReader)  # in_halves reads the labeled conn.log
     report = propagate_dir(tmp_path / "conn.labeled.log", tmp_path, tmp_path)
     assert [log.name for log in report.logs] == ["dns.log", "files.log", "http.log", "ssl.log", "x509.log"]
     # the unlabeled conn.log is the label source, skipped once its header is read

@@ -5,6 +5,8 @@ the child labels it (and, where there is one, ``zz.log``), while this process
 labels ``dhcp.log`` and ``weird.log``. A failure on either side must end as
 a run in one process would: one ``error:`` line naming the first failing log
 in read order, exit 1, no output and no temp file left, and no child left.
+Before the logs, a first child indexes the second half of the labeled
+conn.log, so the ``two_processes`` fixture counts that fork apart.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _one_error_line(err: str) -> str:
 def test_the_split_puts_the_largest_log_in_the_child(tmp_path, capsys, two_processes, labeled_by):
     argv, logs, out = _write_case(tmp_path)
     assert main(argv) == 0
-    assert len(two_processes) == 1
+    assert two_processes == ["halves", "logs"]  # the uid index's fork, then the one child for the logs
     assert labeled_by() == {"http.log": "child", "dhcp.log": "parent", "weird.log": "parent"}
     assert sorted(p.name for p in out.iterdir()) == ["dhcp.labeled.log", "http.labeled.log", "weird.labeled.log"]
     assert capsys.readouterr().out.splitlines()[:3] == [
@@ -104,7 +106,7 @@ def test_a_short_row_on_either_side_is_one_error_for_the_first_log_read(
 ):
     argv, logs, out = _write_case(tmp_path, bad=bad)
     assert main(argv) == 1
-    assert len(two_processes) == 1
+    assert two_processes == ["halves", "logs"]  # the uid index's fork, then the one child for the logs
     assert labeled_by()["http.log"] == "child"
     line = _one_error_line(capsys.readouterr().err)
     assert line == f"error: {logs / first}: row {ROWS[first] + 1}: expected 2 fields, got 1"
@@ -192,7 +194,7 @@ def test_with_an_ssl_log_the_certificate_logs_stay_in_this_process(tmp_path, mon
     one = tmp_path / "one"
     monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", float("inf"))
     assert main([*argv[:-1], str(one)]) == 0
-    assert len(two_processes) == 1
+    assert two_processes == ["halves", "logs"]  # the uid index's fork, then the one child for the logs
     for path in out.iterdir():
         assert path.read_bytes() == (one / path.name).read_bytes()
 
@@ -244,7 +246,7 @@ def test_a_conn_log_known_by_its_path_takes_no_part_in_the_split(tmp_path, capsy
     (logs / "flows.log").write_text(CONN)  # #path conn
     with caplog.at_level("WARNING"):
         assert main(argv) == 0
-    assert two_processes == []
+    assert two_processes == ["halves"]  # the uid index's fork only: no child for the logs
     assert [r.getMessage() for r in caplog.records] == [
         "flows.log is a conn log but not conn.log, the label source; skipping"
     ]
