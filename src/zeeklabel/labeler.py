@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import LogFormatError, UsageError
 from .ontology import EMPTY_DETAIL as EMPTY_LABEL, LABEL_ITEMS
@@ -77,20 +77,7 @@ class UidIndex(dict):
     skipped_unset = 0
 
 
-class _Half(tuple):
-    """A half's ``(index, pairs, rows, unset)``. A child sends its index as pickles of 1,024 uids and their pairs'
-    numbers in ``pairs``; the join loads one at a time, so the index grows before the child's uids are all loaded."""
-
-    def __reduce__(self):
-        import pickle  # only in a child
-        index, pairs, *counts = self
-        number = {pair: i for i, pair in enumerate(pairs)}
-        uids, numbers = list(index), list(map(number.__getitem__, index.values()))
-        chunks = [pickle.dumps((uids[at : at + 1024], numbers[at : at + 1024])) for at in range(0, len(uids), 1024)]
-        return tuple, ((chunks, list(pairs), *counts),)
-
-
-def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda half, join: half(None)) -> UidIndex:
+def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda half, join, send: half(None)) -> UidIndex:
     """Index a labeled conn.log stream by uid, through ``halves`` as :func:`zeekio.in_halves` gives it.
 
     Rows with an unset uid cannot be joined against and are skipped with a warning; duplicate uids keep their
@@ -101,7 +88,7 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
     cells_of = cells_getter(header, reader.format, LABEL_FIELDS)
     null = (None, header.unset_field, header.empty_field, "")
 
-    def half(_) -> _Half:
+    def half(_) -> tuple:
         index = UidIndex()
         add = index.setdefault
         pairs = {EMPTY_PAIR: EMPTY_PAIR}
@@ -120,25 +107,28 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
                 pair = tuple(EMPTY_LABEL if text in null else text for text in cells)
                 pair = read[cells] = intern(pair, pair)
             add(uid, pair)
-        return _Half((index, pairs, rows, unset))
+        return index, pairs, rows, unset
 
-    def join(mine: _Half, theirs: tuple) -> tuple:
-        import pickle  # loaded already, for the child's result
-        (index, pairs, rows, unset), (chunks, their_pairs, their_rows, their_unset) = mine, theirs
+    def send(theirs: tuple) -> Iterator[tuple]:  # the child's pairs and counts, then runs of uids and pair numbers
+        index, pairs, rows, unset = theirs
+        yield list(pairs), rows, unset
+        number = {pair: i for i, pair in enumerate(pairs)}
+        uids, numbers = list(index), list(map(number.__getitem__, index.values()))
+        yield from ((uids[at : at + 4096], numbers[at : at + 4096]) for at in range(0, len(uids), 4096))
+
+    def join(mine: tuple, theirs: Iterator[tuple]) -> tuple:
+        (index, pairs, rows, unset), (their_pairs, their_rows, their_unset) = mine, next(theirs)
         same = [pairs.setdefault(pair, pair) for pair in their_pairs]  # each pair one of this process's tuples
-        for chunk in chunks:  # the child's uids after this process's; the first labels of a uid win
-            uids, numbers = pickle.loads(chunk)
-            for uid, number in zip(uids, numbers):
-                index.setdefault(uid, same[number])
+        for uids, numbers in theirs:  # the child's uids after this process's, loaded a run at a time
+            kept = {uid: index[uid] for uid in index.keys() & uids}  # a uid's first labels win
+            index.update(zip(uids, map(same.__getitem__, numbers)))
+            index.update(kept)
         return index, pairs, rows + their_rows, unset + their_unset
 
-    index, pairs, rows, unset = halves(half, join)
+    index, pairs, rows, unset = halves(half, join, send=send)
     # after the stream: bad rows are reported first, and JSON keys are complete
     if not all(name in header.fields for name in LABEL_FIELDS):
-        raise UsageError(
-            "labeled conn.log has no label/detailed_label columns; run "
-            "'label' before 'propagate'"
-        )
+        raise UsageError("labeled conn.log has no label/detailed_label columns; run 'label' before 'propagate'")
     if "uid" not in header.fields:
         raise LogFormatError(f"{reader.source}: flow table has no uid field")
     for pair in pairs:  # a JSON escape can spell a lone surrogate, which no output can hold
@@ -148,8 +138,7 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
                     text.encode("utf-8")
                 except UnicodeEncodeError:
                     raise LogFormatError(
-                        f"{reader.source}: label {text!r} holds an unpaired surrogate escape"
-                    ) from None
+                        f"{reader.source}: label {text!r} holds an unpaired surrogate escape") from None
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
     if unset:

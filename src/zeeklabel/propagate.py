@@ -35,6 +35,8 @@ _RANK = {"Malicious": 3, "Unknown": 2, "Benign": 1}
 # a log's weight in the split between two processes: its bytes, a JSON-lines log's times
 # JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
 JSON_BYTE_COST = 1.2
+# the uid index's work per byte against label's: it forks from 2 MiB, as up to 1.5 MB a fork did not pay
+INDEX_BYTE_COST = 3 / 8
 NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
 
 # accepted spellings of the join fields across Zeek versions
@@ -132,15 +134,15 @@ def propagate_dir(
     fails leaves none of them, and no directory it created. The report lists
     the logs in name order.
 
-    The uid index is built through :func:`zeekio.in_halves`: from zeekio.FORK_MIN_BYTES on two CPUs, a forked
-    child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child labels about half
-    of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other than ``conn.*``;
-    only then is each log's header read a second time, to weigh it. Where there is an ssl log, the ssl and x509
-    logs stay in this process, which alone holds the certificate map. Outputs, messages, errors and
-    all-or-nothing writes are those of one process.
+    The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 2 MiB on
+    two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
+    labels about half of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other
+    than ``conn.*``; only then is each log's header read a second time, to weigh it. Where there is an ssl log,
+    the ssl and x509 logs stay in this process, which alone holds the certificate map. Outputs, messages,
+    errors and all-or-nothing writes are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
-    index = in_halves("propagate", conn_labeled, index_from_labeled_rows)
+    index = in_halves("propagate", conn_labeled, index_from_labeled_rows, cost=INDEX_BYTE_COST)
     conn_resolved = conn_labeled.resolve()
     source = conn_labeled.name.replace(".labeled", "")
     stems = {
@@ -258,8 +260,8 @@ def _in_two_processes(
     if not (theirs and mine):
         return {}
     # neither process stops at a failing log: which fails first in read order shows only at the end
-    their_outcomes, outcomes = in_two_processes(
-        "propagate", lambda: {path: held_back(label_log, path) for path in theirs},
+    return in_two_processes(
+        "propagate", lambda: ((path, held_back(label_log, path)) for path in theirs),
         lambda: {path: held_back(label_log, path) for path in sorted(mine, key=paths.index)},
+        lambda items, outcomes: {**dict(items), **outcomes},
         lambda pid: [adopt(output_of(path), pid) for path in theirs])
-    return {**their_outcomes, **outcomes}

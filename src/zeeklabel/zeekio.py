@@ -25,10 +25,11 @@ a line only as far as the columns they read, and one loop in
 A pipeline reads a log in two processes through one contract (``label``'s
 conn.log, ``eval``'s labeled conn.log and ``propagate``'s uid index):
 ``in_halves(command, path, function, *args)`` calls ``function(*args, reader,
-halves)``. ``halves(half, join, out=None)`` is ``half(out)`` in one process.
-Where :func:`can_fork` holds, it is ``join(mine, theirs)``: ``mine`` is
-``half`` run here over the lines before the first newline past the middle of
-the file, and ``theirs`` is ``half`` run over the rest in a forked child,
+halves)``. ``halves(half, join, out=None, send=None)`` is ``half(out)`` in one
+process. Where :func:`can_fork` holds, it is ``join(mine, theirs)``: ``mine``
+is ``half`` run here over the lines before the first newline past the middle
+of the file, and ``theirs`` is ``half`` run over the rest in a forked child
+(with ``send``, an iterator loading ``send(theirs)``'s items as they come),
 whose writes to ``out`` go to a part file appended to ``out`` afterwards. A
 half returns only its own result: once ``halves`` returns, the reader's header
 is the one a single process would hold. An error that ``halves`` raises (also
@@ -546,30 +547,33 @@ def release(records: list[tuple[int, str, str]], result: object = None, error: E
     return result
 
 
-def in_two_processes(command: str, theirs: Callable, mine: Callable, reaped: Callable[[int], object]) -> tuple:
-    """``theirs()`` in a forked child and ``mine()`` here, at once: both results. ``reaped(pid)`` runs once the
-    child has ended, also when ``mine()`` raises; a child that sends no result is a :class:`ChildProcessError`."""
+def in_two_processes(command: str, theirs: Callable, mine: Callable, take: Callable, reaped: Callable) -> object:
+    """``theirs()`` in a forked child and ``mine()`` here, at once, then ``take(items, mine())`` here: ``items``
+    loads each item that ``theirs()`` yields, never None, as the child pickles it into the pipe. ``reaped(pid)`` runs
+    once the child has ended, also when this process raises; a child that ends before its last item is a
+    :class:`ChildProcessError`."""
     import pickle  # only where a child starts
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
         pid = os.fork()
-        if pid == 0:  # the child sends its result and exits without unwinding the parent's state
+        if pid == 0:  # the child sends its items, then None, and exits without unwinding the parent's state
             try:
-                pipe_out.write(pickle.dumps(theirs()))
+                for item in chain(theirs(), [None]):
+                    pickle.dump(item, pipe_out)
                 pipe_out.flush()
                 os._exit(0)
             finally:
                 os._exit(1)
         pipe_out.close()
         try:
-            result = mine()
+            return take(iter(lambda: pickle.load(pipe_in), None), mine())
         finally:
-            data = pipe_in.read()
+            pipe_in.read()  # what take left, so that the child can end
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped(pid)
-    if status:
-        raise ChildProcessError(f"{command}: the second process (pid {pid}) ended without a result (status {status})")
-    return pickle.loads(data), result
+            if status:  # also over what take raised when the pipe ended early
+                raise ChildProcessError(f"{command}: the second process (pid {pid}) ended without a result "
+                                        f"(status {status})")
 
 
 class _Head(io.FileIO):
@@ -587,13 +591,13 @@ class _OneProcess(Exception):
     """A trailer began before the split, or this process read no rows: one process reads the log."""
 
 
-def in_halves(command: str, path: str | Path, function: Callable, *args) -> object:
+def in_halves(command: str, path: str | Path, function: Callable, *args, cost: float = 1) -> object:
     """``function(*args, reader, halves)``, ``reader`` reading the log at ``path``, ``halves`` as the module
-    docstring states."""
+    docstring states; :func:`can_fork` weighs the log's bytes by ``cost``, its work per byte against label's."""
     joined = []
 
     def run(split: int | None) -> object:
-        def halves(half: Callable, join: Callable, out: IO[str] | None = None) -> object:
+        def halves(half: Callable, join: Callable, out: IO[str] | None = None, send: Callable | None = None):
             if split is None:
                 return half(out)
             if reader._pending is None:  # the header reaches the split: known before a child would read the rest
@@ -603,26 +607,32 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
                 if out:
                     Path(part.name).unlink()
 
-                def theirs() -> object:
+                def past_split() -> object:
                     with open(path, encoding="utf-8") as rest, open(part.fileno(), "w", encoding="utf-8") as to:
                         rest.buffer.seek(split)  # before any read: a descriptor and offset of its own
                         reader.follow(rest)
-                        return half(out and to), reader.header.fields
+                        return half(out and to)
 
-                (records, result, error), own = in_two_processes(command, lambda: held_back(theirs),
-                                                                 lambda: half(out), lambda pid: None)
-                if error is not None or reader.trailer:
-                    raise error or _OneProcess()
-                if out:
-                    out.flush()
-                    part.seek(0)
-                    out.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
-            release(records)
-            joined.append(True)  # from here on an error is final
-            result, fields = result
-            # one process's header: the keys first met past the split follow this half's
-            reader.header.fields += [name for name in fields if name not in reader.header.fields]
-            return join(own, result)
+                def theirs() -> Iterator:  # in the child: its messages, error and fields, then its result's items
+                    records, result, error = held_back(past_split)
+                    yield records, error, reader.header.fields
+                    yield from [] if error else send(result) if send else [result]
+
+                def take(items: Iterator, own: object) -> object:
+                    records, error, fields = next(items)
+                    if error is not None or reader.trailer:
+                        raise error or _OneProcess()
+                    if out:
+                        out.flush()
+                        part.seek(0)
+                        out.buffer.writelines(iter(lambda: part.read(1 << 16), b""))
+                    release(records)
+                    joined.append(True)  # from here on an error is final
+                    # one process's header: the keys first met past the split follow this half's
+                    reader.header.fields += [name for name in fields if name not in reader.header.fields]
+                    return join(own, items if send else next(items))
+
+                return in_two_processes(command, theirs, lambda: half(out), take, lambda pid: None)
 
         # the whole log through open() itself: _Head's readinto, in Python, made a one-process eval about 1% slower
         src = (open(path, encoding="utf-8") if split is None
@@ -631,7 +641,7 @@ def in_halves(command: str, path: str | Path, function: Callable, *args) -> obje
             reader = ZeekLogReader(src, str(path))
             return function(*args, reader, halves)
 
-    if can_fork(size := Path(path).stat().st_size):
+    if can_fork(cost * (size := Path(path).stat().st_size)):
         with open(path, "rb") as raw:
             split = raw.seek(size // 2) + len(raw.readline())  # where the line after the middle begins
         records, result, error = held_back(run, split)

@@ -3,12 +3,11 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
 
-from zeeklabel import zeekio
+from zeeklabel import propagate, zeekio
 from zeeklabel.zeekio import read_log
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -120,18 +119,31 @@ def two_processes(monkeypatch):
 
     Returns the list of forks made, one entry each, by what was split: ``"halves"`` for a log split
     through ``zeekio.in_halves`` (a conn.log, or ``propagate``'s uid index), ``"logs"`` for
-    ``propagate``'s split of its other logs.
+    ``propagate``'s split of its other logs. Each call site of ``in_two_processes`` is wrapped to
+    name its forks; a fork made anywhere else is recorded as None.
     """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
-    forks = []
+    forks, splitting = [], []
     fork = os.fork
 
     def counted_fork():
-        # the caller of zeekio.in_two_processes: the halves that in_halves hands out, or propagate's split
-        forks.append("halves" if sys._getframe(2).f_code.co_name == "halves" else "logs")
+        forks.append(splitting[-1] if splitting else None)
         return fork()
 
+    def named(split, name):
+        def run(*args):
+            splitting.append(name)
+            try:
+                return split(*args)
+            finally:
+                splitting.pop()
+
+        return run
+
+    # in_halves calls zeekio's in_two_processes; propagate splits its logs through its own import of it
+    monkeypatch.setattr(zeekio, "in_two_processes", named(zeekio.in_two_processes, "halves"))
+    monkeypatch.setattr(propagate, "in_two_processes", named(propagate.in_two_processes, "logs"))
     monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)

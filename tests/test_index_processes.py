@@ -10,20 +10,27 @@ it; in some JSON cases no object before the split has a label key. Some cases
 add a label with a lone surrogate escape past the split, or a short row
 before it, past it or on both sides. The index (its items and their order,
 its duplicate and unset counts) and the log records, or the error, must be
-those of one process, and equal pairs must be one tuple.
+those of one process, and equal pairs must be one tuple. Two more tests pin
+the size from which the index forks, and a child that ends partway through
+sending its uids.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import random
+import signal
 
 import pytest
 
 from conftest import zeek_tsv
 
+from zeeklabel import propagate, zeekio
 from zeeklabel.errors import ZeekLabelError
 from zeeklabel.labeler import index_from_labeled_rows
+from zeeklabel.propagate import propagate_dir
 from zeeklabel.zeekio import in_halves
 
 PAIRS = [
@@ -37,10 +44,10 @@ FIELDS = ["ts", "uid", "label", "detailed_label"]
 ERRORS = [None, "surrogate", "short-early", "short-late", "short-both"]  # a TSV log holds no lone surrogate
 
 
-def gen_case(rng: random.Random, path, fmt: str, error: str | None) -> tuple[list[int], list[int]]:
+def gen_case(rng: random.Random, path, fmt: str, error: str | None, big: bool = False) -> tuple[list[int], list[int]]:
     """Write a labeled conn.log at ``path``; where the rows meant to lie before the split end, and where those
-    meant to lie past it start."""
-    n = rng.randint(40, 90)
+    meant to lie past it start. A big one's child sends its uids in more than one run."""
+    n = rng.randint(14000, 14500) if big else rng.randint(40, 90)
     early, late = list(range(n // 5)), list(range(n - n // 5, n))
     rows = []
     for i in range(n):
@@ -95,11 +102,11 @@ def _build(path, caplog) -> tuple:
     return outcome, [(r.levelno, r.name, r.getMessage()) for r in caplog.records]
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(44))
 def test_the_index_built_in_two_processes_is_one_process_index(request, tmp_path, caplog, seed):
     path = tmp_path / "conn.labeled.log"
     fmt, error = ["tsv", "json"][seed % 2], ERRORS[seed // 2 % len(ERRORS)]
-    early, late = gen_case(random.Random(f"index-halves:{seed}"), path, fmt, error)
+    early, late = gen_case(random.Random(f"index-halves:{seed}"), path, fmt, error, big=seed >= 40)
     data = path.read_bytes()
     split = data.index(b"\n", len(data) // 2) + 1
     assert max(early) <= split <= min(late)  # the case puts its features on the sides it means to
@@ -113,3 +120,38 @@ def test_the_index_built_in_two_processes_is_one_process_index(request, tmp_path
         assert one[0][2] >= 2 and one[0][3] >= 2  # duplicates and unset uids
         foreign = [message for _, _, message in one[1] if "which is none of" in message]
         assert len(foreign) == 2
+
+
+def test_the_index_forks_from_its_own_weighed_bytes(tmp_path, monkeypatch, two_processes):
+    conn, logs = tmp_path / "conn.labeled.log", tmp_path / "logs"
+    gen_case(random.Random("index-threshold"), conn, "tsv", None)
+    logs.mkdir()  # no other log: only the index may fork
+    weighed = conn.stat().st_size * propagate.INDEX_BYTE_COST
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", weighed + 1)
+    one = propagate_dir(conn, logs, tmp_path / "one")
+    assert two_processes == []
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", weighed)
+    assert propagate_dir(conn, logs, tmp_path / "two") == one
+    assert two_processes == ["halves"]
+    monkeypatch.undo()
+    assert zeekio.FORK_MIN_BYTES / propagate.INDEX_BYTE_COST == 2 << 20  # from 2 MiB, as the docs say
+
+
+def test_a_child_that_ends_partway_through_its_uids_is_one_error(tmp_path, monkeypatch, two_processes):
+    path = tmp_path / "conn.labeled.log"
+    gen_case(random.Random("index-killed"), path, "tsv", None, big=True)
+    parent, dump, sent = os.getpid(), pickle.dump, []
+
+    def killed_after_three_items(item, file):
+        if os.getpid() != parent and len(sent) == 3:  # its head, its pairs and counts, and one run of uids
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        sent.append(item)
+        dump(item, file)
+
+    monkeypatch.setattr(pickle, "dump", killed_after_three_items)
+    with pytest.raises(ChildProcessError, match=r"ended without a result \(status -9\)$"):
+        in_halves("propagate", path, index_from_labeled_rows)
+    assert two_processes == ["halves"]
+    with pytest.raises(ChildProcessError):  # no child left, neither running nor a zombie
+        os.waitpid(-1, os.WNOHANG)

@@ -368,7 +368,9 @@ def test_two_processes_match_one(request, tmp_path, capsys, caplog, seed):
     raw = conn.read_bytes()
     head = raw[: raw.find(b"\n", len(raw) // 2) + 1].splitlines()
     assert forks.count("halves") == any(not line.startswith(b"#") or line.startswith(b"#close") for line in head)
-    assert forks == sorted(forks)  # the index is built before any log is labeled
+    assert set(forks) <= {"halves", "logs"}
+    if "halves" in forks and "logs" in forks:  # the index is built before any log is labeled
+        assert forks.index("halves") < forks.index("logs")
     want_outputs, want_stdout = reference(conn, logs)
     assert one[1] == want_stdout
     assert one[4] == {name: text.encode("utf-8") for name, text in want_outputs.items()}
