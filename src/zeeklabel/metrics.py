@@ -35,13 +35,12 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
+from .ontology import MALICIOUS, UNKNOWN
 from .values import Frozen
 from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, json_lines
 
 logger = logging.getLogger(__name__)
 
-MALICIOUS = "Malicious"
-UNKNOWN = "Unknown"
 # the (IP, window) decisions a report may hold unless raised: 25x those of a week of
 # one-minute windows for 400 IPs, the largest shape measured
 MAX_WINDOWS = 10**8

@@ -32,7 +32,7 @@ EMPTY_DETAIL = "(empty)"
 
 _LEVEL_ALIASES = {"app-process": "process"}
 # the label level is fixed: a config can add no verdict
-LABEL_ITEMS = ("Benign", "Malicious", "Unknown")
+LABEL_ITEMS = BENIGN, MALICIOUS, UNKNOWN = ("Benign", "Malicious", "Unknown")
 _BUILTIN_ITEMS: dict[str, tuple[str, ...]] = {
     "label": LABEL_ITEMS,
     "source": ("From_malicious", "From_benign"),
@@ -71,9 +71,9 @@ class OntologySpec(Frozen):
                 return lvl
         raise KeyError(name)
 
-    def levels_of_item(self, item: str) -> list[str]:
-        """Names of detail levels containing ``item`` (levels 2-7 only)."""
-        return [lvl.name for lvl in self.levels[1:] if item in lvl.items]
+    def level_of_item(self, item: str) -> str | None:
+        """The name of the detail level (2-7) holding ``item``, or None."""
+        return next((lvl.name for lvl in self.levels[1:] if item in lvl.items), None)
 
 
 class LabelAssignment(Frozen):
@@ -188,10 +188,9 @@ def parse_detailed_label(text: str, spec: OntologySpec) -> dict[str, str]:
     for token in text.split("-"):
         if not token:
             raise ConfigError(f"empty item in detailed label '{text}'")
-        levels = spec.levels_of_item(token)
-        if not levels:
+        name = spec.level_of_item(token)
+        if name is None:
             raise ConfigError(f"unknown detail item '{token}'")
-        name = levels[0]
         if name in detail:
             raise ConfigError(
                 f"level '{name}' appears twice in detailed label '{text}'"

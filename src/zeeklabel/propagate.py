@@ -24,13 +24,14 @@ from typing import Callable, Iterator
 
 from .errors import LogFormatError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
+from .ontology import BENIGN, MALICIOUS, UNKNOWN
 from .values import Value
 from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_halves, in_two_processes
 from .zeekio import release, replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
-_RANK = {"Malicious": 3, "Unknown": 2, "Benign": 1}
+_RANK = {MALICIOUS: 3, UNKNOWN: 2, BENIGN: 1}
 
 # a log's weight in the split between two processes: its bytes, a JSON-lines log's times
 # JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
@@ -138,8 +139,9 @@ def propagate_dir(
     two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
     labels about half of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other
     than ``conn.*``; only then is each log's header read a second time, to weigh it. Where there is an ssl log,
-    the ssl and x509 logs stay in this process, which alone holds the certificate map. Outputs, messages,
-    errors and all-or-nothing writes are those of one process.
+    the ssl and x509 logs stay in this process, which alone holds the certificate map. The child writes the temp
+    files that this process named and made before the fork. Outputs, messages, errors and all-or-nothing writes
+    are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     index = in_halves("propagate", conn_labeled, index_from_labeled_rows, cost=INDEX_BYTE_COST)
@@ -214,7 +216,7 @@ def propagate_dir(
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with replace_all_on_success() as open_output:
-            outcomes = _in_two_processes(order, label_log, open_output.adopt, output_of, survey)
+            outcomes = _in_two_processes(order, label_log, lambda path: open_output(output_of(path)).close(), survey)
             for path in order:
                 # each log's messages, then its error, in read order however many processes ran
                 records, log, error = outcomes.get(path) or held_back(label_log, path)
@@ -240,13 +242,14 @@ def propagate_dir(
 
 
 def _in_two_processes(
-    paths: list[Path], label_log: Callable, adopt: Callable[[Path, int], None], output_of: Callable[[Path], Path],
+    paths: list[Path], label_log: Callable, create: Callable[[Path], None],
     survey: Callable[[Path], tuple[float, bool] | None],
 ) -> dict[Path, tuple]:
     """The outcomes of ``paths`` from this process and one forked child, or {} where a fork is not worth it.
 
     Where :func:`zeekio.can_fork` allows, ``survey`` reads each log, its messages and error held back for when
-    it is labeled; a log it gives None, or that fails, is left to the caller. This process labels its own in order.
+    it is labeled; a log it gives None, or that fails, is left to the caller. Before the fork, ``create`` makes the
+    temp file of each log the child is to label; a log it fails for stays here. This process labels its own in order.
     """
     logs = [path for path in paths if not path.name.startswith("conn.")]  # skipped, no work
     if not can_fork(sum(path.stat().st_size for path in logs)):
@@ -256,12 +259,11 @@ def _in_two_processes(
     weight = lambda group: sum(surveyed[path][0] for path in group)  # noqa: E731
     for path in sorted(surveyed.keys() - set(mine), key=lambda path: (-surveyed[path][0], paths.index(path))):
         # largest first, to the lighter group
-        (theirs if weight(theirs) <= weight(mine) else mine).append(path)
+        (theirs if weight(theirs) <= weight(mine) and not held_back(create, path)[2] else mine).append(path)
     if not (theirs and mine):
         return {}
     # neither process stops at a failing log: which fails first in read order shows only at the end
     return in_two_processes(
         "propagate", lambda: ((path, held_back(label_log, path)) for path in theirs),
         lambda: {path: held_back(label_log, path) for path in sorted(mine, key=paths.index)},
-        lambda items, outcomes: {**dict(items), **outcomes},
-        lambda pid: [adopt(output_of(path), pid) for path in theirs])
+        lambda items, outcomes: {**dict(items), **outcomes})

@@ -402,7 +402,8 @@ def write_labeled(
     verbatim, with the label columns it lacks appended to ``#fields`` and
     ``#types``. One loop writes the records, ``WRITE_CHUNK_ROWS`` to a write,
     each with its pair's tail, made once per pair: a TSV line gets the cells of
-    those columns appended; only a line of a log that has a label column
+    those columns appended (a label holding a tab, ``\n``, ``\r`` or the separator
+    is a :class:`LogFormatError`); only a line of a log that has a label column
     already (a relabeled log) is split, to take the new value in place. A JSON
     object is its own text with the label keys put before its closing brace;
     one that has a label key already is encoded anew, compactly, with its label
@@ -427,7 +428,11 @@ def write_labeled(
             elif line.startswith("#types" + sep) or line == "#types":
                 line = sep.join([line, *(["string"] * len(added))])
             write(line + "\n")
-        tail_of = lambda pair: "".join(sep + pair[k] for k in added) + "\n"  # noqa: E731
+        def tail_of(pair: tuple[str, str]) -> str:  # once per pair: no label may split its row or line
+            for text in pair:
+                if any(char in text for char in (sep, "\t", "\n", "\r")):
+                    raise LogFormatError(f"{log.source}: label {text!r} holds a tab, a line break or the separator")
+            return "".join(sep + pair[k] for k in added) + "\n"
         if present:
             def row(line: str, pair: tuple[str, str], tail: str) -> str:
                 cells = line.split(sep)
@@ -476,39 +481,36 @@ def write_log(
 def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
     """Write files through temp files beside them, all moved in place on success.
 
-    ``open_output(path)`` opens the temp file of ``path``, and refuses a
-    ``path`` that is a directory; the caller closes it. A temp name does not
-    end in ``.log``, so a scan for logs skips it. On any error every temp file
-    is removed and no ``path`` is touched; a crash between two renames can
-    still leave some outputs new and others old. ``open_output.adopt(path, pid)``
-    takes over the temp file that a forked process ``pid`` wrote for ``path``.
+    ``open_output(path)`` opens the temp file of ``path``, ``.<name>.<pid>.tmp`` with the pid of the process that
+    entered this context, and refuses a ``path`` that is a directory, or a FIFO, device or socket; the caller closes
+    it. So a forked child's ``open_output`` writes the temp file that its parent, having opened it first, moves on
+    success or removes on failure. A temp name does not end in ``.log``, so a scan for logs skips it. On any error
+    every temp file is removed and no ``path`` is touched; a crash between two renames can still leave some outputs
+    new and others old.
     """
-    moves: list[tuple[Path, Path]] = []
-    temp_of = lambda path, pid: path.with_name(f".{path.name}.{pid}.tmp")  # noqa: E731
+    moves: dict[Path, Path] = {}  # temp file -> output; a file opened twice is moved once
+    pid = os.getpid()
 
     def open_output(path: Path) -> IO[str]:
         if path.is_dir():  # the final rename would fail, after other outputs moved
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        tmp = temp_of(path, os.getpid())
+        if path.exists() and not path.is_file():  # a FIFO, device or socket: the rename would replace the node
+            raise OSError(f"{path}: not a regular file; refusing to replace it with the output")
+        tmp = path.with_name(f".{path.name}.{pid}.tmp")
         try:
             out = open(tmp, "w", encoding="utf-8")
         except OSError as exc:
             exc.filename = str(path)  # the output asked for, not its temp name
             raise
-        moves.append((tmp, path))
+        moves[tmp] = path
         return out
 
-    def adopt(path: Path, pid: int) -> None:
-        if (tmp := temp_of(path, pid)).exists():
-            moves.append((tmp, path))
-
-    open_output.adopt = adopt  # type: ignore[attr-defined]
     try:
         yield open_output
-        for tmp, path in moves:
+        for tmp, path in moves.items():
             os.replace(tmp, path)
     except BaseException:
-        for tmp, _ in moves:
+        for tmp in moves:
             tmp.unlink(missing_ok=True)
         raise
 
@@ -547,11 +549,11 @@ def release(records: list[tuple[int, str, str]], result: object = None, error: E
     return result
 
 
-def in_two_processes(command: str, theirs: Callable, mine: Callable, take: Callable, reaped: Callable) -> object:
+def in_two_processes(command: str, theirs: Callable, mine: Callable, take: Callable) -> object:
     """``theirs()`` in a forked child and ``mine()`` here, at once, then ``take(items, mine())`` here: ``items``
-    loads each item that ``theirs()`` yields, never None, as the child pickles it into the pipe. ``reaped(pid)`` runs
-    once the child has ended, also when this process raises; a child that ends before its last item is a
-    :class:`ChildProcessError`."""
+    loads each item that ``theirs()`` yields, never None, as the child pickles it into the pipe. This process waits
+    for the child also when it raises; a child that ends before its last item is a :class:`ChildProcessError`. The
+    child shares this process's open files and, through :func:`replace_all_on_success`, its temp file names."""
     import pickle  # only where a child starts
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe_in, open(write_end, "wb") as pipe_out:
@@ -570,7 +572,6 @@ def in_two_processes(command: str, theirs: Callable, mine: Callable, take: Calla
         finally:
             pipe_in.read()  # what take left, so that the child can end
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped(pid)
             if status:  # also over what take raised when the pipe ended early
                 raise ChildProcessError(f"{command}: the second process (pid {pid}) ended without a result "
                                         f"(status {status})")
@@ -632,7 +633,7 @@ def in_halves(command: str, path: str | Path, function: Callable, *args, cost: f
                     reader.header.fields += [name for name in fields if name not in reader.header.fields]
                     return join(own, items if send else next(items))
 
-                return in_two_processes(command, theirs, lambda: half(out), take, lambda pid: None)
+                return in_two_processes(command, theirs, lambda: half(out), take)
 
         # the whole log through open() itself: _Head's readinto, in Python, made a one-process eval about 1% slower
         src = (open(path, encoding="utf-8") if split is None

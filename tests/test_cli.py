@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -559,6 +560,75 @@ def test_propagate_output_that_is_a_directory_is_refused(proplogs_dir, capsys):
     )
     # dns and files come before http in name order, and none of theirs is left
     assert {p.name for p in proplogs_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("processes", ["one", "two"])
+@pytest.mark.parametrize("command", ["label", "propagate"])
+def test_an_output_that_is_a_fifo_is_refused_and_left_in_place(proplogs_dir, request, capsys, command, processes):
+    """Renaming the finished temp file over a FIFO (or a device) would replace the node with a regular file."""
+    if command == "label":
+        fifo = proplogs_dir / "out.fifo"
+        argv = ["label", str(proplogs_dir / "conn.log"), "--config", str(proplogs_dir / "labeling.conf"),
+                "--output", str(fifo)]
+    else:
+        _label_proplogs(proplogs_dir)
+        fifo = proplogs_dir / "http.labeled.log"  # with two processes, http.log is the child's
+        argv = ["propagate", str(proplogs_dir / "conn.labeled.log"), str(proplogs_dir)]
+    os.mkfifo(fifo)
+    before = sorted(p.name for p in proplogs_dir.iterdir())
+    capsys.readouterr()
+    if processes == "two":
+        request.getfixturevalue("two_processes")
+    assert main(argv) == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: {fifo}: not a regular file; refusing to replace it with the output"
+    )
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in proplogs_dir.iterdir()) == before
+
+
+@pytest.mark.parametrize("processes", ["one", "two"])
+@pytest.mark.parametrize("key, text, separator", [
+    ("label", "Mal\ticious", "\t"),
+    ("detailed_label", "a\nb", "\t"),
+    ("detailed_label", "a\rb", "\t"),
+    ("label", "Mal|icious", "|"),
+    ("detailed_label", "a\tb", "|"),
+], ids=["tab", "newline", "return", "separator", "tab-in-pipe-log"])
+def test_propagate_refuses_a_label_that_would_split_a_tsv_row(
+    request, tmp_path, capsys, key, text, separator, processes
+):
+    """A JSON conn.labeled.log can carry any text as a label; a TSV cell cannot hold a tab, a line break or its
+    log's separator, so the log that would get it is the run's one error, and no output is moved into place."""
+    conn = tmp_path / "conn.labeled.log"
+    conn.write_text(json_lines({"ts": 1.0, "uid": "C1", "label": "Malicious", "detailed_label": "(empty)", key: text},
+                               {"ts": 2.0, "uid": "C2", "label": "Benign", "detailed_label": "(empty)"}))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for name in ("http", "weird"):  # two logs, so that two processes split them
+        log = zeek_tsv(name, ["ts", "uid"], ["time", "string"], [["1.0", "C2"], ["2.0", "C1"]])
+        (logs / f"{name}.log").write_text(log.replace("\t", separator).replace("\\x09", "\\x7c")
+                                          if separator == "|" else log)
+    forks = request.getfixturevalue("two_processes") if processes == "two" else []
+    assert main(["propagate", str(conn), str(logs), "--output", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) == (
+        f"error: {logs / 'http.log'}: label {text!r} holds a tab, a line break or the separator"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.labeled.log", "logs"]
+    assert sorted(p.name for p in logs.iterdir()) == ["http.log", "weird.log"]
+    assert forks == ([] if processes == "one" else ["halves", "logs"])
+
+
+def test_propagate_writes_such_a_label_escaped_into_a_json_lines_log(tmp_path, capsys):
+    conn = tmp_path / "conn.labeled.log"
+    conn.write_text(json_lines({"ts": 1.0, "uid": "C1", "label": "Mal\ticious", "detailed_label": "a\nb|c\r"}))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "dns.log").write_text(json_lines({"ts": 1.0, "uid": "C1"}))
+    assert main(["propagate", str(conn), str(logs), "--output", str(tmp_path / "out")]) == 0
+    (line,) = (tmp_path / "out" / "dns.labeled.log").read_text().splitlines()
+    assert json.loads(line) == {"ts": 1.0, "uid": "C1", "label": "Mal\ticious", "detailed_label": "a\nb|c\r"}
 
 
 def test_propagate_warns_on_conn_logs_other_than_the_label_source(proplogs_dir, capsys, caplog):

@@ -123,7 +123,8 @@ def test_a_child_killed_partway_is_one_error_and_leaves_no_temp_file(
 
     def killed_at_zz(dst, reader, records, pair_of):
         if os.getpid() != parent and reader.source.endswith("zz.log"):
-            assert list(out.glob(f".http.labeled.log.{os.getpid()}.tmp"))  # the first log's temp file is there
+            # the child wrote the first log's temp file, which this process named and made
+            assert (out / f".http.labeled.log.{parent}.tmp").read_text().startswith("#separator")
             os.kill(os.getpid(), signal.SIGKILL)
         return write_labeled(dst, reader, records, pair_of)
 
@@ -134,6 +135,28 @@ def test_a_child_killed_partway_is_one_error_and_leaves_no_temp_file(
     assert line.endswith(") ended without a result (status -9)")
     _assert_clean(logs, out)
     assert labeled_by() == {"http.log": "child", "weird.log": "parent", "dhcp.log": "parent"}  # zz.log: killed
+
+
+@pytest.mark.parametrize("bad, first", [
+    ([], "[Errno 21] Is a directory: '{out}/http.labeled.log'"),
+    (["dhcp.log"], "{logs}/dhcp.log: row 31: expected 2 fields, got 1"),  # read before http.log
+], ids=["directory", "bad-row-first"])
+def test_a_child_log_whose_output_cannot_be_made_fails_in_read_order(
+    tmp_path, capsys, monkeypatch, two_processes, bad, first
+):
+    # http.log would be the child's, and its output path is a directory
+    argv, logs, out = _write_case(tmp_path, bad=bad)
+    (out / "http.labeled.log").mkdir()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) == "error: " + first.format(out=out, logs=logs)
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", float("inf"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == err  # as one process reports it
+    assert [p.name for p in out.iterdir()] == ["http.labeled.log"]
+    assert not [p for p in logs.iterdir() if ".labeled" in p.name or p.name.endswith(".tmp")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_child_is_reaped_when_this_process_raises(tmp_path, monkeypatch, two_processes, labeled_by):
