@@ -2,9 +2,10 @@
 
 Subcommands: label (apply rules to conn.log), propagate (carry conn labels
 into the other logs of a directory), eval (score detections against labels),
-validate-config, show-ontology. Outputs never overwrite inputs; labeled
-copies get a ``.labeled`` infix. Exit codes: 0 success, 1 data/runtime
-problem, 2 usage or configuration problem.
+validate-config, show-ontology. Outputs never overwrite inputs (such a run
+exits 2 before it writes anything); labeled copies get a ``.labeled`` infix.
+Exit codes: 0 success, 1 data/runtime problem, 2 usage or configuration
+problem.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def cmd_label(ns: argparse.Namespace) -> int:
     _, ruleset = load_config(text)
 
     out_path = Path(ns.output) if ns.output else _labeled_path(conn_path)
-    if out_path.resolve() == conn_path.resolve():
-        raise UsageError(f"refusing to overwrite the input file {conn_path}")
+    for path in (conn_path, config_path):
+        if out_path.resolve() == path.resolve():
+            raise UsageError(f"refusing to overwrite the input file {path}")
 
     counts = label_file(conn_path, ruleset, out_path)
     histogram: Counter[str] = Counter()
@@ -237,12 +239,9 @@ def cmd_show_ontology(ns: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zeeklabel",
-        description="Label Zeek conn.log flows from a rule config, propagate "
-        "the labels to the other Zeek logs, and evaluate detections "
-        "against them.",
-    )
+    parser = argparse.ArgumentParser(prog="zeeklabel", description="Label Zeek conn.log flows from a rule config, "
+                                     "propagate the labels to the other Zeek logs, and evaluate detections "
+                                     "against them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="label a conn.log with a rule config")
@@ -251,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: adds .labeled)")
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser(
-        "propagate", help="copy conn.log labels onto the other logs by uid"
-    )
+    p = sub.add_parser("propagate", help="copy conn.log labels onto the other logs by uid")
     p.add_argument("conn_labeled", help="labeled conn.log")
     p.add_argument("log_dir", help="directory holding the other Zeek logs")
     p.add_argument("--output", help="output directory (default: log_dir)")
@@ -262,22 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against flow labels")
     p.add_argument("conn_labeled", help="labeled conn.log (ground truth)")
     p.add_argument("detections", help="detections as JSON lines")
-    p.add_argument(
-        "--window", type=float, default=3600.0, help="window seconds (default 3600)"
-    )
-    p.add_argument(
-        "--threshold",
-        type=int,
-        default=1,
-        help="minimum evidence flows for a detection to count (default 1)",
-    )
-    p.add_argument(
-        "--cutoff", type=float, default=None, help="only score flows starting at or before this epoch time"
-    )
-    p.add_argument(
-        "--max-windows", type=int, default=MAX_WINDOWS,
-        help=f"refuse a report of more (IP, window) decisions (default {MAX_WINDOWS})",
-    )
+    p.add_argument("--window", type=float, default=3600.0, help="window seconds (default 3600)")
+    p.add_argument("--threshold", type=int, default=1,
+                   help="minimum evidence flows for a detection to count (default 1)")
+    p.add_argument("--cutoff", type=float, default=None, help="only score flows starting at or before this epoch time")
+    p.add_argument("--max-windows", type=int, default=MAX_WINDOWS,
+                   help=f"refuse a report of more (IP, window) decisions (default {MAX_WINDOWS})")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_eval)
 
@@ -293,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s: %(message)s", stream=sys.stderr
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s", stream=sys.stderr)
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from itertools import compress
+from operator import not_
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from .errors import LogFormatError, UsageError
 from .ontology import EMPTY_DETAIL as EMPTY_LABEL, LABEL_ITEMS
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, field_getter, in_halves
-from .zeekio import replace_all_on_success, write_labeled
+from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, in_halves, nulls, replace_all_on_success
+from .zeekio import write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -25,20 +27,18 @@ EMPTY_PAIR = (EMPTY_LABEL, EMPTY_LABEL)
 LabelPair = tuple[str, str]
 
 
-def _pair_function(
-    ruleset: RuleSet, log: ZeekLogReader | ZeekLogTable
-) -> Callable[[str | dict], LabelPair]:
-    """The label pair of one record of ``log``, a conn.log: its first matching rule's, else (empty)."""
+def _pairs_function(ruleset: RuleSet, log: ZeekLogReader | ZeekLogTable) -> Callable[[list], list[LabelPair]]:
+    """The label pairs of a block of ``log``'s records, a conn.log's: each one's first matching rule's, else (empty)."""
     pairs = [rule.label_pair for rule in ruleset.rules] + [EMPTY_PAIR]
     classify = ruleset.classifier(log.header, log.format)
-    return lambda record: pairs[classify(record)]
+    return lambda block: list(map(pairs.__getitem__, map(classify, block)))
 
 
 def label_conn(table: ZeekLogTable, ruleset: RuleSet) -> list[LabelPair]:
     """One (label, detailed_label) pair per record, in record order."""
     if "uid" not in table.header.fields:
         raise LogFormatError("flow table has no uid field")
-    return list(map(_pair_function(ruleset, table), table.iter_rows()))
+    return _pairs_function(ruleset, table)(list(table.iter_rows()))
 
 
 def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) -> dict[LabelPair, int]:
@@ -54,8 +54,8 @@ def label_file(conn_path: str | Path, ruleset: RuleSet, out_path: str | Path) ->
 
 def _label(ruleset: RuleSet, out_path: str | Path, reader: ZeekLogReader, halves: Callable) -> dict[LabelPair, int]:
     """Label the log through ``halves``: each half's rows per pair, added up."""
-    pair_of = _pair_function(ruleset, reader)
-    label = lambda dst: write_labeled(dst, reader, reader.records(), pair_of)  # noqa: E731
+    pairs_of = _pairs_function(ruleset, reader)
+    label = lambda dst: write_labeled(dst, reader, reader.blocks(), pairs_of)  # noqa: E731
     join = lambda mine, theirs: dict(Counter(mine) + Counter(theirs))  # noqa: E731
     with replace_all_on_success() as open_output:
         with open_output(Path(out_path)) as dst:
@@ -84,29 +84,33 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
     first labels. An unset label cell reads as ``(empty)``. A log without a ``uid`` column is an error.
     """
     header = reader.header
-    uid_of = field_getter(header, reader.format, "uid")
-    cells_of = cells_getter(header, reader.format, LABEL_FIELDS)
-    null = (None, header.unset_field, header.empty_field, "")
+    uids_of = cells_getter(header, reader.format, ("uid",))
+    labels_of = cells_getter(header, reader.format, LABEL_FIELDS)
+    null = nulls(header)
 
     def half(_) -> tuple:
         index = UidIndex()
-        add = index.setdefault
         pairs = {EMPTY_PAIR: EMPTY_PAIR}
         intern = pairs.setdefault
         read: dict[tuple, LabelPair] = {}  # label cells as read -> their pair
-        rows = unset = 0
-        for record in reader.records():
-            uid = uid_of(record)
-            if uid is None:
-                unset += 1
-                continue
-            rows += 1
-            cells = cells_of(record)
+
+        def pair_of(cells: tuple) -> LabelPair:
             pair = read.get(cells)
             if pair is None:
                 pair = tuple(EMPTY_LABEL if text in null else text for text in cells)
                 pair = read[cells] = intern(pair, pair)
-            add(uid, pair)
+            return pair
+
+        rows = unset = 0
+        for block in reader.blocks():
+            uids, labels = uids_of(block), labels_of(block)
+            if not null.isdisjoint(uids):  # the rows of an unset uid are left out
+                left_out = list(map(null.__contains__, uids))
+                unset += left_out.count(True)
+                uids, labels = (list(compress(cells, map(not_, left_out))) for cells in (uids, labels))
+            found = list(map(read.get, labels))
+            _add_run(index, uids, list(map(pair_of, labels)) if None in found else found)
+            rows += len(uids)
         return index, pairs, rows, unset
 
     def send(theirs: tuple) -> Iterator[tuple]:  # the child's pairs and counts, then runs of uids and pair numbers
@@ -120,9 +124,7 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
         (index, pairs, rows, unset), (their_pairs, their_rows, their_unset) = mine, next(theirs)
         same = [pairs.setdefault(pair, pair) for pair in their_pairs]  # each pair one of this process's tuples
         for uids, numbers in theirs:  # the child's uids after this process's, loaded a run at a time
-            kept = {uid: index[uid] for uid in index.keys() & uids}  # a uid's first labels win
-            index.update(zip(uids, map(same.__getitem__, numbers)))
-            index.update(kept)
+            _add_run(index, uids, list(map(same.__getitem__, numbers)))
         return index, pairs, rows + their_rows, unset + their_unset
 
     index, pairs, rows, unset = halves(half, join, send=send)
@@ -152,6 +154,17 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
     return index
 
 
+def _add_run(index: UidIndex, uids: list[str], pairs: list[LabelPair]) -> None:
+    """Add ``uids`` with their ``pairs`` after the index's own, with no Python loop per uid; a uid held already, or
+    met twice in the run, keeps its first labels."""
+    run = dict(zip(uids, pairs))
+    if len(run) < len(uids):
+        run.update(zip(reversed(uids), reversed(pairs)))
+    kept = {uid: index[uid] for uid in index.keys() & run}
+    index.update(run)
+    index.update(kept)
+
+
 def warn_foreign_labels(counts: Mapping[str, int], unit: str) -> None:
     """Warn once for each label in ``counts`` outside the ontology's label level.
 
@@ -160,7 +173,5 @@ def warn_foreign_labels(counts: Mapping[str, int], unit: str) -> None:
     """
     for label, count in counts.items():
         if label not in LABEL_ITEMS and label != EMPTY_LABEL:
-            logger.warning(
-                "%d %s carry the label %r, which is none of %s or %s",
-                count, unit, label, ", ".join(LABEL_ITEMS), EMPTY_LABEL,
-            )
+            logger.warning("%d %s carry the label %r, which is none of %s or %s",
+                           count, unit, label, ", ".join(LABEL_ITEMS), EMPTY_LABEL)

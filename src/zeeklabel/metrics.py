@@ -37,10 +37,12 @@ from .errors import LogFormatError, UsageError, ZeekLabelError
 from .labeler import EMPTY_LABEL, warn_foreign_labels
 from .ontology import MALICIOUS, UNKNOWN
 from .values import Frozen
-from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, field_getter, in_halves, json_lines
+from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, in_halves, json_lines, nulls
 
 logger = logging.getLogger(__name__)
 
+# the tally's work per byte against label's: eval forks from 1 MiB, where two processes begin to pay
+TALLY_BYTE_COST = 3 / 4
 # the (IP, window) decisions a report may hold unless raised: 25x those of a week of
 # one-minute windows for 400 IPs, the largest shape measured
 MAX_WINDOWS = 10**8
@@ -124,13 +126,8 @@ class EvalReport(Frozen):
                   predating=predating)
 
 
-def score(
-    flows: Iterable[LabeledFlow],
-    detections: Sequence[DetectionRecord],
-    window: float,
-    threshold: int = 1,
-    cutoff: float | None = None,
-) -> EvalReport:
+def score(flows: Iterable[LabeledFlow], detections: Sequence[DetectionRecord], window: float, threshold: int = 1,
+          cutoff: float | None = None) -> EvalReport:
     """Score detections against ``(uid, start, src_ip, label)`` flows in one pass.
 
     A flow's ``src_ip`` is an address or the text of one; a text is parsed
@@ -228,19 +225,10 @@ def _finish(counts: tuple, detections: Sequence[DetectionRecord], evidence: set[
     negatives = labels.total() - labels[MALICIOUS] - labels[UNKNOWN]
     false_alarms = detected.total() - detected[MALICIOUS] - detected[UNKNOWN]
     timelines = _sweep(*_by_address(activity, malicious), alerts)
-    return EvalReport(
-        labels=labels,
-        flow=ConfusionCounts(
-            tp=detected[MALICIOUS],
-            fp=false_alarms,
-            tn=negatives - false_alarms,
-            fn=labels[MALICIOUS] - detected[MALICIOUS],
-        ),
-        ip=timeline_confusion(timelines),
-        timelines=timelines,
-        missing_evidence=sorted(evidence - starts.keys()),
-        predating=predating,
-    )
+    flow = ConfusionCounts(tp=detected[MALICIOUS], fp=false_alarms, tn=negatives - false_alarms,
+                           fn=labels[MALICIOUS] - detected[MALICIOUS])
+    return EvalReport(labels=labels, flow=flow, ip=timeline_confusion(timelines), timelines=timelines,
+                      missing_evidence=sorted(evidence - starts.keys()), predating=predating)
 
 
 def _by_address(*per_key: dict[object, set[int]]) -> list[dict[IPAddress, set[int]]]:
@@ -333,9 +321,7 @@ def timeline_confusion(timelines: dict[IPAddress, list[WindowRun]]) -> Confusion
     for runs in timelines.values():
         for run in runs:
             tally[run.truth, run.predicted] += run.length
-    return ConfusionCounts(
-        tp=tally[True, True], fp=tally[False, True], tn=tally[False, False], fn=tally[True, False]
-    )
+    return ConfusionCounts(tp=tally[True, True], fp=tally[False, True], tn=tally[False, False], fn=tally[True, False])
 
 
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
@@ -370,28 +356,26 @@ def _read_flows(reader: ZeekLogReader, skipped: list[int]) -> Iterator[tuple[str
     """``(uid, start, src_text, label)`` of each of ``reader``'s rows with a uid, finite ts and source IP; once the
     rows end, the count of the others is appended to ``skipped``.
 
-    The cells are read by two readers resolved once per header: the first
-    three columns, and the label near the end of a row. Each distinct source
-    text is parsed once, only to tell whether its rows are skipped.
+    The cells of each block are read by two readers resolved once per header: the first three columns, and the label
+    near the end of a row. Each distinct source text is parsed once, only to tell whether its rows are skipped.
     """
     header = reader.header
-    cells = cells_getter(header, reader.format, ("uid", "ts", "id.orig_h"))
-    label_of = field_getter(header, reader.format, LABEL_FIELDS[0])
-    # what reads as unset: a null cell of a TSV row, None from a getter
-    null = frozenset((None, header.unset_field, header.empty_field, ""))
+    cells_of = cells_getter(header, reader.format, ("uid", "ts", "id.orig_h"))
+    labels_of = cells_getter(header, reader.format, LABEL_FIELDS[:1])
+    null = nulls(header)
     sources = dict.fromkeys(null, False)  # source text -> whether it is an address
     isfinite = math.isfinite
     count = 0
-    for record in reader.records():
-        uid, ts, src = cells(record)
-        is_address = sources.get(src)
-        if is_address is None:
-            is_address = sources[src] = _is_address(src)
-        start = _to_float(ts)
-        if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
-            count += 1
-            continue
-        yield uid, start, src, label_of(record) or EMPTY_LABEL
+    for block in reader.blocks():
+        for (uid, ts, src), label in zip(cells_of(block), labels_of(block)):
+            is_address = sources.get(src)
+            if is_address is None:
+                is_address = sources[src] = _is_address(src)
+            start = _to_float(ts)
+            if uid in null or ts in null or start is None or not isfinite(start) or not is_address:
+                count += 1
+                continue
+            yield uid, start, src, EMPTY_LABEL if label in null else label
     skipped.append(count)
 
 
@@ -434,15 +418,17 @@ def evaluate(
 
     The conn.log is streamed once, and its errors come first: when anything
     else fails before the stream ends, the rest of it is still read. The
-    detections are read first; then, through :func:`zeekio.in_halves`, a forked
-    child may tally the lines past the middle, merged into this process's tally
-    as one pass would leave it. The label-column check reads the fields once the
-    halves joined, so its error is final. A report of more than ``max_windows``
+    detections are read first; then, through :func:`zeekio.in_halves` (from
+    1 MiB, its bytes weighed by TALLY_BYTE_COST), a forked child may tally the
+    lines past the middle, merged into this process's tally as one pass would
+    leave it. The label-column check reads the fields once the halves joined,
+    so its error is final. A report of more than ``max_windows``
     (IP, window) decisions is a usage error that names the events at both ends
     of the span. Detections that predate their evidence are logged; evidence
     uids that name no flow are a usage error.
     """
-    report, detections = in_halves("eval", Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff)
+    report, detections = in_halves("eval", Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff,
+                                   cost=TALLY_BYTE_COST)
     if report.timelines:  # every IP's runs span the same windows
         runs = next(iter(report.timelines.values()))
         lo, hi = runs[0].first_window, runs[-1].first_window + runs[-1].length - 1

@@ -19,25 +19,28 @@ from __future__ import annotations
 
 import contextlib
 import logging
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import LogFormatError
+from .errors import LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .ontology import BENIGN, MALICIOUS, UNKNOWN
 from .values import Value
-from .zeekio import ZeekLogReader, can_fork, field_getter, first_getter, held_back, in_halves, in_two_processes
-from .zeekio import release, replace_all_on_success, set_getter, write_labeled
+from .zeekio import ZeekHeader, ZeekLogReader, can_fork, cells_getter, field_getter, first_getter, held_back, in_halves
+from .zeekio import in_two_processes, nulls, release, replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
 _RANK = {MALICIOUS: 3, UNKNOWN: 2, BENIGN: 1}
 
-# a log's weight in the split between two processes: its bytes, a JSON-lines log's times
-# JSON_BYTE_COST, what one costs per byte against TSV on the bench propagate input
-JSON_BYTE_COST = 1.2
-# the uid index's work per byte against label's: it forks from 2 MiB, as up to 1.5 MB a fork did not pay
-INDEX_BYTE_COST = 3 / 8
+# a log's weight in the split between two processes: its bytes, a JSON-lines log's times JSON_BYTE_COST, what
+# one costs per byte against TSV: on the bench propagate input, dns.log takes 1.3x the time per byte of http.log
+# and files.log together (1.7x http.log's, 0.85x files.log's)
+JSON_BYTE_COST = 1.3
+# the uid index's work per byte against label's: it forks from 1 MiB, where two processes begin to pay
+INDEX_BYTE_COST = 3 / 4
 NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
 
 # accepted spellings of the join fields across Zeek versions
@@ -46,9 +49,7 @@ X509_ID_FIELDS = ("id", "fingerprint")
 
 
 def _rank(pair: LabelPair | None) -> int:
-    if pair is None:
-        return 0
-    return _RANK.get(pair[0], 0)
+    return 0 if pair is None else _RANK.get(pair[0], 0)
 
 
 def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
@@ -56,39 +57,63 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
     return max(candidates, key=_rank, default=None) or EMPTY_PAIR  # max keeps the first of a rank
 
 
-def accumulate_cert_labels(
-    reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]
-) -> Iterator[str | dict]:
-    """Yield ssl records, folding each one's chain into a certificate-id -> merged-labels mapping."""
-    header = reader.header
-    uid_of = field_getter(header, reader.format, "uid")
-    chain_of = first_getter(header, reader.format, SSL_CHAIN_FIELDS, set_getter)
-    for record in reader.records():
-        uid = uid_of(record)
-        pair = (index.get(uid) if uid is not None else None) or EMPTY_PAIR
-        rank = _rank(pair)
-        for fid in chain_of(record) or ():
-            current = mapping.get(fid)
-            if current is None or rank > _rank(current):
-                mapping[fid] = pair
-        yield record
+def _keyed(header: ZeekHeader, fmt: str, name: str, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
+    """The labels of a block's records: those of each one's ``name`` in ``mapping``, (empty) when it is unset or
+    absent. A TSV cell is looked up as read unless a null text of the log is a key of ``mapping``."""
+    keys_of = cells_getter(header, fmt, (name,))
+    null = nulls(header)
+    get = mapping.get
+    if mapping.keys().isdisjoint(null):
+        return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
+    return lambda block: [EMPTY_PAIR if key in null else get(key, EMPTY_PAIR) for key in keys_of(block)]
 
 
-def _pair_function(
-    x509: bool, reader: ZeekLogReader, index: UidIndex, cert_map: dict[str, LabelPair]
-) -> Callable[[str | dict], LabelPair]:
-    """The labels of one record of ``reader``'s log.
+def accumulate_cert_labels(reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]) -> Iterator[list]:
+    """Yield ssl blocks, folding each record's chain into a certificate-id -> merged-labels mapping."""
+    header, fmt = reader.header, reader.format
+    pairs_of = _keyed(header, fmt, "uid", index)
+    if fmt == "tsv":  # the chain column of a block, split as set_getter splits it
+        name = next((name for name in SSL_CHAIN_FIELDS if name in header.fields), SSL_CHAIN_FIELDS[0])
+        cells_of, null, set_sep = cells_getter(header, fmt, (name,)), nulls(header), header.set_separator
+
+        def chains_of(block: list[str]) -> list:
+            return [None if text in null else text.split(set_sep) for text in cells_of(block)]
+    else:
+        chains_of = partial(map, first_getter(header, fmt, SSL_CHAIN_FIELDS, set_getter))
+    for block in reader.blocks():
+        for pair, fids in zip(pairs_of(block), chains_of(block)):
+            if fids:
+                rank = _RANK.get(pair[0], 0)
+                for fid in fids:
+                    current = mapping.get(fid)
+                    if current is None or rank > _RANK.get(current[0], 0):
+                        mapping[fid] = pair
+        yield block
+
+
+def _pairs_function(x509: bool, reader: ZeekLogReader, index: UidIndex,
+                    cert_map: dict[str, LabelPair]) -> Callable[[list], list[LabelPair]]:
+    """The labels of each record of a block of ``reader``'s log.
 
     An x509 record takes its certificate's labels. Any other record takes
     those of its ``conn_uids`` when it has that column or key, else of its
     ``uid``, else of its ``uids``; an unset ``uid`` falls back to ``uids``.
+    A TSV log's columns choose one route for all its records; a JSON object
+    takes its own, as do the records of a log with ``conn_uids`` or ``uids``.
     """
     header, fmt = reader.header, reader.format
+    get, null = index.get, nulls(header)
+    if fmt == "tsv" and x509:
+        return _keyed(header, fmt, next((name for name in X509_ID_FIELDS if name in header.fields), "id"), cert_map)
+    if fmt == "tsv" and "conn_uids" in header.fields:  # each set as set_getter splits it
+        sets_of, set_sep = cells_getter(header, fmt, ("conn_uids",)), header.set_separator
+        return lambda block: [EMPTY_PAIR if text in null else merge_labels(list(map(get, text.split(set_sep))))
+                              for text in sets_of(block)]
+    if fmt == "tsv" and "uids" not in header.fields:
+        return _keyed(header, fmt, "uid", index)
     if x509:
         fid_of = first_getter(header, fmt, X509_ID_FIELDS)
-        cert_get = cert_map.get
-        return lambda record: cert_get(fid_of(record), EMPTY_PAIR)
-    get = index.get
+        return lambda block: [cert_map.get(fid_of(record), EMPTY_PAIR) for record in block]
     conn_uids_of = first_getter(header, fmt, ("conn_uids",), set_getter)
     uid_of = field_getter(header, fmt, "uid")
     uids_of = set_getter(header, fmt, "uids")
@@ -102,7 +127,14 @@ def _pair_function(
             uids = uids_of(record)
         return merge_labels([get(u) for u in uids]) if uids else EMPTY_PAIR
 
-    return lookup
+    def pairs_of(block: list) -> list[LabelPair]:
+        if fmt == "json":  # objects that all hold a set str uid, and no conn_uids key read so far: uids as read
+            uids = list(map(dict.get, block, repeat("uid")))
+            if set(map(type, uids)) == {str} and null.isdisjoint(uids) and "conn_uids" not in header.fields:
+                return list(map(get, uids, repeat(EMPTY_PAIR)))
+        return list(map(lookup, block))
+
+    return pairs_of
 
 
 class LogReport(Value):
@@ -121,9 +153,7 @@ class PropagateReport(Value):
                   logs=[] if logs is None else logs)
 
 
-def propagate_dir(
-    conn_labeled: str | Path, log_dir: str | Path, out_dir: str | Path
-) -> PropagateReport:
+def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | Path) -> PropagateReport:
     """Label every other ``*.log`` in ``log_dir`` from a labeled conn.log.
 
     Each log is labeled in one pass: the ssl logs first, whose records fill the
@@ -135,7 +165,7 @@ def propagate_dir(
     fails leaves none of them, and no directory it created. The report lists
     the logs in name order.
 
-    The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 2 MiB on
+    The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 1 MiB on
     two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
     labels about half of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other
     than ``conn.*``; only then is each log's header read a second time, to weigh it. Where there is an ssl log,
@@ -144,7 +174,6 @@ def propagate_dir(
     are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
-    index = in_halves("propagate", conn_labeled, index_from_labeled_rows, cost=INDEX_BYTE_COST)
     conn_resolved = conn_labeled.resolve()
     source = conn_labeled.name.replace(".labeled", "")
     stems = {
@@ -156,14 +185,23 @@ def propagate_dir(
     n_ssl = sum(stem == "ssl" for stem in stems.values())
     ssl_readers: list[ZeekLogReader] = []
     cert_map: dict[str, LabelPair] = {}
-    report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     output_of = lambda path: out_dir / (path.name[: -len(".log")] + ".labeled.log")  # noqa: E731
 
     def kind_of(path: Path, reader: ZeekLogReader | None) -> str:
         """``conn`` or ``x509`` by the stem or ``#path`` of ``path``, else ``ssl`` by its stem, else ``other``."""
         names = (stems[path], reader and reader.header.path)
         return "conn" if "conn" in names else "x509" if "x509" in names else "ssl" if names[0] == "ssl" else "other"
+
+    inputs = {conn_resolved: conn_labeled, **{path.resolve(): path for path in stems}}
+    for path, stem in stems.items():  # an output that is an input would replace it; a conn log is not written
+        if (hit := inputs.get(output_of(path).resolve())) is not None and stem != "conn":
+            with contextlib.suppress(LogFormatError, OSError), open(path, encoding="utf-8") as src:
+                if kind_of(path, ZeekLogReader(src, str(path))) == "conn":
+                    continue
+            raise UsageError(f"refusing to overwrite the input file {hit}")
+    index = in_halves("propagate", conn_labeled, index_from_labeled_rows, cost=INDEX_BYTE_COST)
+    report = PropagateReport(len(index), index.duplicates, index.skipped_unset)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
 
     def label_log(path: Path) -> LogReport | None:
         # a conn log by its name is skipped unread, whatever it holds
@@ -184,20 +222,16 @@ def propagate_dir(
                 logger.warning(NO_SSL_WARNING)
             if kind == "ssl":
                 ssl_readers.append(reader)
-                records = accumulate_cert_labels(reader, index, cert_map)
+                blocks = accumulate_cert_labels(reader, index, cert_map)
             else:
-                records = reader.records()
-            pair_of = _pair_function(x509, reader, index, cert_map)
+                blocks = reader.blocks()
+            pairs_of = _pairs_function(x509, reader, index, cert_map)
             with open_output(output_of(path)) as dst:
-                counts = write_labeled(dst, reader, records, pair_of)
+                counts = write_labeled(dst, reader, blocks, pairs_of)
         # the route a JSON log took is known only once all its keys are
         fields = reader.header.fields
-        route = (
-            "x509" if x509
-            else "files" if "conn_uids" in fields
-            else "uid" if "uid" in fields or "uids" in fields
-            else "none"
-        )
+        route = ("x509" if x509 else "files" if "conn_uids" in fields
+                 else "uid" if "uid" in fields or "uids" in fields else "none")
         if route == "none":
             logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
         rows = sum(counts.values())
@@ -228,10 +262,8 @@ def propagate_dir(
             if any(log.route == "x509" for log in report.logs):
                 for reader in ssl_readers:
                     if not any(name in reader.header.fields for name in SSL_CHAIN_FIELDS):
-                        raise LogFormatError(
-                            f"{reader.source}: ssl log has no certificate chain field "
-                            f"({' or '.join(SSL_CHAIN_FIELDS)})"
-                        )
+                        raise LogFormatError(f"{reader.source}: ssl log has no certificate chain field "
+                                             f"({' or '.join(SSL_CHAIN_FIELDS)})")
     except BaseException:
         for d in made:  # deepest first; a directory that existed before stays
             with contextlib.suppress(OSError):

@@ -13,14 +13,19 @@ already has a label key is encoded anew, compactly, with those keys
 overwritten in place. A second ``#separator`` block, as ``cat`` makes of
 two logs, is refused rather than read as header or kept as trailer.
 
-A streaming TSV record is its data line without the ``\n``, checked for its
-field count; a JSON-lines record is the object the decoder built, and the
-reader holds that object's exact ``text`` and ``lineno`` until the next one.
-:func:`json_lines` reads every JSON line, of a log or of ``eval``'s
-detections. Cells are read through readers resolved once per header
-(:func:`field_getter`, :func:`cells_getter`, :func:`set_getter`), which split
-a line only as far as the columns they read, and one loop in
-:func:`write_labeled` writes a line back as it was read, of either shape.
+Records are read, looked up and written a block at a time, so the work per
+row runs inside ``map``: :meth:`ZeekLogReader.blocks` reads ``BLOCK_BYTES`` of
+text at a time into a list of TSV data lines without their ``\n``, checked
+for their field count, or of the objects the decoder built from JSON lines,
+whose exact texts and line numbers the reader holds in ``texts`` until the
+next block. A block ends before a bad row, a ``#`` line or a non-UTF-8 byte,
+whose error (or the trailer) comes with the next block, so the first error in
+the file is the one reported, whatever the block size. :func:`json_lines`
+reads the JSON lines that a block cannot take whole, and ``eval``'s
+detections. :func:`cells_getter` reads columns of a block, and
+:func:`field_getter` and :func:`set_getter` of one record, each resolved once
+per header and splitting a line only as far as its columns lie;
+:func:`write_labeled` writes each block in one call, each line as it was read.
 
 A pipeline reads a log in two processes through one contract (``label``'s
 conn.log, ``eval``'s labeled conn.log and ``propagate``'s uid index):
@@ -49,8 +54,8 @@ import os
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -62,6 +67,8 @@ logger = logging.getLogger(__name__)
 UNSET_DEFAULT = "-"
 EMPTY_DEFAULT = "(empty)"
 LABEL_FIELDS = ("label", "detailed_label")
+# text a reader reads for one block of records, which a writer writes in one call
+BLOCK_BYTES = 1 << 15
 
 
 class ZeekHeader(Value):
@@ -87,7 +94,8 @@ class ZeekHeader(Value):
             return None
 
 
-_decode_json = json.JSONDecoder().raw_decode
+# raw_decode's scanner, called with no Python frame of its own: StopIteration where nothing parses
+_scan_json = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"
 
 
@@ -106,14 +114,10 @@ class ZeekLogTable(Value):
         return len(self.records)
 
     def iter_rows(self) -> Iterator[str | dict]:
-        """The records as :meth:`ZeekLogReader.records` yields them, with ``text`` and ``lineno`` kept alike."""
+        """The records as :meth:`ZeekLogReader.records` yields them."""
         if self.format == "tsv":
             return map(self.header.separator.join, self.records)
-        return self._json_rows()
-
-    def _json_rows(self) -> Iterator[dict]:
-        for obj, (self.text, self.lineno) in zip(self.records, self.texts):
-            yield obj
+        return iter(self.records)
 
 
 def _unescape_separator(text: str) -> str | None:
@@ -152,8 +156,10 @@ def undecoded(stream: IO[str], exc: UnicodeDecodeError, lines_read: int, source:
         end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
         raw.seek(0)
         next(islice(raw, lines_read, lines_read), None)
-        text = raw.read(max(end - raw.tell(), 0)).decode("utf-8", "surrogateescape")
-        yield from (line for line in io.StringIO(text, newline=None) if line[-1:] == "\n")
+        data = raw.read(max(end - raw.tell(), 0))
+        lineno = lines_read + 1 + data.count(b"\n")  # also past the lines of a read() that failed
+        yield from (line for line in io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
+                    if line[-1:] == "\n")
     raise LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
 
 
@@ -171,10 +177,10 @@ def json_lines(stream: IO[str], source: str, expected: str, first: Iterable[str]
                     continue
                 start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
                 try:
-                    obj, end = _decode_json(line, start)
+                    obj, end = _scan_json(line, start)
                     if line[end:].strip(_JSON_SPACE):
                         raise ValueError
-                except ValueError:
+                except (StopIteration, ValueError):
                     raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
                 except RecursionError:
                     raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
@@ -184,6 +190,17 @@ def json_lines(stream: IO[str], source: str, expected: str, first: Iterable[str]
             return
         except UnicodeDecodeError as exc:
             lines = undecoded(stream, exc, lineno, source)
+
+
+def _scanned(texts: list[str]) -> list[dict] | None:
+    """The objects of ``texts``, each one object as :func:`json_lines` parses it, with no Python frame per text;
+    None if any is not."""
+    try:
+        parsed = list(map(_scan_json, texts, repeat(0)))  # ends early, at a text where nothing parses (StopIteration)
+    except (ValueError, RecursionError):
+        return None
+    objs, ends = list(map(itemgetter(0), parsed)), list(map(itemgetter(1), parsed))
+    return objs if ends == list(map(len, texts)) and set(map(type, objs)) == {dict} else None
 
 
 class ZeekLogReader:
@@ -199,6 +216,7 @@ class ZeekLogReader:
         self.header = ZeekHeader()
         self.trailer: list[str] = []
         self.format = ""
+        self.texts: list[tuple[str, int]] = []  # each JSON object's text and line number, of the last block
         self._pending: str | None = None
         self._lineno = 0
         self._read_preamble()
@@ -228,23 +246,19 @@ class ZeekLogReader:
             return
         if not line.startswith("#separator"):
             raise LogFormatError(
-                f"{self.source}: not a Zeek log (expected '#separator' or a "
-                f"JSON object on the first line)"
-            )
+                f"{self.source}: not a Zeek log (expected '#separator' or a JSON object on the first line)")
         self.format = "tsv"
         h = self.header
         # a log with no rows has its #close right after the header: a trailer line
         while line is not None and line.startswith("#") and not line.startswith("#close"):
             if h.fields and line.startswith("#separator"):
-                break  # a second header block (an unclosed empty log joined by cat): _tsv_records refuses it
+                break  # a second header block (an unclosed empty log joined by cat): _tsv_blocks refuses it
             h.preamble.append(line)
             if line.startswith("#separator "):
                 text = line[len("#separator ") :]
                 sep = _unescape_separator(text)
                 if sep is None:
-                    raise LogFormatError(
-                        f"{self.source}: line {self._lineno}: invalid #separator {text!r}"
-                    )
+                    raise LogFormatError(f"{self.source}: line {self._lineno}: invalid #separator {text!r}")
                 h.separator = sep
             else:
                 name, *values = line.split(h.separator)
@@ -254,20 +268,15 @@ class ZeekLogReader:
                     h.fields = values
                     for column, count in Counter(h.fields).items():
                         if count > 1:
-                            logger.warning(
-                                "%s: column %r appears %d times in #fields; reading the last",
-                                self.source, column, count,
-                            )
+                            logger.warning("%s: column %r appears %d times in #fields; reading the last",
+                                           self.source, column, count)
                 elif name == "#types":
                     h.types = values
             line = self._next_line()
         if not h.fields:
             raise LogFormatError(f"{self.source}: missing #fields line")
         if h.types is not None and len(h.types) != len(h.fields):
-            raise LogFormatError(
-                f"{self.source}: #fields and #types disagree "
-                f"({len(h.fields)} vs {len(h.types)})"
-            )
+            raise LogFormatError(f"{self.source}: #fields and #types disagree ({len(h.fields)} vs {len(h.types)})")
         self._pending = line
 
     def follow(self, stream: IO[str]) -> None:
@@ -275,74 +284,120 @@ class ZeekLogReader:
         self._stream, self.trailer, self.header.preamble = stream, [], []
         self._pending = self._next_line()
 
-    def records(self) -> Iterator[str | dict]:
-        """The data rows: each TSV line without its ``\n``, the object of each JSON line.
+    def _texts(self, first: str) -> Iterator[str]:
+        """Whole lines, each ending in ``\n``: ``first``, the line last read, with the stream's next text, then its
+        next ``BLOCK_BYTES`` of text at a time; at a non-UTF-8 byte, the whole lines before it read again
+        (:func:`undecoded`), then its error."""
+        text, lines_read = first + "\n", self._lineno - 1  # what is not yet yielded, and the lines before it
+        while True:
+            more, error = "", None
+            if hasattr(self._stream, "read"):
+                try:
+                    more = self._stream.read(BLOCK_BYTES)
+                except UnicodeDecodeError as exc:
+                    text = text[: text.rfind("\n") + 1]  # what undecoded reads again, from the line it cuts
+                    self._stream = undecoded(self._stream, exc, lines_read + text.count("\n"), self.source)
+                    continue
+            else:  # undecoded's replay, also of a bad byte the header met: whole lines, then the error
+                replayed: list[str] = []
+                try:
+                    replayed.extend(self._stream)
+                except LogFormatError as raised:
+                    error = raised
+                more = "".join(replayed)
+            text += more
+            if not more and text[-1:] not in ("", "\n"):  # the file's last line has no line end
+                text += "\n"
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield text[:cut]
+                lines_read += text.count("\n", 0, cut)
+            text = text[cut:]
+            if error is not None:
+                raise error
+            if not more:
+                return
+
+    def blocks(self) -> Iterator[list[str] | list[dict]]:
+        """The data rows a block at a time: lists of TSV lines without their ``\n``, or of JSON lines' objects.
 
         A TSV line has as many fields as the header, so :func:`cells_getter`
-        may split it only partly. Until the next record, ``text`` and
-        ``lineno`` are the exact text and the line number of a JSON object.
+        may split it only partly. Until the next block, ``texts`` holds the
+        exact text and line number of each JSON object. A block ends before a
+        bad row, a ``#`` line or a non-UTF-8 byte, whose error (or the trailer)
+        comes when the next block is asked for.
         """
-        if self.format == "tsv":
-            return self._tsv_records()
-        return self._json_records()
-
-    def _tsv_records(self) -> Iterator[str]:
         line, self._pending = self._pending, None
-        if line is None:
-            return
+        return iter(()) if line is None else (self._tsv_blocks if self.format == "tsv" else self._json_blocks)(line)
+
+    def records(self) -> Iterator[str | dict]:
+        """The data rows of :meth:`blocks`, one at a time."""
+        return chain.from_iterable(self.blocks())
+
+    def _tsv_blocks(self, first: str) -> Iterator[list[str]]:
         sep = self.header.separator
         n_fields = len(self.header.fields)
         n_seps = n_fields - 1
-        trailer = self.trailer
-        # lines before the pending one; rows and trailer lines count the rest
-        lines_before = self._lineno - 1
+        lines_before = self._lineno - 1  # before the first line; rows and trailer lines count the rest
         rowno = 0
-        lines = chain((line,), self._stream)
-        while True:
-            try:
-                if not trailer:
-                    for line in lines:
-                        line = line.rstrip("\n")
-                        if line[:1] == "#":
-                            lines = chain((line,), lines)
-                            break
-                        rowno += 1
-                        if line.count(sep) != n_seps:
-                            raise LogFormatError(
-                                f"{self.source}: row {rowno}: expected {n_fields} "
-                                f"fields, got {line.count(sep) + 1}"
-                            )
-                        yield line
-                    else:
-                        return
-                # footer directives (#close); everything after is kept verbatim,
-                # but a second header block (logs joined by cat) would go unread
-                for line in lines:
-                    line = line.rstrip("\n")
-                    if line.startswith("#separator"):
-                        raise LogFormatError(
-                            f"{self.source}: line {lines_before + rowno + len(trailer) + 1}: a second "
-                            "header block starts here; split concatenated logs into one file each"
-                        )
-                    trailer.append(line)
-                return
-            except UnicodeDecodeError as exc:
-                lines = undecoded(self._stream, exc, lines_before + rowno + len(trailer), self.source)
+        trailer = self.trailer
+        for text in self._texts(first):
+            rows = text[:-1].split("\n")
+            if not trailer:
+                # a "#" line ends the rows: a trailer, or a second header that the trailer refuses
+                at = text.find("#")
+                while at > 0 and text[at - 1] != "\n":  # a "#" in a cell
+                    at = text.find("#", at + 1)
+                end = len(rows) if at < 0 else text.count("\n", 0, at)
+                block = rows[:end]
+                counts = list(map(str.count, block, repeat(sep)))
+                if counts.count(n_seps) != len(counts):
+                    bad = next(k for k, count in enumerate(counts) if count != n_seps)
+                    if bad:
+                        yield block[:bad]
+                    raise LogFormatError(f"{self.source}: row {rowno + bad + 1}: expected {n_fields} fields, "
+                                         f"got {counts[bad] + 1}")
+                if block:
+                    yield block
+                rowno += len(block)
+                rows = rows[end:]
+            # footer directives (#close); everything after is kept verbatim,
+            # but a second header block (logs joined by cat) would go unread
+            for line in rows:
+                if line.startswith("#separator"):
+                    raise LogFormatError(
+                        f"{self.source}: line {lines_before + rowno + len(trailer) + 1}: a second "
+                        "header block starts here; split concatenated logs into one file each"
+                    )
+                trailer.append(line)
 
-    def _json_records(self) -> Iterator[dict]:
-        line, self._pending = self._pending, None
-        if line is None:
-            return
+    def _json_blocks(self, first: str) -> Iterator[list[dict]]:
         fields = self.header.fields
         known = set(fields)
-        for obj, self.text, self.lineno in json_lines(self._stream, self.source, "a JSON object", (line,),
-                                                      self._lineno - 1):
-            if not known.issuperset(obj):
-                for key in obj:
-                    if key not in known:
-                        known.add(key)
-                        fields.append(key)
-            yield obj
+        lines_read = self._lineno - 1
+        for text in self._texts(first):
+            lines = text[:-1].split("\n")
+            texts = list(map(str.strip, lines, repeat(_JSON_SPACE)))
+            block, error = _scanned(texts), None
+            if block is not None:
+                self.texts = list(zip(texts, range(lines_read + 1, lines_read + 1 + len(lines))))
+            else:  # a blank line, or one that is not one object: json_lines reads them, to the first error
+                parsed = []
+                try:
+                    parsed.extend(json_lines(lines, self.source, "a JSON object", lines_read=lines_read))
+                except LogFormatError as raised:
+                    error = raised
+                block = list(map(itemgetter(0), parsed))
+                self.texts = list(map(itemgetter(1, 2), parsed))
+            if not known.issuperset(chain.from_iterable(block)):  # keys first met in this block join the fields
+                fresh = [key for key in dict.fromkeys(chain.from_iterable(block)) if key not in known]
+                fields += fresh
+                known.update(fresh)
+            if block:
+                yield block
+            if error is not None:
+                raise error
+            lines_read += len(lines)
 
 
 def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
@@ -355,18 +410,14 @@ def read_log(stream: IO[str], source: str = "<log>") -> ZeekLogTable:
     """
     reader = ZeekLogReader(stream, source)
     table = ZeekLogTable(reader.header, [], reader.trailer, reader.format, source)
-    sep = reader.header.separator
-    for record in reader.records():
+    for block in reader.blocks():
         if reader.format == "tsv":
-            record = record.split(sep)
+            table.records += map(str.split, block, repeat(reader.header.separator))
         else:
-            table.texts.append((reader.text, reader.lineno))
-        table.records.append(record)
+            table.records += block
+            table.texts += reader.texts
     return table
 
-
-# rows a writer joins into one write; bounds its buffer however long the log
-WRITE_CHUNK_ROWS = 256
 
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode
 
@@ -384,39 +435,36 @@ def _relabeled_json(obj: dict, pair: tuple[str, str], source: str, lineno: int) 
         problem = "a number out of JSON's range"
     else:
         return text
-    raise LogFormatError(
-        f"{source}: line {lineno}: cannot relabel an object holding {problem}"
-    )
+    raise LogFormatError(f"{source}: line {lineno}: cannot relabel an object holding {problem}")
 
 
 def write_labeled(
     stream: IO[str],
     log: ZeekLogReader | ZeekLogTable,
-    records: Iterable[str | dict],
-    pair_of: Callable[[str | dict], tuple[str, str]],
-) -> dict[tuple[str, str], int]:
-    """Write ``log`` with the label pair ``pair_of(record)`` of each record.
+    blocks: Iterable[list[str] | list[dict]],
+    pairs_of: Callable[[list[str] | list[dict]], list[tuple[str, str]]],
+) -> Counter[tuple[str, str]]:
+    """Write ``log`` with the label pairs ``pairs_of(block)`` of each block's records.
 
-    ``records`` are what :meth:`ZeekLogReader.records` (or a table's
-    ``iter_rows``) yields for ``log``. A TSV log's directive lines are copied
-    verbatim, with the label columns it lacks appended to ``#fields`` and
-    ``#types``. One loop writes the records, ``WRITE_CHUNK_ROWS`` to a write,
-    each with its pair's tail, made once per pair: a TSV line gets the cells of
-    those columns appended (a label holding a tab, ``\n``, ``\r`` or the separator
-    is a :class:`LogFormatError`); only a line of a log that has a label column
-    already (a relabeled log) is split, to take the new value in place. A JSON
-    object is its own text with the label keys put before its closing brace;
-    one that has a label key already is encoded anew, compactly, with its label
+    ``blocks`` are what :meth:`ZeekLogReader.blocks` yields for ``log`` (a
+    table's records are one block, whose ``texts`` are the table's). A TSV
+    log's directive lines are copied verbatim, with the label columns it
+    lacks appended to ``#fields`` and ``#types``. Each block is written in
+    one call, each record with its pair's tail, made once per pair: a TSV
+    line gets the cells of those columns appended (a label holding a tab,
+    ``\n``, ``\r`` or the separator is a :class:`LogFormatError`); only a line
+    of a log that has a label column already (a relabeled log) is split, to
+    take the new value in place. A JSON object is its own text, from the
+    reader's ``texts``, with the label keys put before its closing brace; one
+    that has a label key already is encoded anew, compactly, with its label
     keys overwritten, and a :class:`LogFormatError` if it holds a value JSON or
     UTF-8 cannot carry. The trailer is written last, as a reader fills it only
     once its records are read. Returns how many rows got each pair.
     """
     header = log.header
     write = stream.write
-    counts: dict[tuple[str, str], int] = {}
+    counts: Counter[tuple[str, str]] = Counter()
     tails: dict[tuple[str, str], str] = {}
-    buf: list[str] = []
-    row = None  # (record, pair, tail) -> the record's output line, where that is more than record + tail
     if log.format == "tsv":
         sep = header.separator
         # (cell, pair member) of each label column the log already has
@@ -433,48 +481,42 @@ def write_labeled(
                 if any(char in text for char in (sep, "\t", "\n", "\r")):
                     raise LogFormatError(f"{log.source}: label {text!r} holds a tab, a line break or the separator")
             return "".join(sep + pair[k] for k in added) + "\n"
-        if present:
-            def row(line: str, pair: tuple[str, str], tail: str) -> str:
-                cells = line.split(sep)
-                for i, k in present:
-                    cells[i] = pair[k]
-                return sep.join(cells) + tail
+        def row(line: str, pair: tuple[str, str], tail: str) -> str:
+            cells = line.split(sep)
+            for i, k in present:
+                cells[i] = pair[k]
+            return sep.join(cells) + tail
+
+        def lines_of(block: list[str], pairs: list, tails: Iterator[str]) -> Iterator[str]:
+            return map(row, block, pairs, tails) if present else map(add, block, tails)
     else:
         label_key, detail_key = LABEL_FIELDS
         # ',"label":…,"detailed_label":…}\n', what takes an object's closing brace
         tail_of = lambda pair: "," + _encode_json(dict(zip(LABEL_FIELDS, pair)))[1:] + "\n"  # noqa: E731
 
-        def row(obj: dict, pair: tuple[str, str], tail: str) -> str:
+        def row(obj: dict, pair: tuple[str, str], tail: str, held: tuple[str, int]) -> str:
             if label_key in obj or detail_key in obj:
-                return _relabeled_json(obj, pair, log.source, log.lineno) + "\n"
-            return log.text[:-1] + (tail if obj else tail[1:])
+                return _relabeled_json(obj, pair, log.source, held[1]) + "\n"
+            return held[0][:-1] + (tail if obj else tail[1:])
 
-    for record in records:
-        pair = pair_of(record)
-        tail = tails.get(pair)
-        if tail is None:
-            tail = tails[pair] = tail_of(pair)
-            counts[pair] = 0
-        counts[pair] += 1
-        buf.append(record + tail if row is None else row(record, pair, tail))
-        if len(buf) == WRITE_CHUNK_ROWS:
-            write("".join(buf))
-            buf.clear()
-    write("".join(buf))
+        def lines_of(block: list[dict], pairs: list, tails: Iterator[str]) -> Iterator[str]:
+            return map(row, block, pairs, tails, log.texts)  # the reader's texts until its next block
+
+    for block in blocks:
+        pairs = pairs_of(block)
+        counts.update(pairs)
+        for pair in islice(counts, len(tails), None):  # the pairs first seen in this block, in order
+            tails[pair] = tail_of(pair)
+        write("".join(lines_of(block, pairs, map(tails.__getitem__, pairs))))
     write("".join(line + "\n" for line in log.trailer))
     return counts
 
 
-def write_log(
-    table: ZeekLogTable, labels: list[tuple[str, str]], stream: IO[str]
-) -> None:
-    """Write a table with one (label, detailed_label) pair per record."""
+def write_log(table: ZeekLogTable, labels: list[tuple[str, str]], stream: IO[str]) -> None:
+    """Write a table with one (label, detailed_label) pair per record: its records as one block."""
     if len(labels) != len(table.records):
-        raise UsageError(
-            f"{len(labels)} label pairs for {len(table.records)} records"
-        )
-    pairs = iter(labels)
-    write_labeled(stream, table, table.iter_rows(), lambda _: next(pairs))
+        raise UsageError(f"{len(labels)} label pairs for {len(table.records)} records")
+    write_labeled(stream, table, [list(table.iter_rows())], lambda block: labels)
 
 
 @contextmanager
@@ -675,12 +717,17 @@ def _projection(header: ZeekHeader, indexes: list[int]) -> tuple[Callable, int, 
     return str.rsplit, n - min(indexes), [i - n for i in indexes]
 
 
+def nulls(header: ZeekHeader) -> frozenset:
+    """What reads as unset: None, the header's unset and empty texts, and the empty string."""
+    return frozenset((None, header.unset_field, header.empty_field, ""))
+
+
 def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], str | None]:
     """One column's text in a record, resolved once; None when unset, empty or absent.
 
     The records are what :meth:`ZeekLogReader.records` yields for ``fmt``.
     """
-    null = frozenset((header.unset_field, header.empty_field, ""))
+    null = nulls(header)
     if fmt == "json":
 
         def get(obj):
@@ -691,30 +738,25 @@ def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dic
             return None if text in null else text
 
         return get
-    idx = header.index_of(name)
-    if idx is None:
+    if header.index_of(name) is None:
         return lambda line: None
-    split, maxsplit, (at,) = _projection(header, [idx])
-    sep = header.separator
-
-    def cell(line):
-        text = split(line, sep, maxsplit)[at]
-        return None if text in null else text
-
-    return cell
+    cells = cells_getter(header, fmt, (name,))
+    return lambda line: None if (text := cells([line])[0]) in null else text
 
 
-def cells_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...]) -> Callable[[str | dict], tuple]:
-    """Two or more columns of a record, resolved once: the tuple of a TSV line's verbatim cells,
-    split only as far as they lie, else of :func:`field_getter`'s values; so None and the
-    header's unset and empty texts read as unset."""
+def cells_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...]) -> Callable[[list], list]:
+    """Columns ``names`` of each record of a block, resolved once: a list of one name's cells, or of
+    several names' tuples. A TSV line's cells are verbatim, split only as far as they lie, else they
+    are :func:`field_getter`'s values; so any of :func:`nulls` reads as unset."""
     indexes = [header.index_of(name) for name in names]
     if fmt == "json" or None in indexes:
         getters = [field_getter(header, fmt, name) for name in names]
-        return lambda record: tuple([get(record) for get in getters])
+        if len(getters) == 1:
+            return lambda block: list(map(getters[0], block))
+        return lambda block: list(zip(*[map(get, block) for get in getters]))
     split, maxsplit, at = _projection(header, indexes)
     sep, get = header.separator, itemgetter(*at)
-    return lambda line: get(split(line, sep, maxsplit))
+    return lambda block: list(map(get, map(split, block, repeat(sep), repeat(maxsplit))))
 
 
 def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], list[str]]:
@@ -739,9 +781,8 @@ def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict]
     return split
 
 
-def first_getter(
-    header: ZeekHeader, fmt: str, names: tuple[str, ...], getter: Callable = field_getter
-) -> Callable[[str | dict], object]:
+def first_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...],
+                 getter: Callable = field_getter) -> Callable[[str | dict], object]:
     """``getter`` for the first of ``names`` a record has: a function of a record.
 
     It returns None for a record with none of ``names``. A TSV log's records

@@ -141,6 +141,21 @@ def test_label_refuses_to_overwrite_input(portscan_dir, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("through_link", [False, True], ids=["path", "symlink"])
+def test_label_refuses_to_overwrite_its_config(portscan_dir, capsys, through_link):
+    config = portscan_dir / "portscan.conf"
+    before = config.read_bytes()
+    output = portscan_dir / "out.log" if through_link else config
+    if through_link:
+        output.symlink_to(config)
+    rc = main(["label", str(portscan_dir / "conn.log"), "--config", str(config), "--output", str(output)])
+    assert rc == 2
+    assert _one_error_line(capsys.readouterr().err) == f"error: refusing to overwrite the input file {config}"
+    assert config.read_bytes() == before
+    assert sorted(p.name for p in portscan_dir.iterdir()) == ["conn.log", *(["out.log"] if through_link else []),
+                                                              "portscan.conf"]
+
+
 def test_label_infix_for_names_without_log_suffix(tmp_path, capsys):
     conn = tmp_path / "capture"
     conn.write_text(conn_log_text([conn_row()]))
@@ -933,6 +948,37 @@ def test_propagate_accepts_a_json_conn_log_whose_uid_key_first_appears_past_the_
     ]
     assert [r.getMessage() for r in caplog.records] == ["30 conn rows had no uid and were left out of the index"]
     assert forks == ([] if processes == "one" else ["halves"])  # one log: no child for the logs
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["path", "symlink"])
+def test_propagate_refuses_to_overwrite_its_labeled_conn_log(proplogs_dir, tmp_path, capsys, through_link):
+    # a labeled conn.log named after a log beside it: that log's output would be the labeled conn.log itself
+    _label_proplogs(proplogs_dir)
+    d = tmp_path / "d"
+    d.mkdir()
+    shutil.copy(proplogs_dir / "http.log", d / "http.log")
+    labeled = d / "http.labeled.log"
+    shutil.copy(proplogs_dir / "conn.labeled.log", labeled)
+    before = labeled.read_bytes()
+    given = tmp_path / "labels.log" if through_link else labeled
+    if through_link:
+        given.symlink_to(labeled)
+    capsys.readouterr()
+    assert main(["propagate", str(given), str(d)]) == 2
+    assert _one_error_line(capsys.readouterr().err) == f"error: refusing to overwrite the input file {given}"
+    assert labeled.read_bytes() == before
+    assert sorted(p.name for p in d.iterdir()) == ["http.labeled.log", "http.log"]
+
+
+def test_propagate_writes_a_log_named_after_its_conn_log_source(proplogs_dir, capsys):
+    # the conn.log the labels came from, under any name, is skipped, not written over its labeled copy
+    _label_proplogs(proplogs_dir)
+    (proplogs_dir / "conn.log").rename(proplogs_dir / "flows.log")
+    (proplogs_dir / "conn.labeled.log").rename(proplogs_dir / "flows.labeled.log")
+    before = (proplogs_dir / "flows.labeled.log").read_bytes()
+    assert main(["propagate", str(proplogs_dir / "flows.labeled.log"), str(proplogs_dir)]) == 0
+    assert (proplogs_dir / "flows.labeled.log").read_bytes() == before
+    assert (proplogs_dir / "http.labeled.log").exists()
 
 
 def _label_proplogs(proplogs_dir) -> None:

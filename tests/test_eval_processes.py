@@ -119,6 +119,19 @@ def test_each_process_tallies_its_half_and_the_report_is_that_of_one(both, two_p
     assert two[0] == 0 and two[3] == "WARNING: 2 rows skipped during evaluation (missing uid, ts or source IP)"
 
 
+def test_eval_forks_from_its_own_weighed_bytes(tmp_path, monkeypatch, run_eval, two_processes):
+    data, detections = _log([_row(i) for i in range(ROWS)]), _detections("C00007")
+    weighed = len(data) * metrics.TALLY_BYTE_COST
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", weighed + 1)
+    one = run_eval(tmp_path / "one", data, detections)
+    assert two_processes == []
+    monkeypatch.setattr(zeekio, "FORK_MIN_BYTES", weighed)
+    assert run_eval(tmp_path / "two", data, detections) == one
+    assert two_processes == ["halves"]
+    monkeypatch.undo()
+    assert zeekio.FORK_MIN_BYTES / metrics.TALLY_BYTE_COST == 1 << 20  # from 1 MiB, as the docs say
+
+
 def test_a_bad_row_in_the_second_half_is_named_by_its_number_in_the_file(both, two_processes):
     data = _log([_row(i) for i in range(ROWS)])
     bad = _first_row_of_the_child(data) + 5

@@ -134,7 +134,7 @@ def test_the_index_forks_from_its_own_weighed_bytes(tmp_path, monkeypatch, two_p
     assert propagate_dir(conn, logs, tmp_path / "two") == one
     assert two_processes == ["halves"]
     monkeypatch.undo()
-    assert zeekio.FORK_MIN_BYTES / propagate.INDEX_BYTE_COST == 2 << 20  # from 2 MiB, as the docs say
+    assert zeekio.FORK_MIN_BYTES / propagate.INDEX_BYTE_COST == 1 << 20  # from 1 MiB, as the docs say
 
 
 def test_a_child_that_ends_partway_through_its_uids_is_one_error(tmp_path, monkeypatch, two_processes):

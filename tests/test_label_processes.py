@@ -58,10 +58,10 @@ def labeled_by(monkeypatch, tmp_path):
     record = tmp_path.parent / f"{tmp_path.name}-writers.txt"
     write_labeled = labeler.write_labeled
 
-    def recorded(dst, log, records, pair_of):
+    def recorded(dst, log, blocks, pairs_of):
         with open(record, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return write_labeled(dst, log, records, pair_of)
+        return write_labeled(dst, log, blocks, pairs_of)
 
     monkeypatch.setattr(labeler, "write_labeled", recorded)
     return lambda: ["parent" if int(pid) == os.getpid() else "child" for pid in record.read_text().split()]
@@ -213,15 +213,16 @@ def test_a_child_killed_partway_is_one_error_and_leaves_no_file(tmp_path, monkey
     conn, argv = _case(tmp_path, conn_log_text(_rows()).encode())
     parent = os.getpid()
     write_labeled = labeler.write_labeled
+    monkeypatch.setattr(zeekio, "BLOCK_BYTES", 256)  # a block of about two rows
 
-    def killed_partway(records):
-        for n, record in enumerate(records):
+    def killed_partway(blocks):
+        for n, block in enumerate(blocks):
             if n == 10:
                 os.kill(os.getpid(), signal.SIGKILL)
-            yield record
+            yield block
 
-    def recorded(dst, log, records, pair_of):
-        return write_labeled(dst, log, records if os.getpid() == parent else killed_partway(records), pair_of)
+    def recorded(dst, log, blocks, pairs_of):
+        return write_labeled(dst, log, blocks if os.getpid() == parent else killed_partway(blocks), pairs_of)
 
     monkeypatch.setattr(labeler, "write_labeled", recorded)
     assert main(argv) == 1
@@ -236,10 +237,10 @@ def test_the_child_is_reaped_when_this_process_raises(tmp_path, monkeypatch, two
     parent = os.getpid()
     write_labeled = labeler.write_labeled
 
-    def interrupted(dst, log, records, pair_of):
+    def interrupted(dst, log, blocks, pairs_of):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return write_labeled(dst, log, records, pair_of)
+        return write_labeled(dst, log, blocks, pairs_of)
 
     monkeypatch.setattr(labeler, "write_labeled", interrupted)
     with pytest.raises(KeyboardInterrupt):

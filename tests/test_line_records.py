@@ -84,8 +84,9 @@ def test_line_records_read_and_write_as_their_cells(seed):
         chosen = tuple(rng.sample(names[:-1], rng.randrange(2, 6)))
         get = cells_getter(header, "tsv", chosen)
         first = first_getter(header, "tsv", (names[-1], chosen[0]))
-        for line, cells in zip(lines, references):
-            assert get(line) == tuple(cells[header.index_of(name)] for name in chosen)
+        assert get(lines) == [tuple(cells[header.index_of(name)] for name in chosen) for cells in references]
+        assert cells_getter(header, "tsv", chosen[:1])(lines) == [cells[header.index_of(chosen[0])] for cells in references]
+        for line in lines:
             assert first(line) == field_getter(header, "tsv", chosen[0])(line)
 
     # write_labeled over lines against a writer of the cell lists
@@ -93,7 +94,7 @@ def test_line_records_read_and_write_as_their_cells(seed):
     out = io.StringIO()
     reader = ZeekLogReader(io.StringIO(text))
     it = iter(pairs)
-    counts = write_labeled(out, reader, reader.records(), lambda _: next(it))
+    counts = write_labeled(out, reader, reader.blocks(), lambda block: [next(it) for _ in block])
     added = [name for name in LABEL_FIELDS if name not in fields]
     want = []
     for line in header.preamble:

@@ -53,10 +53,10 @@ def labeled_by(monkeypatch, tmp_path):
     record = tmp_path / "writers.txt"
     write_labeled = propagate.write_labeled
 
-    def recorded(dst, reader, records, pair_of):
+    def recorded(dst, reader, blocks, pairs_of):
         with open(record, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {os.path.basename(reader.source)}\n")
-        return write_labeled(dst, reader, records, pair_of)
+        return write_labeled(dst, reader, blocks, pairs_of)
 
     monkeypatch.setattr(propagate, "write_labeled", recorded)
 
@@ -121,12 +121,12 @@ def test_a_child_killed_partway_is_one_error_and_leaves_no_temp_file(
     parent = os.getpid()
     write_labeled = propagate.write_labeled
 
-    def killed_at_zz(dst, reader, records, pair_of):
+    def killed_at_zz(dst, reader, blocks, pairs_of):
         if os.getpid() != parent and reader.source.endswith("zz.log"):
             # the child wrote the first log's temp file, which this process named and made
             assert (out / f".http.labeled.log.{parent}.tmp").read_text().startswith("#separator")
             os.kill(os.getpid(), signal.SIGKILL)
-        return write_labeled(dst, reader, records, pair_of)
+        return write_labeled(dst, reader, blocks, pairs_of)
 
     monkeypatch.setattr(propagate, "write_labeled", killed_at_zz)
     assert main(argv) == 1
@@ -164,10 +164,10 @@ def test_the_child_is_reaped_when_this_process_raises(tmp_path, monkeypatch, two
     parent = os.getpid()
     write_labeled = propagate.write_labeled
 
-    def interrupted(dst, reader, records, pair_of):
+    def interrupted(dst, reader, blocks, pairs_of):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return write_labeled(dst, reader, records, pair_of)
+        return write_labeled(dst, reader, blocks, pairs_of)
 
     monkeypatch.setattr(propagate, "write_labeled", interrupted)
     with pytest.raises(KeyboardInterrupt):

@@ -147,7 +147,7 @@ def test_labeled_json_object_is_its_object_with_the_label_keys(rows, rendering):
     reader = ZeekLogReader(io.StringIO(text))
     pairs = iter(pair for _, pair in rows)
     out = io.StringIO()
-    write_labeled(out, reader, reader.records(), lambda _: next(pairs))
+    write_labeled(out, reader, reader.blocks(), lambda block: [next(pairs) for _ in block])
     lines = out.getvalue().split("\n")
     assert lines.pop() == "" and len(lines) == len(rows)
     for line, (obj, (label, detail)) in zip(lines, rows):
