@@ -28,6 +28,7 @@ from .metrics import MALICIOUS, MAX_WINDOWS, STATUS, UNKNOWN, ConfusionCounts, e
 from .ontology import load_ontology
 from .propagate import propagate_dir
 from .rules import load_config
+from .zeekio import labeled_name
 
 
 def _read_config(path: Path) -> tuple[str, str]:
@@ -40,12 +41,6 @@ def _read_config(path: Path) -> tuple[str, str]:
         raise ConfigError(f"{path}: config file is not valid UTF-8") from None
 
 
-def _labeled_path(path: Path) -> Path:
-    if path.name.endswith(".log"):
-        return path.with_name(path.name[: -len(".log")] + ".labeled.log")
-    return path.with_name(path.name + ".labeled")
-
-
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
@@ -56,7 +51,7 @@ def cmd_label(ns: argparse.Namespace) -> int:
     text, digest = _read_config(config_path)
     _, ruleset = load_config(text)
 
-    out_path = Path(ns.output) if ns.output else _labeled_path(conn_path)
+    out_path = Path(ns.output) if ns.output else conn_path.with_name(labeled_name(conn_path.name))
     for path in (conn_path, config_path):
         if out_path.resolve() == path.resolve():
             raise UsageError(f"refusing to overwrite the input file {path}")

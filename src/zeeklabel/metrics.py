@@ -38,6 +38,7 @@ from .labeler import EMPTY_LABEL, warn_foreign_labels
 from .ontology import MALICIOUS, UNKNOWN
 from .values import Frozen
 from .zeekio import LABEL_FIELDS, ZeekLogReader, _to_float, cells_getter, in_halves, json_lines, nulls
+from .zeekio import surrogate_escaped
 
 logger = logging.getLogger(__name__)
 
@@ -327,7 +328,7 @@ def timeline_confusion(timelines: dict[IPAddress, list[WindowRun]]) -> Confusion
 def read_detections(stream: IO[str], source: str = "<detections>") -> list[DetectionRecord]:
     """Parse detections, {"ip", "time", "evidence": [uids]}, from JSON lines read as a log's (:func:`json_lines`)."""
     records: list[DetectionRecord] = []
-    for obj, _, lineno in json_lines(stream, source, "an object"):
+    for obj, _, lineno in json_lines(surrogate_escaped(stream), source, "an object"):
         try:
             ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
             if type(ip) is not str:  # ip_address reads an int as an IPv4 address

@@ -29,7 +29,7 @@ from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .ontology import BENIGN, MALICIOUS, UNKNOWN
 from .values import Value
 from .zeekio import ZeekHeader, ZeekLogReader, can_fork, cells_getter, field_getter, first_getter, held_back, in_halves
-from .zeekio import in_two_processes, nulls, release, replace_all_on_success, set_getter, write_labeled
+from .zeekio import in_two_processes, labeled_name, nulls, release, replace_all_on_success, set_getter, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -185,7 +185,7 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
     n_ssl = sum(stem == "ssl" for stem in stems.values())
     ssl_readers: list[ZeekLogReader] = []
     cert_map: dict[str, LabelPair] = {}
-    output_of = lambda path: out_dir / (path.name[: -len(".log")] + ".labeled.log")  # noqa: E731
+    output_of = lambda path: out_dir / labeled_name(path.name)  # noqa: E731
 
     def kind_of(path: Path, reader: ZeekLogReader | None) -> str:
         """``conn`` or ``x509`` by the stem or ``#path`` of ``path``, else ``ssl`` by its stem, else ``other``."""

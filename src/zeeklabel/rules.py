@@ -219,8 +219,8 @@ class RuleSet(Frozen):
     def classifier(self, header: ZeekHeader, fmt: str) -> Callable[[str | dict], int]:
         """A function from a record to the number of the first rule it matches, ``len(self)`` if none.
 
-        Built once per conn.log header: the records are what
-        :meth:`zeeklabel.zeekio.ZeekLogReader.records` yields for ``header``
+        Built once per conn.log header: the records are those of the blocks
+        :meth:`zeeklabel.zeekio.ZeekLogReader.blocks` yields for ``header``
         and ``fmt``, and each is read as :class:`ConnSchema` reads it.
         """
         return _Compiler(header, fmt).classifier(self.rules)

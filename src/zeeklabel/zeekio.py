@@ -18,9 +18,12 @@ row runs inside ``map``: :meth:`ZeekLogReader.blocks` reads ``BLOCK_BYTES`` of
 text at a time into a list of TSV data lines without their ``\n``, checked
 for their field count, or of the objects the decoder built from JSON lines,
 whose exact texts and line numbers the reader holds in ``texts`` until the
-next block. A block ends before a bad row, a ``#`` line or a non-UTF-8 byte,
-whose error (or the trailer) comes with the next block, so the first error in
-the file is the one reported, whatever the block size. :func:`json_lines`
+next block. Every stream is read with surrogate escapes (:func:`surrogate_escaped`),
+so a byte that is not UTF-8 is found as a lone surrogate in the text, in a file
+or a pipe alike; a ``str`` stream that holds a lone surrogate is refused at that
+line too. A block ends before a bad row, a ``#`` line or such a byte, whose
+error (or the trailer) comes with the next block, so the first error in the
+input is the one reported, whatever the block size. :func:`json_lines`
 reads the JSON lines that a block cannot take whole, and ``eval``'s
 detections. :func:`cells_getter` reads columns of a block, and
 :func:`field_getter` and :func:`set_getter` of one record, each resolved once
@@ -114,7 +117,7 @@ class ZeekLogTable(Value):
         return len(self.records)
 
     def iter_rows(self) -> Iterator[str | dict]:
-        """The records as :meth:`ZeekLogReader.records` yields them."""
+        """The records one at a time, as :meth:`ZeekLogReader.blocks` yields them."""
         if self.format == "tsv":
             return map(self.header.separator.join, self.records)
         return iter(self.records)
@@ -144,52 +147,48 @@ def _json_cell(value: object, header: ZeekHeader) -> str:
     return _json_scalar(value)
 
 
-def undecoded(stream: IO[str], exc: UnicodeDecodeError, lines_read: int, source: str) -> Iterator[str]:
-    """The whole lines of ``stream`` past ``lines_read`` and before ``exc``'s bad byte, read again with surrogate
-    escapes so that a bad line among them is reported first; then the error naming the byte's line.
-
-    A text stream decodes the chunk that continues the first line not yet
-    read, so the byte sits that many newlines into the chunk past that line.
-    """
-    lineno = lines_read + 1 + (exc.object.count(b"\n", 0, exc.start) if isinstance(exc.object, bytes) else 0)
-    if (raw := getattr(stream, "buffer", None)) is not None and raw.seekable():
-        end = raw.tell() - len(exc.object) + exc.start  # the bad byte's offset
-        raw.seek(0)
-        next(islice(raw, lines_read, lines_read), None)
-        data = raw.read(max(end - raw.tell(), 0))
-        lineno = lines_read + 1 + data.count(b"\n")  # also past the lines of a read() that failed
-        yield from (line for line in io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
-                    if line[-1:] == "\n")
-    raise LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
+def surrogate_escaped(stream: IO[str]) -> IO[str]:
+    """``stream``, set before its first read to decode a byte that is not UTF-8 as a lone surrogate (U+DC80-U+DCFF),
+    which no valid UTF-8 decodes to, for :func:`_surrogate_at` to find; a stream of ``str`` is read as it is. A
+    text stream that was read from already raises :class:`io.UnsupportedOperation`."""
+    if hasattr(stream, "reconfigure"):
+        stream.reconfigure(errors="surrogateescape")
+    return stream
 
 
-def json_lines(stream: IO[str], source: str, expected: str, first: Iterable[str] = (),
-               lines_read: int = 0) -> Iterator[tuple[dict, str, int]]:
-    """``(object, text, lineno)`` of each line of ``first``, then of ``stream``, that is not blank: the line parsed
-    as :func:`json.loads` parses it, the exact text of its object, and its number counted on from ``lines_read``.
-    A line that is not JSON, nested too deeply or not ``expected`` (an object) is a :class:`LogFormatError`, and
-    so is a non-UTF-8 byte once the whole lines before it are read."""
-    lines, lineno = chain(first, stream), lines_read
-    while True:
+def _surrogate_at(text: str) -> int | None:
+    """Where ``text`` holds its first lone surrogate, a byte :func:`surrogate_escaped` read that is not UTF-8."""
+    if not text.isascii():  # O(1): the common case pays no scan
         try:
-            for lineno, line in enumerate(lines, lineno + 1):
-                if line[:1] != "{" and not line.strip():
-                    continue
-                start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
-                try:
-                    obj, end = _scan_json(line, start)
-                    if line[end:].strip(_JSON_SPACE):
-                        raise ValueError
-                except (StopIteration, ValueError):
-                    raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
-                except RecursionError:
-                    raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
-                if not isinstance(obj, dict):
-                    raise LogFormatError(f"{source}: line {lineno}: expected {expected}")
-                yield obj, line[start:end], lineno
-            return
-        except UnicodeDecodeError as exc:
-            lines = undecoded(stream, exc, lineno, source)
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return exc.start
+    return None
+
+
+def json_lines(lines: Iterable[str], source: str, expected: str,
+               lines_read: int = 0) -> Iterator[tuple[dict, str, int]]:
+    """``(object, text, lineno)`` of each of ``lines`` that is not blank: the line parsed as :func:`json.loads`
+    parses it, the exact text of its object, and its number counted on from ``lines_read``. A line that holds a lone
+    surrogate (a byte that is not UTF-8, :func:`_surrogate_at`), is not JSON, is nested too deeply or is not
+    ``expected`` (an object) is a :class:`LogFormatError`."""
+    for lineno, line in enumerate(lines, lines_read + 1):
+        if line[:1] != "{" and not line.strip():
+            continue
+        if _surrogate_at(line) is not None:
+            raise LogFormatError(f"{source}: line {lineno}: not valid UTF-8")
+        start = 0 if line[:1] == "{" else len(line) - len(line.lstrip(_JSON_SPACE))
+        try:
+            obj, end = _scan_json(line, start)
+            if line[end:].strip(_JSON_SPACE):
+                raise ValueError
+        except (StopIteration, ValueError):
+            raise LogFormatError(f"{source}: line {lineno}: invalid JSON") from None
+        except RecursionError:
+            raise LogFormatError(f"{source}: line {lineno}: JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise LogFormatError(f"{source}: line {lineno}: expected {expected}")
+        yield obj, line[start:end], lineno
 
 
 def _scanned(texts: list[str]) -> list[dict] | None:
@@ -211,7 +210,7 @@ class ZeekLogReader:
     """
 
     def __init__(self, stream: IO[str], source: str = "<log>") -> None:
-        self._stream = stream
+        self._stream = surrogate_escaped(stream)
         self.source = source
         self.header = ZeekHeader()
         self.trailer: list[str] = []
@@ -222,14 +221,12 @@ class ZeekLogReader:
         self._read_preamble()
 
     def _next_line(self) -> str | None:
-        try:
-            line = next(self._stream, "")
-        except UnicodeDecodeError as exc:
-            self._stream = undecoded(self._stream, exc, self._lineno, self.source)
-            return self._next_line()
+        line = next(self._stream, "")
         if line == "":
             return None
         self._lineno += 1
+        if _surrogate_at(line) is not None:
+            raise LogFormatError(f"{self.source}: line {self._lineno}: not valid UTF-8")
         return line.rstrip("\n")
 
     def _read_preamble(self) -> None:
@@ -241,7 +238,7 @@ class ZeekLogReader:
         if line.lstrip().startswith("{"):
             self.format = "json"
             self._pending = line
-            first = json_lines(self._stream, self.source, "a JSON object", (line,), self._lineno - 1)
+            first = json_lines([line], self.source, "a JSON object", self._lineno - 1)
             self.header.fields = list(next(first)[0])
             return
         if not line.startswith("#separator"):
@@ -281,40 +278,28 @@ class ZeekLogReader:
 
     def follow(self, stream: IO[str]) -> None:
         """Read ``stream``'s lines as this log's next records, with no directive lines to write before them."""
-        self._stream, self.trailer, self.header.preamble = stream, [], []
+        self._stream, self.trailer, self.header.preamble = surrogate_escaped(stream), [], []
         self._pending = self._next_line()
 
     def _texts(self, first: str) -> Iterator[str]:
         """Whole lines, each ending in ``\n``: ``first``, the line last read, with the stream's next text, then its
-        next ``BLOCK_BYTES`` of text at a time; at a non-UTF-8 byte, the whole lines before it read again
-        (:func:`undecoded`), then its error."""
+        next ``BLOCK_BYTES`` of text at a time; at a byte that is not UTF-8 (:func:`_surrogate_at`), the whole lines
+        before it, then its error."""
         text, lines_read = first + "\n", self._lineno - 1  # what is not yet yielded, and the lines before it
         while True:
-            more, error = "", None
-            if hasattr(self._stream, "read"):
-                try:
-                    more = self._stream.read(BLOCK_BYTES)
-                except UnicodeDecodeError as exc:
-                    text = text[: text.rfind("\n") + 1]  # what undecoded reads again, from the line it cuts
-                    self._stream = undecoded(self._stream, exc, lines_read + text.count("\n"), self.source)
-                    continue
-            else:  # undecoded's replay, also of a bad byte the header met: whole lines, then the error
-                replayed: list[str] = []
-                try:
-                    replayed.extend(self._stream)
-                except LogFormatError as raised:
-                    error = raised
-                more = "".join(replayed)
+            more = self._stream.read(BLOCK_BYTES)
             text += more
             if not more and text[-1:] not in ("", "\n"):  # the file's last line has no line end
                 text += "\n"
             cut = text.rfind("\n") + 1
-            if cut:
-                yield text[:cut]
-                lines_read += text.count("\n", 0, cut)
-            text = text[cut:]
-            if error is not None:
-                raise error
+            whole, text = text[:cut], text[cut:]
+            if (at := _surrogate_at(whole)) is not None:
+                whole = whole[: whole.rfind("\n", 0, at) + 1]
+            if whole:
+                yield whole
+            lines_read += whole.count("\n")
+            if at is not None:
+                raise LogFormatError(f"{self.source}: line {lines_read + 1}: not valid UTF-8")
             if not more:
                 return
 
@@ -329,10 +314,6 @@ class ZeekLogReader:
         """
         line, self._pending = self._pending, None
         return iter(()) if line is None else (self._tsv_blocks if self.format == "tsv" else self._json_blocks)(line)
-
-    def records(self) -> Iterator[str | dict]:
-        """The data rows of :meth:`blocks`, one at a time."""
-        return chain.from_iterable(self.blocks())
 
     def _tsv_blocks(self, first: str) -> Iterator[list[str]]:
         sep = self.header.separator
@@ -557,6 +538,11 @@ def replace_all_on_success() -> Iterator[Callable[[Path], IO[str]]]:
         raise
 
 
+def labeled_name(name: str) -> str:
+    """The name of the labeled copy of the log named ``name``: ``<stem>.labeled.log``, or ``name.labeled``."""
+    return name[: -len(".log")] + ".labeled.log" if name.endswith(".log") else name + ".labeled"
+
+
 FORK_MIN_BYTES = 768 << 10  # input bytes from which label, propagate and eval may use a second process
 _HELD_LOGGERS = tuple(logging.getLogger(f"zeeklabel.{name}") for name in ("labeler", "metrics", "propagate", "zeekio"))
 
@@ -725,7 +711,7 @@ def nulls(header: ZeekHeader) -> frozenset:
 def field_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], str | None]:
     """One column's text in a record, resolved once; None when unset, empty or absent.
 
-    The records are what :meth:`ZeekLogReader.records` yields for ``fmt``.
+    The records are those of the blocks :meth:`ZeekLogReader.blocks` yields for ``fmt``.
     """
     null = nulls(header)
     if fmt == "json":

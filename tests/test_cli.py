@@ -9,6 +9,8 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
+from contextlib import suppress
 
 import pytest
 
@@ -39,6 +41,34 @@ def proplogs_dir(tmp_path):
     d = tmp_path / "proplogs"
     shutil.copytree(DATA_DIR / "proplogs", d)
     return d
+
+
+@pytest.fixture
+def piped():
+    """``piped(path)`` makes the file at ``path`` a FIFO that a thread feeds with its bytes, as a shell's
+    ``<(cat path)`` would. The thread ends with the test, also where nothing opened the FIFO."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("os.mkfifo is not available")
+    writers = []
+
+    def feed(fifo, data):
+        with suppress(BrokenPipeError), open(fifo, "wb", buffering=0) as out:
+            out.write(data)
+
+    def pipe(path):
+        data = path.read_bytes()
+        path.unlink()
+        os.mkfifo(path)
+        writer = threading.Thread(target=feed, args=(path, data), daemon=True)
+        writer.start()
+        writers.append((path, writer))
+
+    yield pipe
+    for path, writer in writers:
+        # a reader of our own lets a writer still waiting in open() go on, to a write that fails at once
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def test_label_writes_labeled_copy(portscan_dir, capsys):
@@ -761,9 +791,11 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command):
     assert not list(tmp_path.glob(".*.tmp"))
 
 
-@pytest.mark.parametrize("command", ["label", "label-forked", "propagate", "eval", "eval-forked"])
+@pytest.mark.parametrize("command", ["label", "label-forked", "label-piped", "propagate", "propagate-piped", "eval",
+                                     "eval-forked", "eval-piped"])
 def test_a_bad_row_before_a_non_utf8_byte_in_one_decode_chunk_is_the_error(tmp_path, capsys, request, command):
-    # 50 rows: row 3 cut short and a \xff byte in row 10, in the first 8 KiB that the text stream decodes at once
+    # 50 rows: row 3 cut short and a \xff byte in row 10, in the first 8 KiB that the text stream decodes at once;
+    # from a file, or from a pipe, which cannot be read a second time
     lines = (DATA_DIR / "portscan" / "conn.log").read_bytes().splitlines()
     head = [line for line in lines if line.startswith(b"#") and not line.startswith(b"#close")]
     rows = [line for line in lines if not line.startswith(b"#")] * 2
@@ -773,24 +805,28 @@ def test_a_bad_row_before_a_non_utf8_byte_in_one_decode_chunk_is_the_error(tmp_p
     bad.write_bytes(b"\n".join(head + rows[:50]) + b"\n")
     assert bad.stat().st_size < 8192
     forks = request.getfixturevalue("two_processes") if command.endswith("-forked") else None
+    if command.endswith("-piped"):
+        request.getfixturevalue("piped")(bad)
     argv = {
         "label": ["label", str(bad), "--config", str(DATA_DIR / "portscan.conf")],
         "propagate": ["propagate", str(bad), str(tmp_path)],
         "eval": ["eval", str(bad), str(DATA_DIR / "fig2" / "detections.jsonl")],
-    }[command.removesuffix("-forked")]
+    }[command.split("-")[0]]
     assert main(argv) == 1
     assert _one_error_line(capsys.readouterr().err) == f"error: {bad}: row 3: expected 21 fields, got 20"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conn.log"]
     assert forks is None or len(forks) == 1
 
 
-@pytest.mark.parametrize("command", ["eval", "eval-forked"])
+@pytest.mark.parametrize("command", ["eval", "eval-forked", "eval-piped"])
 def test_a_bad_detections_line_before_a_non_utf8_byte_is_the_error(tmp_path, capsys, request, command):
     # fig2's detection, a line that is not JSON, then one with a \xff byte, in the first 8 KiB decoded at once
     first = (DATA_DIR / "fig2" / "detections.jsonl").read_bytes().splitlines()[0]
     detections = tmp_path / "detections.jsonl"
     detections.write_bytes(b"\n".join([first, b"not json", first.replace(b'"ip"', b'"ip\xff"')]) + b"\n")
     forks = request.getfixturevalue("two_processes") if command.endswith("-forked") else None
+    if command.endswith("-piped"):
+        request.getfixturevalue("piped")(detections)
     assert main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(detections)]) == 1
     assert _one_error_line(capsys.readouterr().err) == f"error: {detections}: line 2: invalid JSON"
     assert not forks  # the detections are read before the conn.log is split

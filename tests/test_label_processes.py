@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+from itertools import chain
 
 import pytest
 
@@ -283,7 +284,8 @@ def test_after_the_halves_the_reader_holds_the_fields_that_one_process_reads(tmp
     assert '"k"' not in text[: len(text) // 2]
 
     def count_rows(reader, halves):
-        count = halves(lambda _: sum(1 for _ in reader.records()), lambda mine, theirs: mine + theirs)
+        count = halves(lambda _: sum(1 for _ in chain.from_iterable(reader.blocks())),
+                       lambda mine, theirs: mine + theirs)
         return count, reader.header.fields
 
     two = zeekio.in_halves("label", log, count_rows)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import random
+from itertools import chain
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_line_records_read_and_write_as_their_cells(seed):
     text, sep, fields, references = _case(rng)
     reader = ZeekLogReader(io.StringIO(text))
     header = reader.header
-    lines = list(reader.records())
+    lines = list(chain.from_iterable(reader.blocks()))
     assert [line.split(sep) for line in lines] == references
     null = {"-", "(empty)", ""}
     names = [*dict.fromkeys(fields), "no_such_column"]
@@ -125,6 +126,6 @@ def test_a_short_or_long_row_is_reported_at_its_row(seed):
     lines.insert(data_at[k] if k < len(data_at) else len(lines) - 1, sep.join(bad) + "\n")
     reader = ZeekLogReader(io.StringIO("".join(lines)))
     with pytest.raises(LogFormatError) as err:
-        list(reader.records())
+        list(chain.from_iterable(reader.blocks()))
     got = len(sep.join(bad).split(sep))
     assert str(err.value) == f"<log>: row {k + 1}: expected {len(fields)} fields, got {got}"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import chain
 
 import pytest
 
@@ -220,7 +221,7 @@ def test_streaming_reader_header_before_rows():
     reader = ZeekLogReader(stream, "conn.log")
     assert reader.header.fields == CONN_FIELDS
     uid_of = field_getter(reader.header, reader.format, "uid")
-    uids = [uid_of(record) for record in reader.records()]
+    uids = [uid_of(record) for record in chain.from_iterable(reader.blocks())]
     assert uids == ["CDEFAULTuid", "C2"]
     assert reader.trailer == ["#close\t2023-01-24-14-00-00"]
 
@@ -314,9 +315,19 @@ def test_fixture_logs_parse(data_dir):
         assert len(table) > 0
 
 
-@pytest.mark.parametrize("shape", ["row", "trailer", "json"])
+class _Unseekable(io.FileIO):
+    """A file that reads as a pipe does: once, in order, with no seeking back."""
+
+    def seekable(self) -> bool:
+        return False
+
+
+@pytest.mark.parametrize("shape", ["row", "trailer", "json", "row-unseekable", "trailer-unseekable",
+                                   "json-unseekable"])
 def test_an_error_before_a_non_utf8_byte_later_in_its_decode_chunk_comes_first(tmp_path, shape):
-    # 200 rows, so the bad byte lies in a later 8 KiB chunk than the first: the reader has yielded rows already
+    # 200 rows, so the bad byte lies in a later 8 KiB chunk than the first: the reader has yielded rows already;
+    # from a file, or from a stream that cannot seek back to read them a second time
+    shape, _, unseekable = shape.partition("-")
     lines = conn_log_text([conn_row(uid=f"C{i:03d}") for i in range(200)]).split("\n")
     if shape == "row":
         lines[150] = lines[150].replace("\t", " ", 1)
@@ -332,8 +343,9 @@ def test_an_error_before_a_non_utf8_byte_later_in_its_decode_chunk_comes_first(t
     log = tmp_path / "conn.log"
     log.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
     assert log.read_bytes().index(b"\xff") > 8192
-    with open(log, encoding="utf-8") as fh:
+    with (io.TextIOWrapper(io.BufferedReader(_Unseekable(log)), encoding="utf-8") if unseekable
+          else open(log, encoding="utf-8")) as fh:
         with pytest.raises(LogFormatError) as raised:
-            for _ in ZeekLogReader(fh, "conn.log").records():
+            for _ in chain.from_iterable(ZeekLogReader(fh, "conn.log").blocks()):
                 pass
     assert str(raised.value) == f"conn.log: {want}"
