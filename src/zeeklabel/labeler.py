@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress
 from operator import not_
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Mapping
 from .errors import LogFormatError, UsageError
 from .ontology import EMPTY_DETAIL as EMPTY_LABEL, LABEL_ITEMS
 from .rules import RuleSet
-from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, cells_getter, in_halves, nulls, replace_all_on_success
-from .zeekio import write_labeled
+from .zeekio import LABEL_FIELDS, ZeekLogReader, ZeekLogTable, _surrogate_at, cells_getter, in_halves, nulls
+from .zeekio import replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -133,14 +133,9 @@ def index_from_labeled_rows(reader: ZeekLogReader, halves: Callable = lambda hal
         raise UsageError("labeled conn.log has no label/detailed_label columns; run 'label' before 'propagate'")
     if "uid" not in header.fields:
         raise LogFormatError(f"{reader.source}: flow table has no uid field")
-    for pair in pairs:  # a JSON escape can spell a lone surrogate, which no output can hold
-        for text in pair:
-            if not text.isascii():
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise LogFormatError(
-                        f"{reader.source}: label {text!r} holds an unpaired surrogate escape") from None
+    for text in chain.from_iterable(pairs):  # a JSON escape can spell a lone surrogate, which no output can hold
+        if _surrogate_at(text) is not None:
+            raise LogFormatError(f"{reader.source}: label {text!r} holds an unpaired surrogate escape")
     index.skipped_unset = unset
     index.duplicates = rows - len(index)
     if unset:

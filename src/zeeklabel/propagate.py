@@ -59,13 +59,11 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
 
 def _keyed(header: ZeekHeader, fmt: str, name: str, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
     """The labels of a block's records: those of each one's ``name`` in ``mapping``, (empty) when it is unset or
-    absent. A TSV cell is looked up as read unless a null text of the log is a key of ``mapping``."""
+    absent. Where a null text of the log is a key of ``mapping``, the cells are looked up in a copy without them."""
     keys_of = cells_getter(header, fmt, (name,))
     null = nulls(header)
-    get = mapping.get
-    if mapping.keys().isdisjoint(null):
-        return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
-    return lambda block: [EMPTY_PAIR if key in null else get(key, EMPTY_PAIR) for key in keys_of(block)]
+    get = mapping.get if mapping.keys().isdisjoint(null) else {key: mapping[key] for key in mapping.keys() - null}.get
+    return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
 
 
 def accumulate_cert_labels(reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]) -> Iterator[list]:
@@ -168,10 +166,10 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
     The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 1 MiB on
     two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
     labels about half of the logs by weight, where :func:`zeekio.can_fork` allows for the bytes of those other
-    than ``conn.*``; only then is each log's header read a second time, to weigh it. Where there is an ssl log,
-    the ssl and x509 logs stay in this process, which alone holds the certificate map. The child writes the temp
-    files that this process named and made before the fork. Outputs, messages, errors and all-or-nothing writes
-    are those of one process.
+    than ``conn.*``; only then is each log's header read a second time, to weigh it. The ssl logs and the x509
+    logs (by name or by ``#path``) always stay in this process, which alone holds the certificate map. The child
+    writes the temp files that this process named and made before the fork. Outputs, messages, errors and
+    all-or-nothing writes are those of one process.
     """
     conn_labeled, log_dir, out_dir = Path(conn_labeled), Path(log_dir), Path(out_dir)
     conn_resolved = conn_labeled.resolve()
@@ -184,6 +182,7 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
     order = sorted(stems, key=lambda path: (stems[path] != "ssl", path.name))
     n_ssl = sum(stem == "ssl" for stem in stems.values())
     ssl_readers: list[ZeekLogReader] = []
+    warned: list[Path] = []  # the x509 log that warned there was no ssl log
     cert_map: dict[str, LabelPair] = {}
     output_of = lambda path: out_dir / labeled_name(path.name)  # noqa: E731
 
@@ -218,7 +217,8 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
             x509 = kind == "x509"
             if x509 and order.index(path) < n_ssl - 1:  # its certificate map would be partial
                 raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
-            if x509 and not ssl_readers:  # kept only for the first x509 log
+            if x509 and not ssl_readers and not warned:  # only for the first x509 log
+                warned.append(path)
                 logger.warning(NO_SSL_WARNING)
             if kind == "ssl":
                 ssl_readers.append(reader)
@@ -245,7 +245,7 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
         if kind == "conn":
             return None
         weight = path.stat().st_size * (JSON_BYTE_COST if reader.format == "json" else 1)
-        return weight, n_ssl > 0 and kind in ("ssl", "x509")  # only this process holds a certificate map
+        return weight, kind in ("ssl", "x509")  # only this process holds a certificate map
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,8 +254,7 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
             for path in order:
                 # each log's messages, then its error, in read order however many processes ran
                 records, log, error = outcomes.get(path) or held_back(label_log, path)
-                x509_done = any(done.route == "x509" for done in report.logs)
-                release([record for record in records if not (x509_done and record[2] == NO_SSL_WARNING)], None, error)
+                release(records, None, error)
                 if log is not None:
                     report.logs.append(log)
             # after the last log: a bad row of any log is reported first, and JSON keys are complete

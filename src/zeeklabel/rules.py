@@ -48,7 +48,7 @@ from .ontology import (
     validate_assignment,
 )
 from .values import Frozen
-from .zeekio import ZeekHeader, _projection, _to_float, field_getter
+from .zeekio import ZeekHeader, _projection, _to_float, field_getter, nulls
 
 
 def _to_int(text: str) -> int | None:
@@ -253,7 +253,7 @@ class _Compiler:
         self.used: dict[str, int] = {}  # the TSV fields fetched, by cell index
         self.json = fmt == "json"
         self.unset = "t is None" if self.json else "t in null"
-        self.null = frozenset((header.unset_field, header.empty_field, ""))
+        self.null = nulls(header) - {None}
         self.ns: dict[str, object] = {"null": self.null}
         self.ns.update((f"to_{name}", column.convert) for name, column in COLUMNS.items())
         for column in COLUMNS.values():

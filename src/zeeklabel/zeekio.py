@@ -157,8 +157,11 @@ def surrogate_escaped(stream: IO[str]) -> IO[str]:
 
 
 def _surrogate_at(text: str) -> int | None:
-    """Where ``text`` holds its first lone surrogate, a byte :func:`surrogate_escaped` read that is not UTF-8."""
-    if not text.isascii():  # O(1): the common case pays no scan
+    """Where ``text`` holds its first lone surrogate, a byte :func:`surrogate_escaped` read that is not UTF-8: the one
+    UTF-8 test of text already read. A surrogate is past U+00FF, so only text that latin-1 cannot encode is scanned."""
+    try:  # isascii() is O(1), and latin-1 copies the bytes of text below U+0100 where UTF-8 converts each one
+        text.isascii() or text.encode("latin-1")
+    except UnicodeEncodeError:
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -408,14 +411,12 @@ def _relabeled_json(obj: dict, pair: tuple[str, str], source: str, lineno: int) 
     label_key, detail_key = LABEL_FIELDS
     try:
         text = _encode_json({**obj, label_key: pair[0], detail_key: pair[1]})
-        if not text.isascii():
-            text.encode("utf-8")
-    except UnicodeEncodeError:
-        problem = "an unpaired surrogate escape"
     except ValueError:
         problem = "a number out of JSON's range"
     else:
-        return text
+        if _surrogate_at(text) is None:
+            return text
+        problem = "an unpaired surrogate escape"
     raise LogFormatError(f"{source}: line {lineno}: cannot relabel an object holding {problem}")
 
 

@@ -184,11 +184,13 @@ def test_a_conn_log_weighs_nothing_in_the_split(tmp_path, capsys, caplog, two_pr
     assert [r.getMessage() for r in caplog.records] == ["conn.log is the label source; skipping"]
 
 
-def test_x509_without_ssl_warns_once_whichever_process_reads_each(tmp_path, capsys, caplog, two_processes, labeled_by):
+def test_x509_logs_without_ssl_stay_in_this_process_and_warn_once(tmp_path, capsys, caplog, two_processes, labeled_by):
+    # x509.log outweighs the other two together, yet with no ssl log every x509 log still stays here
     argv, logs, out = _write_case(tmp_path, rows={"x509.log": 200, "x509.2.log": 30, "x509.3.log": 40})
     with caplog.at_level("WARNING"):
         assert main(argv) == 0
-    assert labeled_by() == {"x509.log": "child", "x509.2.log": "parent", "x509.3.log": "parent"}
+    assert two_processes == ["halves"]  # the uid index's fork; no child for the logs
+    assert labeled_by() == {"x509.log": "parent", "x509.2.log": "parent", "x509.3.log": "parent"}
     assert [r.getMessage() for r in caplog.records] == [propagate.NO_SSL_WARNING]
     assert len(capsys.readouterr().out.splitlines()) == 4
 

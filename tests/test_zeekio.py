@@ -323,12 +323,14 @@ class _Unseekable(io.FileIO):
 
 
 @pytest.mark.parametrize("shape", ["row", "trailer", "json", "row-unseekable", "trailer-unseekable",
-                                   "json-unseekable"])
+                                   "json-unseekable", "row-latin1"])
 def test_an_error_before_a_non_utf8_byte_later_in_its_decode_chunk_comes_first(tmp_path, shape):
     # 200 rows, so the bad byte lies in a later 8 KiB chunk than the first: the reader has yielded rows already;
-    # from a file, or from a stream that cannot seek back to read them a second time
-    shape, _, unseekable = shape.partition("-")
-    lines = conn_log_text([conn_row(uid=f"C{i:03d}") for i in range(200)]).split("\n")
+    # from a file, or from a stream that cannot seek back to read them a second time; with latin1, every uid holds
+    # text past ASCII that latin-1 encodes, so the blocks before the bad byte are not ASCII but hold no surrogate
+    shape, _, variant = shape.partition("-")
+    unseekable, accent = variant == "unseekable", "café" if variant == "latin1" else ""
+    lines = conn_log_text([conn_row(uid=f"C{accent}{i:03d}") for i in range(200)]).split("\n")
     if shape == "row":
         lines[150] = lines[150].replace("\t", " ", 1)
         want = f"row {150 - 7}: expected {len(CONN_FIELDS)} fields, got {len(CONN_FIELDS) - 1}"
