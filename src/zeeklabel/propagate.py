@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator
@@ -28,8 +27,8 @@ from .errors import LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
 from .ontology import BENIGN, MALICIOUS, UNKNOWN
 from .values import Value
-from .zeekio import ZeekHeader, ZeekLogReader, can_fork, cells_getter, field_getter, first_getter, held_back, in_halves
-from .zeekio import in_two_processes, labeled_name, nulls, release, replace_all_on_success, set_getter, write_labeled
+from .zeekio import ZeekHeader, ZeekLogReader, can_fork, first_getter, held_back, in_halves, in_two_processes
+from .zeekio import labeled_name, nulls, release, replace_all_on_success, write_labeled
 
 logger = logging.getLogger(__name__)
 
@@ -57,10 +56,10 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
     return max(candidates, key=_rank, default=None) or EMPTY_PAIR  # max keeps the first of a rank
 
 
-def _keyed(header: ZeekHeader, fmt: str, name: str, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
-    """The labels of a block's records: those of each one's ``name`` in ``mapping``, (empty) when it is unset or
-    absent. Where a null text of the log is a key of ``mapping``, the cells are looked up in a copy without them."""
-    keys_of = cells_getter(header, fmt, (name,))
+def _keyed(header: ZeekHeader, keys_of: Callable, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
+    """The labels of a block's records: those of each one's key (``keys_of`` of the block) in ``mapping``, (empty)
+    when it is unset or absent. Where a null text of the log is a key of ``mapping``, the keys are looked up in a
+    copy without them."""
     null = nulls(header)
     get = mapping.get if mapping.keys().isdisjoint(null) else {key: mapping[key] for key in mapping.keys() - null}.get
     return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
@@ -69,15 +68,8 @@ def _keyed(header: ZeekHeader, fmt: str, name: str, mapping: dict[str, LabelPair
 def accumulate_cert_labels(reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]) -> Iterator[list]:
     """Yield ssl blocks, folding each record's chain into a certificate-id -> merged-labels mapping."""
     header, fmt = reader.header, reader.format
-    pairs_of = _keyed(header, fmt, "uid", index)
-    if fmt == "tsv":  # the chain column of a block, split as set_getter splits it
-        name = next((name for name in SSL_CHAIN_FIELDS if name in header.fields), SSL_CHAIN_FIELDS[0])
-        cells_of, null, set_sep = cells_getter(header, fmt, (name,)), nulls(header), header.set_separator
-
-        def chains_of(block: list[str]) -> list:
-            return [None if text in null else text.split(set_sep) for text in cells_of(block)]
-    else:
-        chains_of = partial(map, first_getter(header, fmt, SSL_CHAIN_FIELDS, set_getter))
+    pairs_of = _keyed(header, first_getter(header, fmt, ("uid",)), index)
+    chains_of = first_getter(header, fmt, SSL_CHAIN_FIELDS, members=True)
     for block in reader.blocks():
         for pair, fids in zip(pairs_of(block), chains_of(block)):
             if fids:
@@ -94,43 +86,27 @@ def _pairs_function(x509: bool, reader: ZeekLogReader, index: UidIndex,
     """The labels of each record of a block of ``reader``'s log.
 
     An x509 record takes its certificate's labels. Any other record takes
-    those of its ``conn_uids`` when it has that column or key, else of its
-    ``uid``, else of its ``uids``; an unset ``uid`` falls back to ``uids``.
-    A TSV log's columns choose one route for all its records; a JSON object
-    takes its own, as do the records of a log with ``conn_uids`` or ``uids``.
+    the merged labels of its ``conn_uids`` when it has that column or key,
+    else of its set ``uid``, else of its ``uids``. A TSV log's columns are
+    chosen once; a JSON object is judged on its own keys.
     """
     header, fmt = reader.header, reader.format
-    get, null = index.get, nulls(header)
-    if fmt == "tsv" and x509:
-        return _keyed(header, fmt, next((name for name in X509_ID_FIELDS if name in header.fields), "id"), cert_map)
-    if fmt == "tsv" and "conn_uids" in header.fields:  # each set as set_getter splits it
-        sets_of, set_sep = cells_getter(header, fmt, ("conn_uids",)), header.set_separator
-        return lambda block: [EMPTY_PAIR if text in null else merge_labels(list(map(get, text.split(set_sep))))
-                              for text in sets_of(block)]
-    if fmt == "tsv" and "uids" not in header.fields:
-        return _keyed(header, fmt, "uid", index)
     if x509:
-        fid_of = first_getter(header, fmt, X509_ID_FIELDS)
-        return lambda block: [cert_map.get(fid_of(record), EMPTY_PAIR) for record in block]
-    conn_uids_of = first_getter(header, fmt, ("conn_uids",), set_getter)
-    uid_of = field_getter(header, fmt, "uid")
-    uids_of = set_getter(header, fmt, "uids")
-
-    def lookup(record):
-        uids = conn_uids_of(record)
-        if uids is None:
-            uid = uid_of(record)
-            if uid is not None:
-                return get(uid) or EMPTY_PAIR
-            uids = uids_of(record)
-        return merge_labels([get(u) for u in uids]) if uids else EMPTY_PAIR
+        return _keyed(header, first_getter(header, fmt, X509_ID_FIELDS), cert_map)
+    uid_of = first_getter(header, fmt, ("uid",))
+    if fmt == "tsv" and "conn_uids" not in header.fields and "uids" not in header.fields:
+        return _keyed(header, uid_of, index)
+    get, null = index.get, nulls(header)
+    conn_uids_of = first_getter(header, fmt, ("conn_uids",), members=True)
+    uids_of = first_getter(header, fmt, ("uids",), members=True)
 
     def pairs_of(block: list) -> list[LabelPair]:
         if fmt == "json":  # objects that all hold a set str uid, and no conn_uids key read so far: uids as read
             uids = list(map(dict.get, block, repeat("uid")))
             if set(map(type, uids)) == {str} and null.isdisjoint(uids) and "conn_uids" not in header.fields:
                 return list(map(get, uids, repeat(EMPTY_PAIR)))
-        return list(map(lookup, block))
+        return [merge_labels(list(map(get, ids if ids is not None else [uid] if uid not in null else more or [])))
+                for ids, uid, more in zip(conn_uids_of(block), uid_of(block), uids_of(block))]
 
     return pairs_of
 
@@ -234,6 +210,9 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
                  else "uid" if "uid" in fields or "uids" in fields else "none")
         if route == "none":
             logger.warning("%s has no uid linkage; passing rows through as (empty)", path.name)
+        elif x509 and not any(name in fields for name in X509_ID_FIELDS):
+            logger.warning("%s has no certificate id field (%s); passing rows through as (empty)", path.name,
+                           " or ".join(X509_ID_FIELDS))
         rows = sum(counts.values())
         return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path))
 

@@ -25,9 +25,10 @@ line too. A block ends before a bad row, a ``#`` line or such a byte, whose
 error (or the trailer) comes with the next block, so the first error in the
 input is the one reported, whatever the block size. :func:`json_lines`
 reads the JSON lines that a block cannot take whole, and ``eval``'s
-detections. :func:`cells_getter` reads columns of a block, and
-:func:`field_getter` and :func:`set_getter` of one record, each resolved once
-per header and splitting a line only as far as its columns lie;
+detections. :func:`cells_getter` reads columns of a block, :func:`first_getter`
+the first of several columns a record has (or a set's members), and
+:func:`field_getter` one record's column, each resolved once per header and
+splitting a line only as far as its columns lie;
 :func:`write_labeled` writes each block in one call, each line as it was read.
 
 A pipeline reads a log in two processes through one contract (``label``'s
@@ -680,16 +681,18 @@ def in_halves(command: str, path: str | Path, function: Callable, *args, cost: f
     return run(None)
 
 
-def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str, getter: Callable | None = None):
-    """``getter`` (:func:`field_getter` by default) of one record: a streamed one, or a table's list of cells."""
+def row_field(record: list[str] | str | dict, header: ZeekHeader, name: str) -> str | None:
+    """:func:`field_getter` of one record: a streamed one, or a table's list of cells."""
     if isinstance(record, list):
         record = header.separator.join(record)
-    return (getter or field_getter)(header, "tsv" if isinstance(record, str) else "json", name)(record)
+    return field_getter(header, "tsv" if isinstance(record, str) else "json", name)(record)
 
 
 def row_set_field(record: list[str] | str | dict, header: ZeekHeader, name: str) -> list[str]:
-    """:func:`set_getter` of one record: a streamed one, or a table's list of cells."""
-    return row_field(record, header, name, set_getter)
+    """The members of set column ``name`` in one record, as :func:`first_getter` reads them; [] where it is absent."""
+    if isinstance(record, list):
+        record = header.separator.join(record)
+    return first_getter(header, "tsv" if isinstance(record, str) else "json", (name,), members=True)([record])[0] or []
 
 
 def _projection(header: ZeekHeader, indexes: list[int]) -> tuple[Callable, int, list[int]]:
@@ -746,50 +749,35 @@ def cells_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...]) -> Callab
     return lambda block: list(map(get, map(split, block, repeat(sep), repeat(maxsplit))))
 
 
-def set_getter(header: ZeekHeader, fmt: str, name: str) -> Callable[[str | dict], list[str]]:
-    """A set column's members in a record, resolved once; [] when unset, empty or absent."""
-    get = field_getter(header, fmt, name)
-    if fmt == "json":
+def first_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...], members: bool = False) -> Callable[[list], list]:
+    """The first of ``names`` that each record of a block has, resolved once: its cell as :func:`cells_getter`
+    reads it, or with ``members`` the set's members ([] when unset or empty); None for a record with none of them.
 
-        def members(obj):
-            value = obj.get(name)
-            if type(value) is list:
-                return [_json_scalar(v) for v in value]
-            text = get(obj)
-            return [] if text is None else [text]
-
-        return members
-    set_sep = header.set_separator
-
-    def split(line):
-        text = get(line)
-        return [] if text is None else text.split(set_sep)
-
-    return split
-
-
-def first_getter(header: ZeekHeader, fmt: str, names: tuple[str, ...],
-                 getter: Callable = field_getter) -> Callable[[str | dict], object]:
-    """``getter`` for the first of ``names`` a record has: a function of a record.
-
-    It returns None for a record with none of ``names``. A TSV log's records
-    all have its header's columns, so the column is chosen once; a JSON
-    object is judged on its own keys, as Zeek's JSON writer omits unset fields.
+    A TSV log's records all have its header's columns, so the column is chosen
+    once; a JSON object is judged on its own keys, as Zeek's JSON writer omits
+    unset fields. A JSON list's members are its values, any other value is one.
     """
-    if fmt == "json":
-        getters = [(name, getter(header, fmt, name)) for name in names]
+    if fmt == "tsv":
+        name = next((name for name in names if name in header.fields), None)
+        if name is None:
+            return lambda block: [None] * len(block)
+        cells_of, null, set_sep = cells_getter(header, fmt, (name,)), nulls(header), header.set_separator
+        if not members:
+            return cells_of
+        return lambda block: [[] if text in null else text.split(set_sep) for text in cells_of(block)]
+    getters = [(name, field_getter(header, fmt, name)) for name in names]
 
-        def first(obj):
-            for name, get in getters:
-                if name in obj:
+    def first(obj):
+        for name, get in getters:
+            if name in obj:
+                if not members:
                     return get(obj)
-            return None
+                if type(value := obj[name]) is list:
+                    return list(map(_json_scalar, value))
+                return [] if (text := get(obj)) is None else [text]
+        return None
 
-        return first
-    for name in names:
-        if name in header.fields:
-            return getter(header, fmt, name)
-    return lambda line: None
+    return lambda block: list(map(first, block))
 
 
 def _to_float(text: str | None) -> float | None:

@@ -25,7 +25,7 @@ from randgen import flow_to_cells, make_flow
 from zeeklabel.errors import LogFormatError
 from zeeklabel.zeekio import (
     LABEL_FIELDS, ZeekLogReader, cells_getter, field_getter, first_getter, read_log, row_field, row_set_field,
-    set_getter, write_labeled,
+    write_labeled,
 )
 
 SEPARATORS = ["\t", "|", " ", "||"]
@@ -76,19 +76,22 @@ def test_line_records_read_and_write_as_their_cells(seed):
     names = [*dict.fromkeys(fields), "no_such_column"]
     for name in names:
         idx = header.index_of(name)
-        get, members = field_getter(header, "tsv", name), set_getter(header, "tsv", name)
-        for line, cells in zip(lines, references):
+        get = field_getter(header, "tsv", name)
+        verbatim = first_getter(header, "tsv", (name,))(lines)
+        members = first_getter(header, "tsv", (name,), members=True)(lines)
+        for line, cells, cell, got in zip(lines, references, verbatim, members, strict=True):
             want = None if idx is None or cells[idx] in null else cells[idx]
             assert get(line) == want == row_field(cells, header, name) == row_field(line, header, name)
-            assert members(line) == ([] if want is None else want.split(",")) == row_set_field(cells, header, name)
+            assert cell == (None if idx is None else cells[idx])
+            assert got == (None if idx is None else [] if want is None else want.split(","))
+            assert (got or []) == row_set_field(cells, header, name) == row_set_field(line, header, name)
     for _ in range(5):
         chosen = tuple(rng.sample(names[:-1], rng.randrange(2, 6)))
         get = cells_getter(header, "tsv", chosen)
-        first = first_getter(header, "tsv", (names[-1], chosen[0]))
+        first = first_getter(header, "tsv", (names[-1], *chosen[:2]))
         assert get(lines) == [tuple(cells[header.index_of(name)] for name in chosen) for cells in references]
         assert cells_getter(header, "tsv", chosen[:1])(lines) == [cells[header.index_of(chosen[0])] for cells in references]
-        for line in lines:
-            assert first(line) == field_getter(header, "tsv", chosen[0])(line)
+        assert first(lines) == [cells[header.index_of(chosen[0])] for cells in references]
 
     # write_labeled over lines against a writer of the cell lists
     pairs = [rng.choice(PAIRS) for _ in lines]

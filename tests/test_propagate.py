@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -196,12 +197,23 @@ def test_ssl_without_chain_field_rejected(conn_labeled, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ssl.log", "x509.log"]
 
 
-def test_x509_without_id_field_passes_through_empty(conn_labeled, tmp_path):
+def test_x509_without_id_field_passes_through_empty(conn_labeled, tmp_path, caplog):
     ssl = (DATA_DIR / "proplogs" / "ssl.log").read_text()
     x509 = zeek_tsv("x509", ["ts", "serial"], ["time", "string"], [["1.0", "FPRPa1sslA"]])
-    report, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl, "x509.log": x509})
+    warning = "x509.log has no certificate id field (id or fingerprint); passing rows through as (empty)"
+    with caplog.at_level("WARNING"):
+        report, labels = _propagate(conn_labeled, tmp_path, {"ssl.log": ssl, "x509.log": x509})
     assert [log.route for log in report.logs] == ["uid", "x509"]
     assert labels["x509"] == [EMPTY_PAIR]
+    assert caplog.messages.count(warning) == 1
+    # as JSON lines the keys are known only at the end: a fingerprint in the last object is linkage
+    for objs, warned in (([{"ts": 1.0, "serial": "FPRPa1sslA"}] * 2, 1), ([{"ts": 1.0}, {"fingerprint": None}], 0)):
+        caplog.clear()
+        (tmp_path / "x509.log").write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        with caplog.at_level("WARNING"):
+            report = propagate_dir(conn_labeled, tmp_path, tmp_path)
+        assert [(log.route, log.rows, log.labeled) for log in report.logs] == [("uid", 4, 3), ("x509", 2, 0)]
+        assert caplog.messages.count(warning) == warned
 
 
 def test_each_log_is_read_once(conn_labeled, tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ the label keys before the closing brace, or, for an object that has a label
 key already, its compact encoding with the keys overwritten. The command
 must match it byte for byte, in every ``*.labeled.log`` and in its summary.
 Each case runs again with the logs split between two processes, which must
-change no output byte, summary line or log message.
+change no output byte, summary line or log message, and with blocks of 1
+and 64 bytes, which must match the reference too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import random
 
 import pytest
 
+from zeeklabel import zeekio
 from zeeklabel.cli import main
 from zeeklabel.propagate import merge_labels
 from zeeklabel.zeekio import read_log, row_field, row_set_field
@@ -337,6 +339,14 @@ def test_propagate_matches_reference(tmp_path, capsys, seed):
     assert sorted(got) == sorted(want_outputs)
     for name, text in want_outputs.items():
         assert got[name] == text.encode("utf-8"), name
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64])
+@pytest.mark.parametrize("seed", range(60))
+def test_propagate_matches_reference_in_small_blocks(tmp_path, capsys, monkeypatch, seed, block_bytes):
+    """Each log's route is chosen per block: a JSON log's keys, and so its records' route, may change at a block."""
+    monkeypatch.setattr(zeekio, "BLOCK_BYTES", block_bytes)
+    test_propagate_matches_reference(tmp_path, capsys, seed)
 
 
 @pytest.mark.parametrize("seed", range(60))

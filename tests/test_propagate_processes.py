@@ -191,7 +191,10 @@ def test_x509_logs_without_ssl_stay_in_this_process_and_warn_once(tmp_path, caps
         assert main(argv) == 0
     assert two_processes == ["halves"]  # the uid index's fork; no child for the logs
     assert labeled_by() == {"x509.log": "parent", "x509.2.log": "parent", "x509.3.log": "parent"}
-    assert [r.getMessage() for r in caplog.records] == [propagate.NO_SSL_WARNING]
+    # and, in read order, each x509 log that has a uid but no certificate id says so
+    no_id = "has no certificate id field (id or fingerprint); passing rows through as (empty)"
+    assert [r.getMessage() for r in caplog.records] == [
+        propagate.NO_SSL_WARNING, *(f"{name} {no_id}" for name in ("x509.2.log", "x509.3.log", "x509.log"))]
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 

@@ -13,6 +13,7 @@ from zeeklabel.rules import ConnSchema
 from zeeklabel.zeekio import (
     ZeekLogReader,
     field_getter,
+    first_getter,
     read_log,
     row_field,
     row_set_field,
@@ -197,12 +198,28 @@ def test_row_set_field_splits_on_set_separator():
 
 
 def test_row_set_field_json_list():
-    table = table_from_text(
-        _json_lines([{"fuid": "Fa", "conn_uids": ["Cuid1", "Cuid2"]}, {"fuid": "Fb"}])
-    )
+    objs = [
+        {"fuid": "Fa", "conn_uids": ["Cuid1", "Cuid2"]},  # a list: its members
+        {"fuid": "Fb"},  # an absent key
+        {"fuid": "Fc", "conn_uids": "Cuid3,Cuid4"},  # a string is one member, not split
+        {"fuid": "Fd", "conn_uids": None},  # null: unset
+        {"fuid": "Fe", "conn_uids": 7},  # a number: its text
+        {"fuid": "Ff", "conn_uids": [1.5, True]},  # members as a TSV cell spells them
+        {"fuid": "Fg", "conn_uids": []},
+        {"fuid": "Fh", "conn_uids": "-"},
+    ]
+    table = table_from_text(_json_lines(objs))
     rows = list(table.iter_rows())
-    assert row_set_field(rows[0], table.header, "conn_uids") == ["Cuid1", "Cuid2"]
-    assert row_set_field(rows[1], table.header, "conn_uids") == []
+    got = [row_set_field(row, table.header, "conn_uids") for row in rows]
+    assert got == [["Cuid1", "Cuid2"], [], ["Cuid3,Cuid4"], [], ["7"], ["1.5", "T"], [], []]
+    # the block reader tells an absent key (None) from an unset one ([])
+    members = first_getter(table.header, "json", ("conn_uids",), members=True)(rows)
+    assert members == [got[0], None, *got[2:]]
+    # the first of several keys that an object has, even when it is null
+    block = [{"id": None, "fingerprint": "F1"}, {"fingerprint": "F2"}, {"id": "X1", "fingerprint": "F3"}, {}]
+    table = table_from_text(_json_lines(block))
+    assert first_getter(table.header, "json", ("id", "fingerprint"))(block) == [None, "F2", "X1", None]
+    assert first_getter(table.header, "json", ("id", "fingerprint"), members=True)(block) == [[], ["F2"], ["X1"], None]
 
 
 def test_data_region_directive_starts_trailer_capture():
