@@ -389,8 +389,8 @@ def _checked(reader: ZeekLogReader, skipped: list[int]) -> None:
 
 
 def _score_log(detections_path: str | Path, window: float, threshold: int, cutoff: float | None, reader: ZeekLogReader,
-               halves: Callable) -> tuple[EvalReport, list[DetectionRecord]]:
-    """:func:`evaluate`'s report and detections, the conn.log tallied through ``halves``; a conn.log error first."""
+               halves: Callable) -> tuple[EvalReport, list[DetectionRecord], int]:
+    """:func:`evaluate`'s report, detections and skipped rows, the log tallied through ``halves``; its error first."""
     skipped: list[int] = []  # of this process
     flows = _read_flows(reader, skipped)
     half = lambda _: (_tally(flows, evidence, window, cutoff), skipped)  # noqa: E731
@@ -408,7 +408,7 @@ def _score_log(detections_path: str | Path, window: float, threshold: int, cutof
             _checked(reader, skipped)
         raise
     _checked(reader, skips)
-    return _finish(counts, detections, evidence, alerts), detections
+    return _finish(counts, detections, evidence, alerts), detections, sum(skips)
 
 
 def evaluate(
@@ -426,10 +426,10 @@ def evaluate(
     so its error is final. A report of more than ``max_windows``
     (IP, window) decisions is a usage error that names the events at both ends
     of the span. Detections that predate their evidence are logged; evidence
-    uids that name no flow are a usage error.
+    uids that name no scored flow are a usage error, which counts the rows skipped.
     """
-    report, detections = in_halves("eval", Path(conn_labeled), _score_log, detections_path, window, threshold, cutoff,
-                                   cost=TALLY_BYTE_COST)
+    report, detections, skipped = in_halves("eval", Path(conn_labeled), _score_log, detections_path, window, threshold,
+                                            cutoff, cost=TALLY_BYTE_COST)
     if report.timelines:  # every IP's runs span the same windows
         runs = next(iter(report.timelines.values()))
         lo, hi = runs[0].first_window, runs[-1].first_window + runs[-1].length - 1
@@ -445,5 +445,8 @@ def evaluate(
         logger.warning("detection of %s at %.6f predates evidence flow at %.6f", det.ip, det.time, latest)
     if report.missing_evidence:
         missing = ", ".join(report.missing_evidence)
+        if skipped:  # a skipped row's uid names no scored flow
+            were = ("was", "were")[skipped > 1]
+            missing += f" ({skipped} row{'s' * (skipped > 1)} without a uid, finite ts or source IP {were} skipped)"
         raise UsageError(f"evidence uids not present in the labeled flows: {missing}")
     return report

@@ -8,9 +8,9 @@ several parent flows the labels merge by severity: Malicious beats Unknown
 beats Benign beats ``(empty)``, ties keeping the first candidate seen.
 
 :func:`propagate_dir` runs the whole pipeline over a log directory and
-labels each log in one pass. The ssl logs go first: :func:`accumulate_cert_labels`
-folds their records into the certificate map as they are written, so the map
-is complete before any x509 log is read. An x509 log is known by its name or
+labels each log in one pass. The ssl logs go first: the labels each ssl row is
+written with, merged by severity, fill the certificate map, so the map is
+complete before any x509 log is read. An x509 log is known by its name or
 ``#path``; any other log's record finds its flows through the columns (TSV)
 or keys (JSON lines) it has.
 """
@@ -21,7 +21,7 @@ import contextlib
 import logging
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import LogFormatError, UsageError
 from .labeler import EMPTY_PAIR, LabelPair, UidIndex, index_from_labeled_rows
@@ -65,34 +65,34 @@ def _keyed(header: ZeekHeader, keys_of: Callable, mapping: dict[str, LabelPair])
     return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
 
 
-def accumulate_cert_labels(reader: ZeekLogReader, index: UidIndex, mapping: dict[str, LabelPair]) -> Iterator[list]:
-    """Yield ssl blocks, folding each record's chain into a certificate-id -> merged-labels mapping."""
-    header, fmt = reader.header, reader.format
-    pairs_of = _keyed(header, first_getter(header, fmt, ("uid",)), index)
-    chains_of = first_getter(header, fmt, SSL_CHAIN_FIELDS, members=True)
-    for block in reader.blocks():
-        for pair, fids in zip(pairs_of(block), chains_of(block)):
-            if fids:
-                rank = _RANK.get(pair[0], 0)
-                for fid in fids:
-                    current = mapping.get(fid)
-                    if current is None or rank > _RANK.get(current[0], 0):
-                        mapping[fid] = pair
-        yield block
-
-
-def _pairs_function(x509: bool, reader: ZeekLogReader, index: UidIndex,
+def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
                     cert_map: dict[str, LabelPair]) -> Callable[[list], list[LabelPair]]:
-    """The labels of each record of a block of ``reader``'s log.
+    """The labels of each record of a block of ``reader``'s log, whose ``kind`` is ``x509``, ``ssl`` or other.
 
-    An x509 record takes its certificate's labels. Any other record takes
-    the merged labels of its ``conn_uids`` when it has that column or key,
-    else of its set ``uid``, else of its ``uids``. A TSV log's columns are
-    chosen once; a JSON object is judged on its own keys.
+    An x509 record takes its certificate's labels. Any other record takes the merged labels of its ``conn_uids``
+    when it has that column or key, else of its set ``uid``, else of its ``uids``; an ssl record's pair is also
+    merged by severity into ``cert_map`` for each certificate of its chain. A TSV log's columns are chosen once; a
+    JSON object is judged on its own keys.
     """
     header, fmt = reader.header, reader.format
-    if x509:
+    if kind == "x509":
         return _keyed(header, first_getter(header, fmt, X509_ID_FIELDS), cert_map)
+    if kind == "ssl":
+        flow_pairs_of = _pairs_function("other", reader, index, cert_map)
+        chains_of = first_getter(header, fmt, SSL_CHAIN_FIELDS, members=True)
+
+        def folded(block: list) -> list[LabelPair]:
+            pairs = flow_pairs_of(block)
+            for pair, fids in zip(pairs, chains_of(block)):
+                if fids:
+                    rank = _RANK.get(pair[0], 0)
+                    for fid in fids:  # the first pair of the highest rank wins
+                        current = cert_map.get(fid)
+                        if current is None or rank > _RANK.get(current[0], 0):
+                            cert_map[fid] = pair
+            return pairs
+
+        return folded
     uid_of = first_getter(header, fmt, ("uid",))
     if fmt == "tsv" and "conn_uids" not in header.fields and "uids" not in header.fields:
         return _keyed(header, uid_of, index)
@@ -130,14 +130,14 @@ class PropagateReport(Value):
 def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | Path) -> PropagateReport:
     """Label every other ``*.log`` in ``log_dir`` from a labeled conn.log.
 
-    Each log is labeled in one pass: the ssl logs first, whose records fill the
-    certificate map as they are written, then the rest in name order, so an
-    x509 log always finds that map complete. Each output is
-    ``<stem>.labeled.log`` in ``out_dir``, created (with its parents) before
-    the first log is read, and is written to a temp file. The outputs are
-    moved into place only after the last one is complete, so a run that
-    fails leaves none of them, and no directory it created. The report lists
-    the logs in name order.
+    Each log is labeled in one pass: the ssl logs first, whose certificates
+    take the labels each ssl row is written with, merged by severity, then the
+    rest in name order, so an x509 log always finds the certificate map
+    complete. Each output is ``<stem>.labeled.log`` in ``out_dir``, created
+    (with its parents) before the first log is read, and is written to a temp
+    file. The outputs are moved into place only after the last one is
+    complete, so a run that fails leaves none of them, and no directory it
+    created. The report lists the logs in name order.
 
     The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 1 MiB on
     two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
@@ -198,12 +198,8 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
                 logger.warning(NO_SSL_WARNING)
             if kind == "ssl":
                 ssl_readers.append(reader)
-                blocks = accumulate_cert_labels(reader, index, cert_map)
-            else:
-                blocks = reader.blocks()
-            pairs_of = _pairs_function(x509, reader, index, cert_map)
             with open_output(output_of(path)) as dst:
-                counts = write_labeled(dst, reader, blocks, pairs_of)
+                counts = write_labeled(dst, reader, reader.blocks(), _pairs_function(kind, reader, index, cert_map))
         # the route a JSON log took is known only once all its keys are
         fields = reader.header.fields
         route = ("x509" if x509 else "files" if "conn_uids" in fields

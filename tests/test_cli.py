@@ -1439,7 +1439,28 @@ def test_eval_unknown_evidence_exits_2(tmp_path, capsys):
     )
     rc = main(["eval", str(DATA_DIR / "fig2" / "conn.labeled.log"), str(det)])
     assert rc == 2
-    assert "not present in the labeled flows" in capsys.readouterr().err
+    assert _one_error_line(capsys.readouterr().err) == "error: evidence uids not present in the labeled flows: Cmissing"
+
+
+@pytest.mark.parametrize("processes", ["one", "two"])
+@pytest.mark.parametrize("skipped", [1, 2])
+def test_eval_evidence_of_a_skipped_row_exits_2_with_the_skip_count(tmp_path, capsys, request, skipped, processes):
+    # CFIG201qWm is in the conn.log, but its row has no ts and is not scored: the error says how many were skipped
+    text = (DATA_DIR / "fig2" / "conn.labeled.log").read_text()
+    for ts, uid in [("1674550000", "CFIG201qWm"), ("1674550420", "CFIG215qWm")][:skipped]:  # the first row, the last
+        text = text.replace(f"{ts}.000000\t{uid}", f"-\t{uid}")
+    conn = tmp_path / "conn.labeled.log"
+    conn.write_text(text)
+    det = tmp_path / "d.jsonl"
+    det.write_text('{"ip": "192.168.100.7", "time": 1674550500.0, "evidence": ["CFIG201qWm"]}\n')
+    forks = request.getfixturevalue("two_processes") if processes == "two" else []
+    rc = main(["eval", str(conn), str(det)])
+    assert rc == 2 and forks.count("halves") == (processes == "two")
+    rows = "1 row without a uid, finite ts or source IP was" if skipped == 1 else \
+        "2 rows without a uid, finite ts or source IP were"
+    assert _one_error_line(capsys.readouterr().err) == (
+        f"error: evidence uids not present in the labeled flows: CFIG201qWm ({rows} skipped)"
+    )
 
 
 def test_eval_bad_detections_exit_1(tmp_path, capsys):

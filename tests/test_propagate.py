@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, zeek_tsv
+from conftest import DATA_DIR, json_lines, zeek_tsv
 
 from zeeklabel.errors import LogFormatError
 from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
 import zeeklabel.propagate
 import zeeklabel.zeekio
-from zeeklabel.propagate import accumulate_cert_labels, merge_labels, propagate_dir
+from zeeklabel.propagate import _pairs_function, merge_labels, propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, read_log, write_log
 
@@ -145,9 +145,10 @@ def test_propagate_files_requires_conn_uids(conn_labeled, tmp_path):
 def _cert_map(conn_labeled, ssl_text: str) -> dict:
     with open(conn_labeled, encoding="utf-8") as fh:
         index = index_from_labeled_rows(ZeekLogReader(fh, "conn.labeled.log"))
-    mapping: dict = {}
-    for _ in accumulate_cert_labels(ZeekLogReader(io.StringIO(ssl_text), "ssl.log"), index, mapping):
-        pass
+    reader, mapping = ZeekLogReader(io.StringIO(ssl_text), "ssl.log"), {}
+    pairs_of = _pairs_function("ssl", reader, index, mapping)
+    for block in reader.blocks():
+        pairs_of(block)
     return mapping
 
 
@@ -159,6 +160,37 @@ def test_cert_label_map_merges_across_ssl_rows(conn_labeled):
     assert mapping["FPRPa3sslC"] == UNK
     # chain of a uid the conn.log never saw
     assert mapping["FPRPa9sslD"] == EMPTY_PAIR
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_certificate_takes_the_labels_its_ssl_row_is_written_with(conn_labeled, tmp_path, request, fmt, processes):
+    # the first ssl row's uid is unset (TSV) or absent (JSON lines), so it and its certificate take its uids' labels
+    if fmt == "tsv":
+        ssl = zeek_tsv("ssl", ["ts", "uid", "uids", "cert_chain_fuids"],
+                       ["time", "string", "set[string]", "vector[string]"],
+                       [["1.0", "-", "CPRP02bbbb,CPRP01aaaa", "FCERT1"], ["1.1", "CPRP02bbbb", "-", "FCERT2"]])
+    else:
+        ssl = json_lines({"ts": 1.0, "uids": ["CPRP02bbbb", "CPRP01aaaa"], "cert_chain_fuids": ["FCERT1"]},
+                         {"ts": 1.1, "uid": "CPRP02bbbb", "cert_chain_fuids": ["FCERT2"]})
+    logs = {
+        "ssl.log": ssl,
+        "x509.log": zeek_tsv("x509", ["ts", "id"], ["time", "string"], [["1.0", "FCERT1"], ["1.1", "FCERT2"]]),
+        "http.log": (DATA_DIR / "proplogs" / "http.log").read_text(),  # what a child labels in two processes
+    }
+    for name, text in logs.items():
+        (tmp_path / name).write_text(text)
+    forks = request.getfixturevalue("two_processes") if processes == 2 else []
+    report = propagate_dir(conn_labeled, tmp_path, tmp_path)
+    assert forks.count("logs") == (processes == 2)
+    assert [(log.name, log.labeled) for log in report.logs] == [("http.log", 4), ("ssl.log", 2), ("x509.log", 2)]
+    ssl_out = tmp_path / "ssl.labeled.log"
+    if fmt == "tsv":
+        assert _labels(ssl_out) == [MAL, BEN]
+    else:
+        objs = map(json.loads, ssl_out.read_text().splitlines())
+        assert [(obj["label"], obj["detailed_label"]) for obj in objs] == [MAL, BEN]
+    assert _labels(tmp_path / "x509.labeled.log") == [MAL, BEN]
 
 
 def test_propagate_x509_two_hops(proplogs):

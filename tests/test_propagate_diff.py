@@ -9,7 +9,8 @@ compactly as Zeek writes it, in ``json.dumps``'s spaced default, or with
 ``\\u00e9`` and ``\\/`` escapes; some carry stale label keys or empty objects.
 The reference below re-derives every output from the whole-table reader and
 the row helpers only: ``read_log``, ``row_field``, ``row_set_field`` and
-``merge_labels``. A JSON object's output is the text of its input line with
+``merge_labels``; a certificate takes the merged pairs its ssl rows are
+written with. A JSON object's output is the text of its input line with
 the label keys before the closing brace, or, for an object that has a label
 key already, its compact encoding with the keys overwritten. The command
 must match it byte for byte, in every ``*.labeled.log`` and in its summary.
@@ -178,16 +179,18 @@ def gen_case(rng: random.Random, root) -> None:
         elif kind == "files":
             fields = ["ts", "fuid", "conn_uids"]
             rows = [["1.0", f"Ff{i}", _clean_set(_uid_set(rng, uids))] for i in range(n())]
-        elif kind == "ssl":
+        elif kind == "ssl":  # with uids, a row with an unset uid takes its uids' labels, as do its certificates
             chain = rng.choice(["cert_chain_fuids", "cert_chain_fps"])
-            fields = ["ts", "uid", chain]
-            rows = [
-                ["1.0", _uid_value(rng, uids), rng.sample(certs, rng.randint(0, min(3, len(certs))))]
-                for _ in range(n())
-            ]
+            with_uids = rng.random() < 0.5
+            fields = ["ts", "uid", "uids", chain] if with_uids else ["ts", "uid", chain]
+            rows = []
+            for _ in range(n()):
+                uid = UNSET if rng.random() < 0.2 else _uid_value(rng, uids)
+                more = [_clean_set(_uid_set(rng, uids))] if with_uids else []
+                rows.append(["1.0", uid, *more, rng.sample(certs, rng.randint(0, min(3, len(certs))))])
             for row in rows[:-1]:  # resumed sessions; the last one keeps the chain column
                 if rng.random() < 0.3:
-                    row[2] = UNSET
+                    row[-1] = UNSET
         elif kind == "x509":
             fields = ["ts", rng.choice(["id", "id", "fingerprint", "fingerprint", "serial"]), "subject"]
             rows = [["1.0", rng.choice(certs + ["Forphan", UNSET]), "CN=x"] for _ in range(n())]
@@ -255,15 +258,29 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         keys = row if table.format == "json" else table.header.fields
         return next((name for name in names if name in keys), None)
 
-    routes = {p: route(p, t) for p, t in tables.items()}
     certs: dict[str, tuple[str, str]] = {}
+
+    def pair_of(table, row, r) -> tuple[str, str]:
+        h = table.header
+        if r == "x509":
+            id_field = first(table, row, ("id", "fingerprint"))
+            fid = row_field(row, h, id_field) if id_field else None
+            return certs.get(fid, EMPTY) if fid is not None else EMPTY
+        if first(table, row, ("conn_uids",)):
+            members = row_set_field(row, h, "conn_uids")
+            return merge_labels([index.get(u) for u in members]) if members else EMPTY
+        if (uid := row_field(row, h, "uid")) is not None:
+            return index.get(uid, EMPTY)
+        members = row_set_field(row, h, "uids")
+        return merge_labels([index.get(u) for u in members]) if members else EMPTY
+
+    routes = {p: route(p, t) for p, t in tables.items()}
     if "x509" in routes.values():
         for path, table in tables.items():
             if routes[path] in ("conn", "x509") or path.name.split(".")[0] != "ssl":
                 continue
             for row in table.iter_rows():
-                uid = row_field(row, table.header, "uid")
-                pair = index.get(uid, EMPTY) if uid is not None else EMPTY
+                pair = pair_of(table, row, routes[path])  # the pair the ssl row is written with
                 chain = first(table, row, ("cert_chain_fuids", "cert_chain_fps"))
                 for fid in row_set_field(row, table.header, chain) if chain else []:
                     certs[fid] = merge_labels([certs[fid], pair]) if fid in certs else pair
@@ -275,20 +292,7 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         if r == "conn":
             continue
         h = table.header
-        pairs = []
-        for row in table.iter_rows():
-            if r == "x509":
-                id_field = first(table, row, ("id", "fingerprint"))
-                fid = row_field(row, h, id_field) if id_field else None
-                pairs.append(certs.get(fid, EMPTY) if fid is not None else EMPTY)
-            elif first(table, row, ("conn_uids",)):
-                members = row_set_field(row, h, "conn_uids")
-                pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
-            elif (uid := row_field(row, h, "uid")) is not None:
-                pairs.append(index.get(uid, EMPTY))
-            else:
-                members = row_set_field(row, h, "uids")
-                pairs.append(merge_labels([index.get(u) for u in members]) if members else EMPTY)
+        pairs = [pair_of(table, row, r) for row in table.iter_rows()]
         if table.format == "json":
             texts = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
             lines = []
