@@ -12,7 +12,9 @@ Values are typed at parse time: ports/counters as numbers, IPs as addresses
 (exact addresses only, no CIDR), Date as a calendar date, start as epoch
 seconds. Ordering operators are limited to numeric and temporal columns;
 ``=`` works everywhere and compares Proto/State case-insensitively and IPs
-as addresses, so IPv6 spelling variants are equal.
+as addresses, so IPv6 spelling variants are equal: an IPv6 cell reads as
+ipaddress's RFC 5952 text, computed by libc's inet_pton and inet_ntop, and
+ipaddress itself parses only a cell with a scope id or a dotted IPv4 tail.
 
 :meth:`RuleSet.classifier` compiles the rule set once per conn.log header
 into one function from a record to the number of its first matching rule,
@@ -33,6 +35,7 @@ import datetime
 import ipaddress
 import operator
 import re
+from _socket import AF_INET6, inet_ntop, inet_pton  # not socket, which costs each start 4 ms
 from functools import cached_property, lru_cache
 from types import CodeType
 from typing import Callable, NamedTuple
@@ -64,9 +67,18 @@ def _to_int(text: str) -> int | None:
 
 def _address(text: str) -> str | None:
     # IPv4 text is kept as written: ipaddress accepts only the canonical
-    # dotted quad, so no other spelling can equal a rule's address anyway
+    # dotted quad, so no other spelling can equal a rule's address anyway.
+    # IPv6 text becomes ipaddress's RFC 5952 text, written by libc; ipaddress
+    # reads only a scope id or a dotted IPv4 tail, which libc writes otherwise
     if ":" not in text:
         return text
+    if "%" not in text:
+        try:
+            text = inet_ntop(AF_INET6, inet_pton(AF_INET6, text))
+        except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
+            return None
+        if "." not in text:
+            return text
     try:
         return str(ipaddress.ip_address(text))
     except ValueError:

@@ -17,6 +17,7 @@ import pytest
 from conftest import CONN_FIELDS, CONN_TYPES, DATA_DIR, CappedStdout, conn_log_text, conn_row, json_lines, zeek_tsv
 
 from zeeklabel.cli import main
+from zeeklabel.rules import ConnSchema
 from zeeklabel.zeekio import read_log, row_field
 
 
@@ -195,6 +196,52 @@ def test_label_infix_for_names_without_log_suffix(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "capture.labeled").exists()
     capsys.readouterr()
+
+
+_SPELLED_CONFIG = (
+    "Malicious, From_malicious-To_benign:\n    - dstIP=::ffff:198.18.0.6\n"
+    "Benign, From_benign-To_benign:\n    - srcIP=fe80::1%eth0\n"
+)
+# uid: id.orig_h, id.resp_h and the label the flow takes
+_SPELLED_FLOWS = {
+    "Cmapped": ("10.0.0.1", "::ffff:198.18.0.6", "Malicious"),
+    "Cupper": ("10.0.0.1", "::FFFF:C612:6", "Malicious"),
+    "Cpadded": ("10.0.0.1", "0:0:0:0:0:ffff:c612:0006", "Malicious"),
+    "Cscoped": ("FE80::1%eth0", "10.0.0.2", "Benign"),
+    "Cunscoped": ("fe80::1", "10.0.0.2", "(empty)"),
+    "Cnot": ("fd00::3d5b6c", "fd00::3d5b6c", "(empty)"),  # 24 bits after fd00::, so no address
+}
+
+
+@pytest.mark.parametrize("processes", ["one", "two"])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_label_matches_every_spelling_of_a_rule_address(request, tmp_path, capsys, fmt, processes):
+    """An IPv4-mapped rule address matches its dotted, upper-case and zero-padded cells; a scope id is part of
+    the address; a cell that is no address reads as unset. The same from TSV and JSON, in one process or two."""
+    flows = [(f"{uid}{i}", *cells) for i in range(10) for uid, cells in _SPELLED_FLOWS.items()]
+    conn = tmp_path / "conn.log"
+    if fmt == "tsv":
+        conn.write_text(conn_log_text([conn_row(uid=uid, **{"id.orig_h": src, "id.resp_h": dst})
+                                       for uid, src, dst, _ in flows]))
+    else:
+        conn.write_text(json_lines(*({"ts": 1.5, "uid": uid, "id.orig_h": src, "id.resp_h": dst}
+                                     for uid, src, dst, _ in flows)))
+    (tmp_path / "r.conf").write_text(_SPELLED_CONFIG)
+    forks = request.getfixturevalue("two_processes") if processes == "two" else []
+    assert main(["label", str(conn), "--config", str(tmp_path / "r.conf")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("rows: 60\nlabeled: 40\n(empty): 20\n  Malicious: 30\n  Benign: 10\n")
+    assert forks == ([] if processes == "one" else ["halves"])
+    with open(tmp_path / "conn.labeled.log", encoding="utf-8") as labeled:
+        table = read_log(labeled, "conn.labeled.log")
+    schema = ConnSchema(table.header, table.format)
+    got = {}
+    for record in table.iter_rows():
+        uid = row_field(record, table.header, "uid")
+        got[uid] = row_field(record, table.header, "label") or "(empty)"
+        if uid.startswith("Cnot"):
+            assert schema.view(record).value("srcIP") is schema.view(record).value("dstIP") is None
+    assert got == {uid: label for uid, _, _, label in flows}
 
 
 def test_label_bad_config_exits_2(portscan_dir, capsys):

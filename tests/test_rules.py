@@ -5,6 +5,8 @@ import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conn_log_text, conn_row, json_lines, table_from_text, zeek_tsv
 from randgen import gen_case, make_flow, flow_to_cells, oracle_first_match
@@ -15,6 +17,7 @@ from zeeklabel.ontology import load_ontology
 from zeeklabel.rules import (
     COLUMNS,
     ConnSchema,
+    _address,
     load_config,
     match_rule,
     parse_ruleset,
@@ -393,3 +396,77 @@ def test_a_json_empty_list_reads_as_unset():
         assert match_rule(ruleset.rules[0], schema.view(record)) is (uid == "Ctcp")
         assert classify(record) == (0 if uid == "Ctcp" else 1)
     assert got == {"Cempty": (None, None), "Ctcp": ("tcp", "tcp")}
+
+
+def _ipaddress_text(text: str) -> str | None:
+    """What ``_address`` must give for a text with a colon: ipaddress's own text, None where it raises."""
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
+
+
+_HEX = "0123456789abcdefABCDEF"
+# a NUL, non-ASCII digits (Arabic-Indic one, fullwidth one), lone surrogates and a space
+_ODD = ["\x00", "\u0661", "\uff11", "\udc80", "\ud800", " "]
+
+
+@st.composite
+def _near_ipv6(draw) -> str:
+    """Text near IPv6, mostly not an address: hextets of 0-5 hex digits in either case, too many or too few
+    groups, a ``::`` at any position, a dotted tail with leading zeros or octets past 255, a ``%`` scope id,
+    and now and then an odd character anywhere."""
+    groups = draw(st.lists(st.text(_HEX, max_size=5), max_size=10))
+    text = ":".join(groups)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(groups)))
+        text = ":".join(groups[:at]) + "::" + ":".join(groups[at:])
+    if draw(st.booleans()):
+        octet = st.integers(0, 300).map(str) | st.integers(0, 99).map("0{}".format)
+        text += ("" if text.endswith(":") else ":") + ".".join(draw(st.lists(octet, min_size=3, max_size=5)))
+    if draw(st.booleans()):
+        text += "%" + draw(st.text("eth0%", max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_ODD)) + text[at:]
+    return text
+
+
+@st.composite
+def _respelled_ipv6(draw) -> str:
+    """An IPv6 address in one of its spellings: each hextet zero-padded or not, in either case, a run of zero
+    hextets as ``::``, the last 32 bits now and then as a dotted quad, and a scope id now and then. Zero, one
+    and ffff words are common, so IPv4-mapped and IPv4-compatible addresses come up."""
+    words = draw(st.lists(st.sampled_from([0, 0, 0, 1, 0xFFFF]) | st.integers(0, 0xFFFF), min_size=8, max_size=8))
+    hextets = [draw(st.sampled_from(["{:x}", "{:X}", "{:04x}", "{:04X}", "{:03x}"])).format(w) for w in words]
+    tail = ""
+    if draw(st.booleans()):
+        tail = ".".join(str(b) for b in (words[6] >> 8, words[6] & 255, words[7] >> 8, words[7] & 255))
+        hextets, words = hextets[:6], words[:6]
+    start = draw(st.integers(0, len(words)))
+    end = draw(st.integers(start, len(words)))
+    if start < end and not any(words[start:end]):
+        text = ":".join(hextets[:start]) + "::" + ":".join(hextets[end:])
+    else:
+        text = ":".join(hextets)
+    if tail:
+        text += ("" if text.endswith(":") else ":") + tail
+    if draw(st.integers(0, 7)) == 0:
+        text += "%eth0"
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_near_ipv6(), _respelled_ipv6()))
+def test_an_address_cell_reads_as_ipaddress_writes_it(text):
+    """libc's inet_pton and inet_ntop give ipaddress's text for every IPv6 cell, and None where it raises;
+    IPv4 text, which has no colon, is kept as written."""
+    assert _address(text) == (_ipaddress_text(text) if ":" in text else text)
+
+
+@pytest.mark.parametrize("text", [
+    "::", "::1", "::ffff:1.2.3.4", "::1.2.3.4", "64:ff9b::1.2.3.4", "fe80::1%eth0", "1:2:3:4:5:6:7::",
+    "1:2:3:4::5:6:7:8", "1:0:0:1:0:0:0:1", "fd00::3d5b6c",
+])
+def test_an_address_cell_reads_as_ipaddress_writes_it_on_edge_cases(text):
+    assert _address(text) == _ipaddress_text(text)

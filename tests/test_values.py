@@ -31,8 +31,10 @@ def _detection(lineno: int) -> DetectionRecord:
 
 
 def test_importing_the_command_line_loads_no_dataclasses_inspect_or_pickle():
+    # nor socket and the selectors it imports: rules needs only _socket's inet_pton and inet_ntop
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, zeeklabel.cli; print(*sorted({'dataclasses', 'inspect', 'pickle'} & set(sys.modules)))"
+    unwanted = "{'dataclasses', 'inspect', 'pickle', 'socket', 'selectors'}"
+    code = f"import sys, zeeklabel.cli; print(*sorted({unwanted} & set(sys.modules)))"
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.split() == []
 
