@@ -103,10 +103,9 @@ def _score_text(c: ConfusionCounts) -> str:
     )
 
 
-# windows a report write holds at most: about 150 KB of --json or 25 KB of text,
-# so a report of any size takes no more memory than a small one
-JSON_CHUNK_WINDOWS = 1024
-TEXT_CHUNK_WINDOWS = 8192
+# windows a report write holds at most: about 150 KB of --json or 3 KB of text, gathered by
+# stdout's own buffer, so a report of any size takes no more memory than a small one
+CHUNK_WINDOWS = 1024
 
 _MARKS = {key: " " + status for key, status in STATUS.items()}
 # a window object of json.dumps(payload, indent=2), split around its window_start
@@ -128,34 +127,21 @@ def _json_windows(window: float, first: int, length: int, truth: bool, predicted
     return f"{_WINDOW_HEAD}{windows}{tail}"
 
 
-def _write_timelines(write: Callable, timelines: dict, limit: int, joint: str, ends: Callable, spell: Callable) -> None:
-    """Each IP's runs between its ``ends(ip, runs)``, ``limit`` windows to a write: a run is cut where
-    it fills a write, each piece is ``spell(first, length, truth, predicted)``, and ``joint`` goes
+def _write_timelines(write: Callable, timelines: dict, joint: str, ends: Callable, spell: Callable) -> None:
+    """Each IP's runs between its ``ends(ip, runs)``, a run cut into pieces of at most ``CHUNK_WINDOWS``
+    windows, one write each: a piece is ``spell(first, length, truth, predicted)``, and ``joint`` goes
     between the IPs and between the pieces of one IP."""
-    buf: list[str] = []
-    held = 0
     lead = ""
     for ip, runs in timelines.items():
         opening, closing = ends(ip, runs)
-        buf += (lead, opening)
+        write(lead + opening)
         lead = ""
         for first, length, truth, predicted in runs:
-            while held + length >= limit:  # the run fills this write
-                take = limit - held
-                buf += (lead, spell(first, take, truth, predicted))
-                write("".join(buf))
-                buf.clear()
+            for start in range(first, first + length, CHUNK_WINDOWS):
+                write(lead + spell(start, min(CHUNK_WINDOWS, first + length - start), truth, predicted))
                 lead = joint
-                first += take
-                length -= take
-                held = 0
-            if length:
-                buf += (lead, spell(first, length, truth, predicted))
-                lead = joint
-                held += length
-        buf.append(closing)
+        write(closing)
         lead = joint
-    write("".join(buf))
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -177,7 +163,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         head, _, tail = json.dumps(payload, indent=2).rpartition("{}")
         head, tail = head + "{", ("\n    }" if report.timelines else "}") + tail + "\n"
         fmt = (
-            JSON_CHUNK_WINDOWS, ",",
+            ",",
             lambda ip, runs: (f"\n      {json.dumps(str(ip))}: [", "\n      ]" if runs else "]"),
             partial(_json_windows, ns.window),
         )
@@ -189,7 +175,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         )
         tail = _score_text(report.ip)
         fmt = (
-            TEXT_CHUNK_WINDOWS, "",
+            "",
             lambda ip, runs: (f"  {ip}:" if runs else f"  {ip}: ", "\n"),
             lambda first, length, truth, predicted: _MARKS[truth, predicted] * length,
         )

@@ -207,12 +207,11 @@ class ConditionGroup(Frozen):
 
 
 class Rule(Frozen):
-    _fields = ("assignment", "groups", "label_text", "detail_text")  # not source_line: a re-rendered rule is equal
+    _fields = ("groups", "label_text", "detail_text")  # not source_line: a re-rendered rule is equal
 
-    def __init__(self, assignment: LabelAssignment, groups: tuple[ConditionGroup, ...], label_text: str,
-                 detail_text: str, source_line: int = 0) -> None:
-        self._set(assignment=assignment, groups=groups, label_text=label_text, detail_text=detail_text,
-                  source_line=source_line)
+    def __init__(self, groups: tuple[ConditionGroup, ...], label_text: str, detail_text: str,
+                 source_line: int = 0) -> None:
+        self._set(groups=groups, label_text=label_text, detail_text=detail_text, source_line=source_line)
 
     @property
     def label_pair(self) -> tuple[str, str]:
@@ -458,19 +457,17 @@ def parse_ruleset(text: str, spec: OntologySpec) -> RuleSet:
     RuleSet that parses is a RuleSet that labels.
     """
     rules: list[Rule] = []
-    header: tuple[LabelAssignment, str, str, int] | None = None
+    header: tuple[str, str, int] | None = None
     groups: list[ConditionGroup] = []
 
     def finish() -> None:
         nonlocal header, groups
         if header is None:
             return
-        assignment, label_text, detail_text, lineno = header
+        label_text, detail_text, lineno = header
         if not groups:
             raise ConfigError(f"line {lineno}: rule '{label_text}, {detail_text}:' has no condition lines")
-        rules.append(
-            Rule(assignment, tuple(groups), label_text, detail_text, lineno)
-        )
+        rules.append(Rule(tuple(groups), label_text, detail_text, lineno))
         header = None
         groups = []
 
@@ -506,7 +503,7 @@ def parse_ruleset(text: str, spec: OntologySpec) -> RuleSet:
         if problems:
             raise ConfigError(f"line {lineno}: " + "; ".join(problems))
         # re-render so the stored detail string is canonical level order
-        header = (assignment, label_text, render_detailed_label(assignment), lineno)
+        header = (label_text, render_detailed_label(assignment), lineno)
     finish()
     return RuleSet(tuple(rules))
 

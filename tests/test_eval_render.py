@@ -146,9 +146,12 @@ reports = st.builds(
 def test_chunked_report_equals_the_whole_payload_rendering(report, window, threshold, cutoff, as_json, limit):
     argv = [f"--window={window!r}", f"--threshold={threshold}"]
     argv += [f"--cutoff={cutoff!r}"] * (cutoff is not None) + ["--json"] * as_json
-    with patch.object(cli, "JSON_CHUNK_WINDOWS", limit), patch.object(cli, "TEXT_CHUNK_WINDOWS", limit):
+    with patch.object(cli, "CHUNK_WINDOWS", limit):
         out = run_eval(report, argv)
     assert_same("".join(out.parts), reference(report, window, threshold, cutoff, as_json))
+    # the head and the tail hold the score lines, whose TP, FP, FN and TN look like window marks
+    marks = ['"window_start"'] if as_json else [" TP", " FP", " FN", " TN"]
+    assert max((sum(map(part.count, marks)) for part in out.parts[1:-1]), default=0) <= limit
 
 
 def test_window_starts_beyond_float_range_are_spelled_as_json_does():

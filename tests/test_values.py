@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _rule(source_line: int) -> Rule:
     group = ConditionGroup((Condition("dstPort", "=", 22), Condition("Proto", "=", "tcp")))
-    return Rule(LabelAssignment("Malicious", {"attack": "Scan"}), (group,), "Malicious", "Scan", source_line)
+    return Rule((group,), "Malicious", "Scan", source_line)
 
 
 def _detection(lineno: int) -> DetectionRecord:
@@ -42,7 +42,7 @@ def test_importing_the_command_line_loads_no_dataclasses_inspect_or_pickle():
 def test_rule_equality_ignores_its_source_line_and_a_detection_its_line_number():
     assert _rule(3) == _rule(40) and _rule(3) != _rule(40).groups[0]
     assert RuleSet((_rule(3),)) == RuleSet((_rule(40),))
-    assert _rule(3) != Rule(_rule(3).assignment, (), "Malicious", "Scan", 3)
+    assert _rule(3) != Rule((), "Malicious", "Scan", 3)
     assert _detection(1) == _detection(9)
     assert _detection(1) != DetectionRecord("10.0.0.1", 1674560400.5, frozenset({"C1", "C2"}), lineno=1)
 
