@@ -83,9 +83,11 @@ def cmd_propagate(ns: argparse.Namespace) -> int:
         raise UsageError(f"{log_dir} is not a directory")
     report = propagate_dir(Path(ns.conn_labeled), log_dir, Path(ns.output) if ns.output else log_dir)
     for log in report.logs:
+        where = "a certificate chain" if log.route == "x509" else "the index"
+        unjoined = f", {log.unjoined} not in {where}" if log.unjoined else ""
         print(
             f"{log.name}: {log.rows} rows, {log.labeled} labeled, "
-            f"{log.rows - log.labeled} (empty){_ROUTE_NOTES[log.route]} -> {log.output.name}"
+            f"{log.rows - log.labeled} (empty){_ROUTE_NOTES[log.route]}{unjoined} -> {log.output.name}"
         )
     print(f"index: {report.index_uids} uids")
     return 0
@@ -106,6 +108,9 @@ def _score_text(c: ConfusionCounts) -> str:
 # windows a report write holds at most: about 150 KB of --json or 3 KB of text, gathered by
 # stdout's own buffer, so a report of any size takes no more memory than a small one
 CHUNK_WINDOWS = 1024
+# window starts a --json report spells once, when its span holds no more: about 1 MB of text, where a week
+# of one-minute windows is 10,080; a longer span is spelled a piece at a time, so memory stays bounded
+SPELLED_WINDOWS = 1 << 14
 
 _MARKS = {key: " " + status for key, status in STATUS.items()}
 # a window object of json.dumps(payload, indent=2), split around its window_start
@@ -117,31 +122,39 @@ _WINDOW_TAILS = {
 }
 
 
-def _json_windows(window: float, first: int, length: int, truth: bool, predicted: bool) -> str:
-    """``length`` window objects from window ``first`` on, as the --json report spells them."""
-    tail = _WINDOW_TAILS[truth, predicted]
+def _starts(window: float, first: int, length: int) -> list[str]:
+    """The starts of ``length`` windows from window ``first`` on, as json.dumps spells them."""
     starts = map(window.__mul__, range(first, first + length))
     # the starts grow with the window, so only the ends can overflow to infinity
     finite = math.isfinite(first * window) and math.isfinite((first + length - 1) * window)
-    windows = (tail + "," + _WINDOW_HEAD).join(map(float.__repr__ if finite else json.dumps, starts))
-    return f"{_WINDOW_HEAD}{windows}{tail}"
+    return list(map(float.__repr__ if finite else json.dumps, starts))
+
+
+def _json_windows(window: float, spelled: tuple[int, list[str]], first: int, length: int, truth: bool,
+                  predicted: bool) -> str:
+    """``length`` window objects from window ``first`` on, as the --json report spells them: their starts are a
+    slice of ``spelled``, ``(lo, the starts from window lo on)``, where it holds them all, else spelled here."""
+    lo, texts = spelled
+    at = first - lo
+    starts = texts[at : at + length] if 0 <= at <= len(texts) - length else _starts(window, first, length)
+    tail = _WINDOW_TAILS[truth, predicted]
+    return f"{_WINDOW_HEAD}{(tail + ',' + _WINDOW_HEAD).join(starts)}{tail}"
 
 
 def _write_timelines(write: Callable, timelines: dict, joint: str, ends: Callable, spell: Callable) -> None:
-    """Each IP's runs between its ``ends(ip, runs)``, a run cut into pieces of at most ``CHUNK_WINDOWS``
-    windows, one write each: a piece is ``spell(first, length, truth, predicted)``, and ``joint`` goes
-    between the IPs and between the pieces of one IP."""
-    lead = ""
-    for ip, runs in timelines.items():
+    """Each IP's runs between its ``ends(ip, runs)``, a run cut into pieces of at most ``CHUNK_WINDOWS`` windows,
+    one write each with the ends and joints before it: a piece is ``spell(first, length, truth, predicted)``, and
+    ``joint`` goes between the IPs and between the pieces of one IP. The last IP's closing is a write of its own."""
+    held = ""  # the ends of IPs and the joints between them, written with the next piece
+    for i, (ip, runs) in enumerate(timelines.items()):
         opening, closing = ends(ip, runs)
-        write(lead + opening)
-        lead = ""
+        lead = held + joint * (i > 0) + opening
         for first, length, truth, predicted in runs:
             for start in range(first, first + length, CHUNK_WINDOWS):
                 write(lead + spell(start, min(CHUNK_WINDOWS, first + length - start), truth, predicted))
                 lead = joint
-        write(closing)
-        lead = joint
+        held = closing if runs else lead + closing
+    write(held)
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -162,10 +175,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         }
         head, _, tail = json.dumps(payload, indent=2).rpartition("{}")
         head, tail = head + "{", ("\n    }" if report.timelines else "}") + tail + "\n"
+        # every IP spans the same windows: their starts are spelled once, when there are not too many
+        lo = min((runs[0].first_window for runs in report.timelines.values() if runs), default=0)
+        end = max((runs[-1].first_window + runs[-1].length for runs in report.timelines.values() if runs), default=lo)
+        spelled = (lo, _starts(ns.window, lo, end - lo) if end - lo <= SPELLED_WINDOWS else [])
         fmt = (
             ",",
             lambda ip, runs: (f"\n      {json.dumps(str(ip))}: [", "\n      ]" if runs else "]"),
-            partial(_json_windows, ns.window),
+            partial(_json_windows, ns.window, spelled),
         )
     else:
         head = (

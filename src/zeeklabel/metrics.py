@@ -13,7 +13,8 @@ flow carries (the source text :func:`evaluate` reads from a conn.log, or an
 address) and the counts per label. :func:`_merge` adds the tally of later flows
 to that of earlier ones, exactly as one pass over both would leave it, so two
 processes can each tally part of a conn.log. :func:`_finish` turns each key into
-an address once, so that keys spelling one address differently merge, and one
+an address once (through libc's ``inet_pton``, with :mod:`ipaddress` only for a scope
+id or a text libc rejects), so that keys spelling one address differently merge, and one
 sweep over each IP's event windows then gives its decisions as maximal runs:
 no two adjacent runs of an IP share a status. Scoring costs O(flows +
 detections) however many quiet windows the span holds.
@@ -28,6 +29,7 @@ import json
 import logging
 import math
 import sys
+from _socket import AF_INET, AF_INET6, inet_pton  # not socket, which costs each start 4 ms
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -49,6 +51,16 @@ TALLY_BYTE_COST = 3 / 4
 MAX_WINDOWS = 10**8
 
 IPAddress = ipaddress.IPv4Address | ipaddress.IPv6Address
+
+
+def _address(text: str) -> IPAddress:
+    """``ipaddress.ip_address(text)``, parsed by libc's inet_pton unless libc rejects the text (a scope id too), so
+    that what is accepted and every error are ipaddress's."""
+    family, address = (AF_INET6, ipaddress.IPv6Address) if ":" in text else (AF_INET, ipaddress.IPv4Address)
+    try:
+        return address(inet_pton(family, text))
+    except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
+        return ipaddress.ip_address(text)
 
 
 class LabeledFlow(NamedTuple):
@@ -238,7 +250,7 @@ def _by_address(*per_key: dict[object, set[int]]) -> list[dict[IPAddress, set[in
     A str key is parsed once, any other key is an address already. The first
     map holds every key of the others.
     """
-    address = {key: ipaddress.ip_address(key) if isinstance(key, str) else key for key in per_key[0]}
+    address = {key: _address(key) if isinstance(key, str) else key for key in per_key[0]}
     merged = []
     for windows in per_key:
         out: dict[IPAddress, set[int]] = {}
@@ -333,7 +345,7 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
             ip, time, evidence = obj["ip"], obj["time"], obj["evidence"]
             if type(ip) is not str:  # ip_address reads an int as an IPv4 address
                 raise ValueError(f"ip {json.dumps(ip)} is not a string")
-            ip = ipaddress.ip_address(ip)
+            ip = _address(ip)
         except (KeyError, ValueError) as exc:
             raise LogFormatError(f"{source}: line {lineno}: needs ip, time and evidence ({exc})") from None
         # a bool is not a time, and an int too large for a float is not finite
@@ -347,7 +359,7 @@ def read_detections(stream: IO[str], source: str = "<detections>") -> list[Detec
 
 def _is_address(text: str) -> bool:
     try:
-        ipaddress.ip_address(text)
+        _address(text)
     except ValueError:
         return False
     return True

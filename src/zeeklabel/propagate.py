@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import logging
 from itertools import repeat
+from operator import is_
 from pathlib import Path
 from typing import Callable
 
@@ -41,6 +42,8 @@ JSON_BYTE_COST = 1.3
 # the uid index's work per byte against label's: it forks from 1 MiB, where two processes begin to pay
 INDEX_BYTE_COST = 3 / 4
 NO_SSL_WARNING = "x509 log present but no ssl.log found; certificates will be labeled (empty)"
+# what a row is labeled with when its key is absent (MISSING) or unset (UNSET): equal to EMPTY_PAIR, not it
+MISSING, UNSET = (EMPTY_PAIR[0], EMPTY_PAIR[1]), (EMPTY_PAIR[0], EMPTY_PAIR[1])
 
 # accepted spellings of the join fields across Zeek versions
 SSL_CHAIN_FIELDS = ("cert_chain_fuids", "cert_chain_fps")
@@ -52,17 +55,16 @@ def _rank(pair: LabelPair | None) -> int:
 
 
 def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
-    """Pick the most severe candidate pair; None entries count as (empty)."""
-    return max(candidates, key=_rank, default=None) or EMPTY_PAIR  # max keeps the first of a rank
+    """Pick the most severe candidate pair, ties keeping the first; None entries count as (empty). No candidate
+    gives UNSET, and only None entries give MISSING."""
+    return max(candidates, key=_rank, default=UNSET) or (EMPTY_PAIR if any(candidates) else MISSING)
 
 
 def _keyed(header: ZeekHeader, keys_of: Callable, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
-    """The labels of a block's records: those of each one's key (``keys_of`` of the block) in ``mapping``, (empty)
-    when it is unset or absent. Where a null text of the log is a key of ``mapping``, the keys are looked up in a
-    copy without them."""
-    null = nulls(header)
-    get = mapping.get if mapping.keys().isdisjoint(null) else {key: mapping[key] for key in mapping.keys() - null}.get
-    return lambda block: list(map(get, keys_of(block), repeat(EMPTY_PAIR)))
+    """The labels of a block's records: those of each one's key (``keys_of`` of the block) in ``mapping``, UNSET
+    when it is unset, else MISSING when it is absent."""
+    get, unset = mapping.get, dict.fromkeys(nulls(header), UNSET).get
+    return lambda block: list(map(unset, keys := keys_of(block), map(get, keys, repeat(MISSING))))
 
 
 def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
@@ -84,8 +86,8 @@ def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
         def folded(block: list) -> list[LabelPair]:
             pairs = flow_pairs_of(block)
             for pair, fids in zip(pairs, chains_of(block)):
-                if fids:
-                    rank = _RANK.get(pair[0], 0)
+                if fids:  # a certificate in a chain joins, whether or not its ssl row did
+                    pair, rank = EMPTY_PAIR if pair == EMPTY_PAIR else pair, _RANK.get(pair[0], 0)
                     for fid in fids:  # the first pair of the highest rank wins
                         current = cert_map.get(fid)
                         if current is None or rank > _RANK.get(current[0], 0):
@@ -104,7 +106,7 @@ def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
         if fmt == "json":  # objects that all hold a set str uid, and no conn_uids key read so far: uids as read
             uids = list(map(dict.get, block, repeat("uid")))
             if set(map(type, uids)) == {str} and null.isdisjoint(uids) and "conn_uids" not in header.fields:
-                return list(map(get, uids, repeat(EMPTY_PAIR)))
+                return list(map(get, uids, repeat(MISSING)))
         return [merge_labels(list(map(get, ids if ids is not None else [uid] if uid not in null else more or [])))
                 for ids, uid, more in zip(conn_uids_of(block), uid_of(block), uids_of(block))]
 
@@ -114,8 +116,8 @@ def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
 class LogReport(Value):
     """What propagation did to one log."""
 
-    def __init__(self, name: str, route: str, rows: int, labeled: int, output: Path) -> None:
-        self._set(name=name, route=route, rows=rows, labeled=labeled, output=output)
+    def __init__(self, name: str, route: str, rows: int, labeled: int, output: Path, unjoined: int = 0) -> None:
+        self._set(name=name, route=route, rows=rows, labeled=labeled, output=output, unjoined=unjoined)
 
 
 class PropagateReport(Value):
@@ -198,8 +200,17 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
                 logger.warning(NO_SSL_WARNING)
             if kind == "ssl":
                 ssl_readers.append(reader)
+            pairs_of, tally = _pairs_function(kind, reader, index, cert_map), [0, 0]  # rows not joined, and joined
+
+            def counted(block: list) -> list[LabelPair]:
+                pairs = pairs_of(block)
+                tally[0] += (missing := sum(map(is_, pairs, repeat(MISSING))))
+                if not tally[1]:  # until a row joins
+                    tally[1] = len(pairs) - missing - sum(map(is_, pairs, repeat(UNSET)))
+                return pairs
+
             with open_output(output_of(path)) as dst:
-                counts = write_labeled(dst, reader, reader.blocks(), _pairs_function(kind, reader, index, cert_map))
+                counts = write_labeled(dst, reader, reader.blocks(), counted)
         # the route a JSON log took is known only once all its keys are
         fields = reader.header.fields
         route = ("x509" if x509 else "files" if "conn_uids" in fields
@@ -209,8 +220,10 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
         elif x509 and not any(name in fields for name in X509_ID_FIELDS):
             logger.warning("%s has no certificate id field (%s); passing rows through as (empty)", path.name,
                            " or ".join(X509_ID_FIELDS))
+        if tally[0] and not tally[1]:
+            logger.warning("no row of %s joins a flow of %s; do both come from one capture?", path.name, conn_labeled)
         rows = sum(counts.values())
-        return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path))
+        return LogReport(path.name, route, rows, rows - counts.get(EMPTY_PAIR, 0), output_of(path), tally[0])
 
     def survey(path: Path) -> tuple[float, bool] | None:
         """The weight of ``path`` in the split and whether it stays in this process; None for a conn log."""

@@ -1027,7 +1027,7 @@ def test_propagate_accepts_a_json_conn_log_whose_uid_key_first_appears_past_the_
     forks = request.getfixturevalue("two_processes") if processes == "two" else []
     assert main(["propagate", str(conn), str(logs), "--output", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "http.log: 2 rows, 1 labeled, 1 (empty) -> http.labeled.log", "index: 10 uids"
+        "http.log: 2 rows, 1 labeled, 1 (empty), 1 not in the index -> http.labeled.log", "index: 10 uids"
     ]
     assert [r.getMessage() for r in caplog.records] == ["30 conn rows had no uid and were left out of the index"]
     assert forks == ([] if processes == "one" else ["halves"])  # one log: no child for the logs

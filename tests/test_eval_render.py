@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 from unittest.mock import patch
 
+import pytest
 from conftest import DATA_DIR
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,32 @@ def test_window_starts_beyond_float_range_are_spelled_as_json_does():
     text = "".join(run_eval(report, ["--window=1e300", "--json"]).parts)
     assert_same(text, reference(report, 1e300, 1, None, True))
     assert '"window_start": -Infinity' in text and '"window_start": Infinity' in text
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_the_starts_of_a_span_up_to_the_bound_are_spelled_once(monkeypatch, past):
+    """Two IPs that together span the bound (or one window more) and neither alone, and an IP with no runs."""
+    span, lo = cli.SPELLED_WINDOWS + past, 10**6
+    timelines = {
+        ipaddress.ip_address("10.0.0.1"): [WindowRun(lo, 3, True, True), WindowRun(lo + 3, span - 10, False, False)],
+        ipaddress.ip_address("10.0.0.2"): [],
+        ipaddress.ip_address("::1"): [WindowRun(lo + 7, 1500, True, False), WindowRun(lo + 1507, span - 1507, False,
+                                                                                       True)],
+    }
+    report = EvalReport(Counter({MALICIOUS: 1}), ConfusionCounts(1), ConfusionCounts(0, 1), timelines, [], [])
+    starts, spelled = cli._starts, []
+
+    def recorded(window: float, first: int, length: int) -> list[str]:
+        spelled.append(length)
+        return starts(window, first, length)
+
+    monkeypatch.setattr(cli, "_starts", recorded)
+    text = "".join(run_eval(report, ["--window=60", "--json"]).parts)
+    assert_same(text, reference(report, 60.0, 1, None, True))
+    if past:  # a list of starts per piece, none longer than a piece
+        assert max(spelled) <= cli.CHUNK_WINDOWS and sum(spelled) == 2 * span - 14
+    else:  # one list, of the span's starts
+        assert spelled == [span]
 
 
 def test_empty_report_and_empty_timeline():

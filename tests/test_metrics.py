@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from address_texts import EDGE_TEXTS, outcome, random_text
 from conftest import zeek_tsv
 
 from zeeklabel.errors import LogFormatError, UsageError
@@ -24,6 +25,7 @@ from zeeklabel.metrics import (
     score,
     timeline_confusion,
 )
+from zeeklabel.metrics import _address
 
 ATTACKER = ipaddress.ip_address("10.0.0.5")
 BYSTANDER = ipaddress.ip_address("10.0.0.9")
@@ -618,3 +620,25 @@ def test_score_refuses_a_time_that_is_not_finite_with_a_usage_error(where, time)
     detections = [DetectionRecord(ATTACKER, time if where == "detection" else 1000.0, frozenset({"C1"}))]
     with pytest.raises(UsageError, match="not NaN" if math.isnan(time) else "too small"):
         score(flows, detections, 60.0)
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_the_address_parser_reads_each_edge_text_as_ipaddress_does(text):
+    assert outcome(_address, text) == outcome(ipaddress.ip_address, text)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_address_parser_reads_any_text_as_ipaddress_does(rng):
+    """Type, value and scope id, or the same error: respellings, scope ids, stray characters and broken texts."""
+    text = random_text(rng)
+    assert outcome(_address, text) == outcome(ipaddress.ip_address, text)
+
+
+def test_read_detections_takes_a_scope_id_and_words_a_bad_address_as_ipaddress_does():
+    records = read_detections(io.StringIO('{"ip": "fe80::1%eth0", "time": 1.0, "evidence": []}\n'))
+    assert records[0].ip == ipaddress.ip_address("fe80::1%eth0") and records[0].ip.scope_id == "eth0"
+    with pytest.raises(LogFormatError) as raised:
+        read_detections(io.StringIO('{"ip": "1.2.3", "time": 1.0, "evidence": []}\n'), "d.jsonl")
+    assert str(raised.value) == ("d.jsonl: line 1: needs ip, time and evidence "
+                                 "('1.2.3' does not appear to be an IPv4 or IPv6 address)")

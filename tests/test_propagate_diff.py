@@ -10,7 +10,9 @@ compactly as Zeek writes it, in ``json.dumps``'s spaced default, or with
 The reference below re-derives every output from the whole-table reader and
 the row helpers only: ``read_log``, ``row_field``, ``row_set_field`` and
 ``merge_labels``; a certificate takes the merged pairs its ssl rows are
-written with. A JSON object's output is the text of its input line with
+written with. A row whose set keys are none of them in its map (the uid
+index, or for x509 the certificates of the ssl chains) is counted in the
+summary as not in it. A JSON object's output is the text of its input line with
 the label keys before the closing brace, or, for an object that has a label
 key already, its compact encoding with the keys overwritten. The command
 must match it byte for byte, in every ``*.labeled.log`` and in its summary.
@@ -260,19 +262,26 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
 
     certs: dict[str, tuple[str, str]] = {}
 
-    def pair_of(table, row, r) -> tuple[str, str]:
+    def keys_of(table, row, r) -> tuple[dict, list[str]]:
+        """The map a row's labels come from, and the row's set keys in it."""
         h = table.header
         if r == "x509":
             id_field = first(table, row, ("id", "fingerprint"))
             fid = row_field(row, h, id_field) if id_field else None
-            return certs.get(fid, EMPTY) if fid is not None else EMPTY
+            return certs, [] if fid is None else [fid]
         if first(table, row, ("conn_uids",)):
-            members = row_set_field(row, h, "conn_uids")
-            return merge_labels([index.get(u) for u in members]) if members else EMPTY
+            return index, row_set_field(row, h, "conn_uids")
         if (uid := row_field(row, h, "uid")) is not None:
-            return index.get(uid, EMPTY)
-        members = row_set_field(row, h, "uids")
-        return merge_labels([index.get(u) for u in members]) if members else EMPTY
+            return index, [uid]
+        return index, row_set_field(row, h, "uids")
+
+    def pair_of(table, row, r) -> tuple[str, str]:
+        mapping, keys = keys_of(table, row, r)
+        return merge_labels([mapping.get(key) for key in keys]) if keys else EMPTY
+
+    def unjoined(table, row, r) -> bool:
+        mapping, keys = keys_of(table, row, r)
+        return bool(keys) and not any(key in mapping for key in keys)
 
     routes = {p: route(p, t) for p, t in tables.items()}
     if "x509" in routes.values():
@@ -319,9 +328,11 @@ def reference(conn_path, log_dir) -> tuple[dict[str, str], str]:
         out_name = path.name[: -len(".log")] + ".labeled.log"
         outputs[out_name] = "".join(line + "\n" for line in lines)
         labeled = sum(p != EMPTY for p in pairs)
+        missed = sum(unjoined(table, row, r) for row in table.iter_rows())
+        where = "a certificate chain" if r == "x509" else "the index"
         stdout.append(
             f"{path.name}: {len(pairs)} rows, {labeled} labeled, "
-            f"{len(pairs) - labeled} (empty){NOTES[r]} -> {out_name}"
+            f"{len(pairs) - labeled} (empty){NOTES[r]}{f', {missed} not in {where}' * (missed > 0)} -> {out_name}"
         )
     stdout.append(f"index: {len(index)} uids")
     return outputs, "".join(line + "\n" for line in stdout)
