@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+from functools import partial
 from itertools import repeat
 from operator import is_
 from pathlib import Path
@@ -60,6 +61,15 @@ def merge_labels(candidates: list[LabelPair | None]) -> LabelPair:
     return max(candidates, key=_rank, default=UNSET) or (EMPTY_PAIR if any(candidates) else MISSING)
 
 
+class _Ranks(dict):
+    """pair (or None) -> its ``_rank``, computed once per distinct pair: ``__getitem__`` as a ``max`` key calls
+    no Python for a pair met before."""
+
+    def __missing__(self, pair: LabelPair | None) -> int:
+        self[pair] = rank = _rank(pair)
+        return rank
+
+
 def _keyed(header: ZeekHeader, keys_of: Callable, mapping: dict[str, LabelPair]) -> Callable[[list], list]:
     """The labels of a block's records: those of each one's key (``keys_of`` of the block) in ``mapping``, UNSET
     when it is unset, else MISSING when it is absent."""
@@ -99,6 +109,7 @@ def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
     if fmt == "tsv" and "conn_uids" not in header.fields and "uids" not in header.fields:
         return _keyed(header, uid_of, index)
     get, null = index.get, nulls(header)
+    most = partial(max, key=_Ranks().__getitem__, default=UNSET)  # merge_labels, less its None fallback
     conn_uids_of = first_getter(header, fmt, ("conn_uids",), members=True)
     uids_of = first_getter(header, fmt, ("uids",), members=True)
 
@@ -107,8 +118,9 @@ def _pairs_function(kind: str, reader: ZeekLogReader, index: UidIndex,
             uids = list(map(dict.get, block, repeat("uid")))
             if set(map(type, uids)) == {str} and null.isdisjoint(uids) and "conn_uids" not in header.fields:
                 return list(map(get, uids, repeat(MISSING)))
-        return [merge_labels(list(map(get, ids if ids is not None else [uid] if uid not in null else more or [])))
-                for ids, uid, more in zip(conn_uids_of(block), uid_of(block), uids_of(block))]
+        return [most(found) or (EMPTY_PAIR if any(found) else MISSING)
+                for ids, uid, more in zip(conn_uids_of(block), uid_of(block), uids_of(block))
+                for found in [list(map(get, ids if ids is not None else [uid] if uid not in null else more or []))]]
 
     return pairs_of
 
@@ -139,7 +151,8 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
     (with its parents) before the first log is read, and is written to a temp
     file. The outputs are moved into place only after the last one is
     complete, so a run that fails leaves none of them, and no directory it
-    created. The report lists the logs in name order.
+    created. A 0-byte log, whatever its name, is a log of no rows, with a
+    0-byte copy and the route ``empty``. The report lists the logs in name order.
 
     The uid index is built through :func:`zeekio.in_halves`, its bytes weighed by INDEX_BYTE_COST: from 1 MiB on
     two CPUs, a forked child indexes the lines past the middle of ``conn_labeled``. Then at most one forked child
@@ -181,9 +194,9 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
 
     def label_log(path: Path) -> LogReport | None:
-        # a conn log by its name is skipped unread, whatever it holds
+        # a conn log by its name is skipped unread, whatever it holds; a 0-byte log is a log of no rows
         with open(path, encoding="utf-8") if stems[path] != "conn" else contextlib.nullcontext() as src:
-            reader = src and ZeekLogReader(src, str(path))
+            reader = src and (ZeekLogReader(src, str(path)) if path.stat().st_size else None)
             kind = kind_of(path, reader)
             if kind == "conn":
                 # a flow log is where labels come from, not a propagation target
@@ -192,6 +205,9 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
                 else:
                     logger.warning("%s is a conn log but not %s, the label source; skipping", path.name, source)
                 return None
+            if reader is None:  # no header, no row: an empty copy, whatever its name
+                open_output(output_of(path)).close()
+                return LogReport(path.name, "empty", 0, 0, output_of(path))
             x509 = kind == "x509"
             if x509 and order.index(path) < n_ssl - 1:  # its certificate map would be partial
                 raise LogFormatError(f"{path}: x509 log sorts before an ssl log; rename it (e.g. x509.log)")
@@ -227,12 +243,13 @@ def propagate_dir(conn_labeled: str | Path, log_dir: str | Path, out_dir: str | 
 
     def survey(path: Path) -> tuple[float, bool] | None:
         """The weight of ``path`` in the split and whether it stays in this process; None for a conn log."""
+        size = path.stat().st_size
         with open(path, encoding="utf-8") as src:
-            reader = ZeekLogReader(src, str(path))
+            reader = ZeekLogReader(src, str(path)) if size else None
         kind = kind_of(path, reader)
         if kind == "conn":
             return None
-        weight = path.stat().st_size * (JSON_BYTE_COST if reader.format == "json" else 1)
+        weight = size * (JSON_BYTE_COST if reader and reader.format == "json" else 1)
         return weight, kind in ("ssl", "x509")  # only this process holds a certificate map
 
     try:

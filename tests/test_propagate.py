@@ -7,14 +7,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, json_lines, zeek_tsv
 
+from zeeklabel.cli import main
 from zeeklabel.errors import LogFormatError
-from zeeklabel.labeler import EMPTY_PAIR, index_from_labeled_rows, label_conn
+from zeeklabel.labeler import EMPTY_PAIR, UidIndex, index_from_labeled_rows, label_conn
 import zeeklabel.propagate
 import zeeklabel.zeekio
-from zeeklabel.propagate import _pairs_function, merge_labels, propagate_dir
+from zeeklabel.propagate import MISSING, UNSET, _pairs_function, merge_labels, propagate_dir
 from zeeklabel.rules import load_config
 from zeeklabel.zeekio import ZeekLogReader, read_log, write_log
 
@@ -81,6 +84,24 @@ def test_merge_none_and_empty_inputs():
     assert merge_labels([None, BEN, None]) == BEN
 
 
+# what a candidate uid finds in the index: nothing (None), a verdict, (empty), a foreign label, or a tie of ranks
+CANDIDATES = [None, MAL, BEN, UNK, EMPTY_PAIR, ("malicious", "(empty)"), ("Weird", "x"), ("Malicious", "Scan")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(CANDIDATES), max_size=6), min_size=1, max_size=20))
+def test_the_files_route_merges_as_merge_labels(rows):
+    # one conn_uids row per candidate list: its uids are found in the index as the list holds
+    index = UidIndex({f"C{k}": pair for k, pair in enumerate(CANDIDATES) if pair is not None})
+    text = json_lines(*({"ts": 1.0, "conn_uids": [f"C{CANDIDATES.index(pair)}" for pair in row]} for row in rows))
+    reader = ZeekLogReader(io.StringIO(text), "files.log")
+    pairs_of = _pairs_function("other", reader, index, {})
+    got = [pair for block in reader.blocks() for pair in pairs_of(block)]
+    want = list(map(merge_labels, rows))
+    assert got == want
+    assert [(pair is MISSING, pair is UNSET) for pair in got] == [(pair is MISSING, pair is UNSET) for pair in want]
+
+
 def _uid_log(field: str, cells: list[str]) -> str:
     return zeek_tsv("x", ["ts", field], ["time", "string"],
                     [[f"16745600{i:02d}.0", c] for i, c in enumerate(cells)])
@@ -107,6 +128,46 @@ def test_propagate_log_requires_uid_linkage(conn_labeled, tmp_path, caplog):
     assert [(log.route, log.rows, log.labeled) for log in report.logs] == [("none", 1, 0)]
     assert labels["weird"] == [EMPTY_PAIR]
     assert "weird.log has no uid linkage" in caplog.text
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("name", ["http.log", "ssl.log", "x509.log"])
+def test_a_0_byte_log_is_a_log_of_no_rows(conn_labeled, tmp_path, request, capsys, caplog, name, processes):
+    # a 0-byte copy and a summary line of 0 rows; every other output, message and count is a run's without it
+    forks = request.getfixturevalue("two_processes") if processes == 2 else []
+    runs = {}
+    for case in ("without", "empty"):
+        logs, out = tmp_path / case, tmp_path / f"{case}-out"
+        shutil.copytree(DATA_DIR / "proplogs", logs)
+        if case == "without":
+            (logs / name).unlink()
+        else:
+            (logs / name).write_bytes(b"")
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert main(["propagate", str(conn_labeled), str(logs), "--output", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs[case] = capsys.readouterr().out.splitlines(), caplog.messages, files
+    (lines, messages, files), (empty_lines, empty_messages, empty_files) = runs["without"], runs["empty"]
+    labeled = name.replace(".log", ".labeled.log")
+    assert empty_lines == sorted([*lines[:-1], f"{name}: 0 rows, 0 labeled, 0 (empty) (0 bytes) -> {labeled}"]) + [
+        lines[-1]]
+    assert empty_messages == messages
+    assert empty_files == dict(sorted({**files, labeled: b""}.items()))
+    assert forks.count("logs") == (2 if processes == 2 else 0)
+
+
+@pytest.mark.parametrize("command", ["label", "eval"])
+def test_a_0_byte_input_to_label_or_eval_is_a_data_error(tmp_path, capsys, command):
+    # there the one log named is the data, not one log among others
+    empty = tmp_path / "conn.log"
+    empty.write_bytes(b"")
+    props = DATA_DIR / "proplogs"
+    argv = ([command, str(empty), "--config", str(props / "labeling.conf")] if command == "label"
+            else [command, str(empty), str(DATA_DIR / "fig2" / "detections.jsonl")])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty input\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["conn.log"]
 
 
 def test_propagate_dir_report(proplogs):
